@@ -25,10 +25,10 @@ Quick start
 
 from .errors import (
     DegenerateRecursion, DegreeBeyondCutoff, DomainError, ExprSyntaxError,
-    FamilyConstraintError, Inadmissible, MapNotClosedForm, NoAdmissibleRoot,
-    NonIntegrableGauge, NonRationalExponent, OrderExceedsDegree,
-    QuadratureNoConverge, SingularPoint, SolvableError, Unimplemented,
-    UnsupportedCorrespondence,
+    FamilyConstraintError, Inadmissible, InvalidParameter, MapNotClosedForm,
+    NoAdmissibleRoot, NonIntegrableGauge, NonRationalExponent,
+    OrderExceedsDegree, QuadratureNoConverge, SingularPoint, SolvableError,
+    Unimplemented, UnsupportedCorrespondence,
 )
 from .expr import (
     Expr, compose, differentiate, evaluate, parse, power_terms, print_expr,
@@ -68,9 +68,10 @@ __all__ = [
     "ALL_CASES", "ClosedFormEigenpair", "DegenerateRecursion",
     "DegreeBeyondCutoff", "DomainError", "Expr", "ExprSyntaxError",
     "FDHamiltonian", "FamilyConstraintError", "FamilyCutoff", "FamilySpec",
-    "GeneratedSystem", "HmOperator", "Inadmissible", "MapNotClosedForm",
-    "NoAdmissibleRoot", "NonIntegrableGauge", "NonRationalExponent",
-    "OrderExceedsDegree", "Poly", "QuadratureNoConverge",
+    "GeneratedSystem", "HmOperator", "Inadmissible", "InvalidParameter",
+    "MapNotClosedForm", "NoAdmissibleRoot", "NonIntegrableGauge",
+    "NonRationalExponent", "OrderExceedsDegree", "Poly",
+    "QuadratureNoConverge",
     "SchrodingerSystem", "SecondOrderODE", "SigmaCase", "SingularPoint",
     "SolvableError", "SpecialFunction", "TermDecomposition",
     "Unimplemented", "UnsupportedCorrespondence", "VariableMap",

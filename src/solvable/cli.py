@@ -73,7 +73,8 @@ def _interval_json(interval):
 
 
 def emit_json(obj, out):
-    out.write(json.dumps(_jsonable(obj), ensure_ascii=False, indent=2))
+    out.write(json.dumps(_jsonable(obj), ensure_ascii=False, indent=2,
+                         allow_nan=False))
     out.write("\n")
 
 

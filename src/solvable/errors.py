@@ -5,6 +5,13 @@ class SolvableError(Exception):
     """Base class for all domain errors raised by this package."""
 
 
+class InvalidParameter(SolvableError, ValueError):
+    """An argument lies outside the values the function accepts (a
+    non-positive c1, too few finite-difference subintervals, ...); the
+    message names the constraint.  Also a ValueError, so callers that
+    catch ValueError keep working."""
+
+
 class ExprSyntaxError(SolvableError):
     """Malformed expression text; carries the offending position."""
 

@@ -7,6 +7,13 @@ variable.  Supports symbolic differentiation, conservative
 simplification, substitution, parsing, printing, and pointwise
 evaluation on scalars or numpy arrays.
 
+Nodes never change after construction, so each one carries write-once
+caches of values that depend only on its structure: its hash (equal to
+the frozen-dataclass hash over its fields), its derivative and its
+simplified form.  They are filled on first use and hold the same value
+whichever thread fills them; pickling and copying leave them out.
+Nodes are slotted, so they carry no instance dict.
+
 The simplifier is deliberately conservative: it flattens sums and
 products, folds constants, merges powers of structurally equal bases,
 collapses integer powers of powers, and cancels exp factors.  It never
@@ -51,9 +58,11 @@ def as_fraction(q) -> Fraction:
 
 
 class Expr:
-    """Base node; subclasses are frozen dataclasses."""
+    """Base node; subclasses are slotted frozen dataclasses made by
+    ``_node``.  The three slots here are the write-once caches; each stays
+    unset until first filled."""
 
-    __slots__ = ()
+    __slots__ = ("_hash", "_derivative", "_simplified")
 
     def __add__(self, other):
         return add(self, other)
@@ -93,7 +102,31 @@ class Expr:
         return e
 
 
-@dataclass(frozen=True)
+# the frozen dataclasses' __setattr__ refuses every write, the caches too
+_set_hash = Expr._hash.__set__
+_set_derivative = Expr._derivative.__set__
+_set_simplified = Expr._simplified.__set__
+
+
+def _node(cls):
+    """Slotted frozen dataclass whose structural hash is computed at most
+    once."""
+    cls = dataclass(frozen=True, slots=True)(cls)
+    structural = cls.__hash__
+
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:
+            h = structural(self)
+            _set_hash(self, h)
+            return h
+
+    cls.__hash__ = __hash__
+    return cls
+
+
+@_node
 class Const(Expr):
     value: float
 
@@ -101,33 +134,33 @@ class Const(Expr):
         object.__setattr__(self, "value", float(self.value))
 
 
-@dataclass(frozen=True)
+@_node
 class Var(Expr):
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class Add(Expr):
     terms: tuple
 
 
-@dataclass(frozen=True)
+@_node
 class Mul(Expr):
     factors: tuple
 
 
-@dataclass(frozen=True)
+@_node
 class Pow(Expr):
     base: Expr
     exponent: Fraction
 
 
-@dataclass(frozen=True)
+@_node
 class Exp(Expr):
     arg: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class Fun(Expr):
     name: str
     arg: Expr
@@ -136,6 +169,7 @@ class Fun(Expr):
 VAR = Var()
 ZERO = Const(0.0)
 ONE = Const(1.0)
+_ONE_Q = Fraction(1)
 
 
 def as_expr(v) -> Expr:
@@ -198,8 +232,7 @@ def _split_coeff(t):
 def add(*terms) -> Expr:
     """Sum with flattening, constant folding, and like-term collection."""
     const = 0.0
-    order = []
-    coeffs = {}
+    coeffs = {}  # core -> coefficient, in order of first appearance
 
     def absorb(t):
         nonlocal const
@@ -212,10 +245,8 @@ def add(*terms) -> Expr:
         if core is None:
             const += c
             return
-        if core not in coeffs:
-            coeffs[core] = 0.0
-            order.append(core)
-        coeffs[core] += c
+        prev = coeffs.get(core)
+        coeffs[core] = c if prev is None else prev + c
 
     for t in terms:
         absorb(t)
@@ -223,8 +254,7 @@ def add(*terms) -> Expr:
     out = []
     if const != 0.0:
         out.append(Const(const))
-    for core in order:
-        c = coeffs[core]
+    for core, c in coeffs.items():
         if c == 0.0:
             continue
         out.append(core if c == 1.0 else mul(c, core))
@@ -239,8 +269,7 @@ def mul(*factors) -> Expr:
     """Product with flattening, constant folding, and merging of powers
     with structurally equal bases; exp factors are combined."""
     const = 1.0
-    order = []
-    expo = {}
+    expo = {}  # base -> exponent, in order of first appearance
     exp_args = []
 
     def absorb(f):
@@ -259,11 +288,9 @@ def mul(*factors) -> Expr:
         if isinstance(f, Pow):
             base, q = f.base, f.exponent
         else:
-            base, q = f, Fraction(1)
-        if base not in expo:
-            expo[base] = Fraction(0)
-            order.append(base)
-        expo[base] += q
+            base, q = f, _ONE_Q
+        prev = expo.get(base)
+        expo[base] = q if prev is None else prev + q
 
     for f in factors:
         absorb(f)
@@ -272,8 +299,7 @@ def mul(*factors) -> Expr:
         return ZERO
 
     out = []
-    for base in order:
-        q = expo[base]
+    for base, q in expo.items():
         if q == 0:
             continue
         out.append(base if q == 1 else pow_(base, q))
@@ -371,11 +397,21 @@ def fun_(name, arg) -> Expr:
 # --- core operations ----------------------------------------------------
 
 def differentiate(e: Expr) -> Expr:
-    """Exact symbolic derivative with respect to the variable."""
+    """Exact symbolic derivative with respect to the variable; computed
+    once per node."""
     if isinstance(e, Const):
         return ZERO
     if isinstance(e, Var):
         return ONE
+    try:
+        return e._derivative
+    except AttributeError:
+        d = _derivative(e)
+        _set_derivative(e, d)
+        return d
+
+
+def _derivative(e: Expr) -> Expr:
     if isinstance(e, Add):
         return add(*(differentiate(t) for t in e.terms))
     if isinstance(e, Mul):
@@ -441,9 +477,20 @@ def _eval(e, x):
 
 
 def simplify(e: Expr) -> Expr:
-    """Bottom-up rebuild through the normalizing constructors."""
+    """Bottom-up rebuild through the normalizing constructors; computed
+    once per node."""
     if isinstance(e, (Const, Var)):
         return e
+    try:
+        return e._simplified
+    except AttributeError:
+        s = _simplify(e)
+        if s is not e:  # a node never holds itself
+            _set_simplified(e, s)
+        return s
+
+
+def _simplify(e: Expr) -> Expr:
     if isinstance(e, Add):
         return add(*(simplify(t) for t in e.terms))
     if isinstance(e, Mul):

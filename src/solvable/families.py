@@ -19,7 +19,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DegreeBeyondCutoff, FamilyConstraintError
+from .errors import (
+    DegreeBeyondCutoff, FamilyConstraintError, InvalidParameter,
+)
 from .expr import VAR, Expr, add, as_fraction, exp_, fun_, mul, pow_
 
 __all__ = [
@@ -167,7 +169,7 @@ class FamilyCutoff:
 def eigenvalue(family: FamilySpec, ell: int) -> float:
     """lambda_ell = -(sigma''/2) ell (ell-1) - alpha ell."""
     if ell < 0:
-        raise ValueError("ell must be a nonnegative integer")
+        raise InvalidParameter("ell must be a nonnegative integer")
     cap = cutoff(family)
     if ell >= cap.lambda_cap:
         raise DegreeBeyondCutoff(

@@ -37,8 +37,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
-    Inadmissible, MapNotClosedForm, NoAdmissibleRoot, NonIntegrableGauge,
-    Unimplemented,
+    Inadmissible, InvalidParameter, MapNotClosedForm, NoAdmissibleRoot,
+    NonIntegrableGauge, Unimplemented,
 )
 from .expr import (
     VAR, Const, Expr, add, as_fraction, compose, differentiate, evaluate,
@@ -137,7 +137,7 @@ class TermDecomposition:
             return self.c_plus, self.i_plus
         if k == -1:
             return self.c_minus, self.i_minus
-        raise ValueError("k must be +1 or -1")
+        raise InvalidParameter("k must be +1 or -1")
 
     def reassemble(self, ell: int) -> Expr:
         """The potential-minus-eigenvalue this decomposition encodes."""
@@ -226,7 +226,7 @@ def substitute(dec: TermDecomposition, k: int,
     with corrections -5/(36 r^2) and -3/(16 r^2) respectively.
     """
     if k not in (1, -1):
-        raise ValueError("k must be +1 or -1")
+        raise InvalidParameter("k must be +1 or -1")
     c_map, i_map = dec.term(-k)
     if x_of_r is None:
         x_of_r = _solve_monomial_map(i_map)
@@ -324,7 +324,7 @@ def _branch_sign(branch) -> int:
         return 1
     if branch in (-1, "-"):
         return -1
-    raise ValueError("branch must be '+' or '-'")
+    raise InvalidParameter("branch must be '+' or '-'")
 
 
 def solve_params_quantsys(c1: float, c2: float, n: int,
@@ -335,10 +335,10 @@ def solve_params_quantsys(c1: float, c2: float, n: int,
     E = sign * 2 sqrt(c1 c2 + c1 sqrt(c1) (1+2n)); admissible when the
     inner radicand is nonnegative, i.e. n >= -c2/(2 sqrt(c1)) - 1/2.
     """
-    if c1 <= 0:
-        raise ValueError("c1 must be positive")
+    if not c1 > 0:
+        raise InvalidParameter("c1 must be positive")
     if n < 0:
-        raise ValueError("n must be a nonnegative integer")
+        raise InvalidParameter("n must be a nonnegative integer")
     sign = _branch_sign(branch)
     rad = c2 + math.sqrt(c1) * (1 + 2 * n)
     if rad < 0:
@@ -425,7 +425,7 @@ def solve_params_inverse_sqrt(c1: float, c2: float, n: int):
     branch (cubic factor alpha^2), flagged on the output.
     """
     if n < 0:
-        raise ValueError("n must be a nonnegative integer")
+        raise InvalidParameter("n must be a nonnegative integer")
     degenerate = c1 == 0.0
     if degenerate:
         roots = [c2 / (n + 0.5)]
@@ -437,6 +437,10 @@ def solve_params_inverse_sqrt(c1: float, c2: float, n: int):
             continue
         beta = 0.0 if degenerate else 2.0 * c1 / alpha
         energy = -alpha * alpha / 4.0
+        if not all(map(math.isfinite, (alpha, beta, energy))):
+            raise InvalidParameter(
+                f"alpha, beta and E must be finite; the parameter cubic "
+                f"overflows for c1={c1:g}, c2={c2:g}, n={n}")
         # r^{1/4} exp(alpha r/2 + (beta/sqrt 2) sqrt r) H_n(...)
         sqr = pow_(VAR, Fraction(1, 2))
         arg = add(mul(math.sqrt(-alpha), sqr),
@@ -466,7 +470,7 @@ def reproduce_dw(theta: float, rho_coeff: float, lam: float, which: int,
     when x' = 1/sqrt(i_map(x)) has no closed form in the IR.
     """
     if which not in (1, 2):
-        raise ValueError("which must be 1 or 2")
+        raise InvalidParameter("which must be 1 or 2")
     k = -1 if which == 1 else 1
     i_plus, i_minus = pow_(VAR, 2), VAR
     if i_map is not None:

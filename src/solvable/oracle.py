@@ -28,7 +28,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, QuadratureNoConverge, SingularPoint
+from .errors import (
+    DomainError, InvalidParameter, QuadratureNoConverge, SingularPoint,
+)
 from .expr import Expr, differentiate, evaluate, simplify
 
 __all__ = [
@@ -69,7 +71,7 @@ def _panel(f, a, b):
     return v16, abs(v16 - v8)
 
 
-@dataclass
+@dataclass(frozen=True)
 class QuadResult:
     value: float
     error_estimate: float
@@ -221,6 +223,9 @@ class FDHamiltonian:
 
     left_ratio r imposes u_0 = r * u_1 instead of u_0 = 0, which matches
     a known power-law behavior at a singular left endpoint.
+
+    The arrays are held as read-only views, so a shared instance cannot
+    be changed by any of its readers.
     """
 
     x_lo: float
@@ -230,6 +235,14 @@ class FDHamiltonian:
     h: float | np.ndarray
     diag: np.ndarray = field(repr=False)
     off: float | np.ndarray
+
+    def __post_init__(self):
+        for name in ("grid", "h", "diag", "off"):
+            value = getattr(self, name)
+            if isinstance(value, np.ndarray):
+                view = value.view()
+                view.flags.writeable = False
+                object.__setattr__(self, name, view)
 
 
 def indicial_grading(gamma: float) -> float:
@@ -245,7 +258,7 @@ def indicial_grading(gamma: float) -> float:
     the r^(1/6) cusp of the cube-root potential.
     """
     if not -1.0 < gamma <= 3.0:
-        raise ValueError("need -1 < gamma <= 3 for a grading p >= 1")
+        raise InvalidParameter("need -1 < gamma <= 3 for a grading p >= 1")
     return 4.0 / (1.0 + gamma)
 
 
@@ -262,7 +275,7 @@ def fd_nodes(x_lo: float, x_hi: float, n: int,
     if grading == 1.0:
         nodes = x_lo + (x_hi - x_lo) / n * np.arange(n + 1)
     elif grading < 1.0:
-        raise ValueError("need grading >= 1")
+        raise InvalidParameter("need grading >= 1")
     elif x_lo < 0.0:
         raise DomainError(f"a mesh graded toward x = 0 needs x_lo >= 0, "
                           f"got {x_lo:g}")
@@ -278,10 +291,11 @@ def fd_hamiltonian(potential, x_lo: float, x_hi: float, n: int,
                    grading: float = 1.0) -> FDHamiltonian:
     """FD Hamiltonian on the ``fd_nodes(x_lo, x_hi, n, grading)`` mesh."""
     if n < 16:
-        raise ValueError("need at least 16 subintervals")
+        raise InvalidParameter("need at least 16 subintervals")
     nodes = fd_nodes(x_lo, x_hi, n, grading)
     grid = nodes[1:-1]
-    v = np.asarray(_as_array_function(potential)(grid), dtype=float)
+    v = np.broadcast_to(np.asarray(_as_array_function(potential)(grid),
+                                   dtype=float), grid.shape)
     if grading == 1.0:
         h = (x_hi - x_lo) / n
         diag = 2.0 / h ** 2 + v
@@ -317,10 +331,11 @@ def fd_hamiltonian_indicial(regular_potential, gamma: float,
     removes it.
     """
     if n < 16:
-        raise ValueError("need at least 16 subintervals")
+        raise InvalidParameter("need at least 16 subintervals")
     h = (x_hi - x_lo) / n
     grid = x_lo + h * np.arange(1, n)
-    w = np.asarray(_as_array_function(regular_potential)(grid), dtype=float)
+    w = np.broadcast_to(np.asarray(
+        _as_array_function(regular_potential)(grid), dtype=float), grid.shape)
     sing = ((grid - h) ** gamma - 2.0 * grid ** gamma
             + (grid + h) ** gamma) / (h * h * grid ** gamma)
     diag = 2.0 / h ** 2 + w + sing

@@ -31,7 +31,8 @@ import numpy as np
 
 from . import expr
 from .errors import (
-    DegenerateRecursion, DegreeBeyondCutoff, UnsupportedCorrespondence,
+    DegenerateRecursion, DegreeBeyondCutoff, InvalidParameter,
+    UnsupportedCorrespondence,
 )
 from .expr import VAR, Expr, add, differentiate, evaluate, mul, pow_, simplify
 from .families import FamilySpec, SigmaCase, cutoff, sample_window, weight
@@ -112,7 +113,7 @@ class Poly:
 def phi(family: FamilySpec, ell: int) -> Poly:
     """Monic degree-ell polynomial solution of the family equation."""
     if ell < 0:
-        raise ValueError("ell must be a nonnegative integer")
+        raise InvalidParameter("ell must be a nonnegative integer")
     cap = cutoff(family)
     if ell >= cap.lambda_cap:
         raise DegreeBeyondCutoff(

@@ -21,10 +21,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 
 from .errors import (
-    DegreeBeyondCutoff, DomainError, OrderExceedsDegree, SingularPoint,
+    DegreeBeyondCutoff, DomainError, InvalidParameter, OrderExceedsDegree,
+    SingularPoint,
 )
 from .expr import (
     VAR, Expr, add, compose, differentiate, evaluate, exp_, fun_, mul,
@@ -110,7 +110,7 @@ def potential(family: FamilySpec, m: int, attach_ells=()) -> SchrodingerSystem:
     """The m-th potential as an expression in x, with eigenpairs
     (lambda_ell, Psi_{ell,m}) attached for the requested ell values."""
     if m < 0:
-        raise ValueError("m must be a nonnegative integer")
+        raise InvalidParameter("m must be a nonnegative integer")
     cap = cutoff(family)
     if m >= cap.lambda_cap:
         raise DegreeBeyondCutoff(
@@ -136,17 +136,12 @@ def wavefunction(family: FamilySpec, ell: int, m: int) -> Expr:
     return simplify(compose(simplify(amp), vmap.inverse))
 
 
-@lru_cache(maxsize=512)
-def _second_derivative(e: Expr) -> Expr:
-    return differentiate(simplify(differentiate(e)))
-
-
 def schrodinger_residual(system: SchrodingerSystem, pair_index: int,
                          x: float) -> float:
     """-psi''(x) + V(x) psi(x) - lambda psi(x) for an attached eigenpair,
     with psi'' computed symbolically."""
     lam, psi = system.known_eigenpairs[pair_index]
-    psi2 = _second_derivative(psi)
+    psi2 = differentiate(simplify(differentiate(psi)))
     try:
         return float(-evaluate(psi2, x) + evaluate(system.potential, x)
                      * evaluate(psi, x) - lam * evaluate(psi, x))
@@ -158,7 +153,8 @@ def oscillator_potential_value(family: FamilySpec, m: int, x) -> float:
     """Closed form for the sigma = 1 case:
     V_m(x) = alpha^2/4 x^2 + alpha beta/2 x + beta^2/4 + alpha/2 - alpha m."""
     if family.sigma_case is not SigmaCase.ONE:
-        raise ValueError("closed form applies to the sigma = 1 case only")
+        raise InvalidParameter(
+            "closed form applies to the sigma = 1 case only")
     al, be = family.alpha, family.beta
     return (al * al / 4.0) * x * x + (al * be / 2.0) * x \
         + be * be / 4.0 + al / 2.0 - al * m

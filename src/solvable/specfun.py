@@ -21,14 +21,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property
 
 import numpy as np
 
 from .errors import (
-    DegreeBeyondCutoff, OrderExceedsDegree, SingularPoint,
+    DegreeBeyondCutoff, InvalidParameter, OrderExceedsDegree, SingularPoint,
 )
-from .expr import Expr, add, evaluate, mul, pow_, simplify
+from .expr import Expr, add, differentiate, evaluate, mul, pow_, simplify
 from .families import FamilySpec, cutoff, eigenvalue, weight
 from .oracle import integrate
 from .polynomials import Poly, phi
@@ -52,7 +52,7 @@ class SpecialFunction:
     def __call__(self, s):
         return self.family.sigma(s) ** (self.m / 2.0) * self.poly_part(s)
 
-    @property
+    @cached_property
     def expr(self) -> Expr:
         return simplify(mul(
             pow_(self.family.sigma_expr, Fraction(self.m, 2)),
@@ -65,7 +65,7 @@ class SpecialFunction:
 
 def special_function(family: FamilySpec, ell: int, m: int) -> SpecialFunction:
     if not 0 <= m:
-        raise ValueError("m must be a nonnegative integer")
+        raise InvalidParameter("m must be a nonnegative integer")
     if m > ell:
         raise OrderExceedsDegree(f"m={m} exceeds ell={ell}")
     cap = cutoff(family)
@@ -107,22 +107,16 @@ def hm_operator(family: FamilySpec, m: int) -> HmOperator:
     return HmOperator(family, m, multiplication_part(family, m))
 
 
-@lru_cache(maxsize=512)
-def _expr_triple(e: Expr):
-    d1 = simplify(e.diff())
-    d2 = simplify(d1.diff())
-    return e, d1, d2
-
-
 def _as_derivative_triple(f):
     """(f, f', f'') evaluators from an Expr, SpecialFunction, or triple."""
     if isinstance(f, SpecialFunction):
         f = f.expr
     if isinstance(f, Expr):
-        e0, e1, e2 = _expr_triple(f)
-        return (lambda s: evaluate(e0, s),
-                lambda s: evaluate(e1, s),
-                lambda s: evaluate(e2, s))
+        d1 = simplify(differentiate(f))
+        d2 = simplify(differentiate(d1))
+        return (lambda s: evaluate(f, s),
+                lambda s: evaluate(d1, s),
+                lambda s: evaluate(d2, s))
     f0, f1, f2 = f
     return f0, f1, f2
 

@@ -172,6 +172,30 @@ class TestReproduceDW:
         assert text.splitlines()[0] == "index,E_numeric,E_analytic,abs_err"
 
 
+class TestInvalidParameters:
+    """Inputs outside a function's domain end in exit 1 with the violated
+    constraint named, never in a traceback or in output that is not
+    valid JSON."""
+
+    @pytest.mark.parametrize("argv,constraint", [
+        (["verify", "spectrum", "--system", "cuberoot", "--c1", "0"],
+         "c1 must be positive"),
+        (["generate", "--c1", "0", "--c2", "0", "--n", "0"],
+         "c1 must be positive"),
+        (["verify", "spectrum", "--family", "one", "--alpha", "-2",
+          "--beta", "0", "--grid", "10"],
+         "need at least 16 subintervals"),
+        (["solve-params", "--mode", "invsqrt", "--c1", "1e300", "--c2", "1",
+          "--n", "0"],
+         "alpha, beta and E must be finite"),
+    ])
+    def test_exit_1_names_constraint(self, argv, constraint, capsys):
+        code, text = invoke(argv)
+        assert code == 1
+        assert text == ""
+        assert constraint in capsys.readouterr().err
+
+
 class TestDeterminism:
     @pytest.mark.parametrize("argv", [
         ["families", "--alpha", "-7", "--beta", "1"],

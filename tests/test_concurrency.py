@@ -2,6 +2,8 @@
 construction, so shared use across threads must give bit-identical
 results to sequential use."""
 
+import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -10,7 +12,7 @@ from solvable import (
     FamilySpec, SigmaCase, eigenvalues_below, fd_hamiltonian, phi,
     potential, solve_params_quantsys,
 )
-from solvable.expr import evaluate
+from solvable.expr import differentiate, evaluate, parse, print_expr, simplify
 
 
 def test_shared_family_and_polynomials_across_threads():
@@ -60,3 +62,35 @@ def test_fd_hamiltonian_shared_across_threads():
     with ThreadPoolExecutor(max_workers=4) as pool:
         results = list(pool.map(work, [3.0, 5.0, 7.0, 9.0]))
     assert results == [work(e) for e in (3.0, 5.0, 7.0, 9.0)]
+
+
+def test_shared_expr_memo_filled_from_eight_threads():
+    # the threads race to fill the derivative and simplified-form caches
+    # of one fresh tree; every result must match a sequential run on an
+    # independently built equal tree, bit for bit
+    text = "x^(1/6)*exp(-x^(4/3) + 2*x^(2/3))*(4*x^(4/3) - 2*x^(2/3) + 1)"
+    xs = np.linspace(0.1, 3.0, 64)
+
+    def work(e):
+        d2 = simplify(differentiate(simplify(differentiate(e))))
+        s = simplify(e)
+        return print_expr(d2), print_expr(s), evaluate(d2, xs).tobytes()
+
+    expected = work(parse(text))
+    shared = parse(text)
+    start = threading.Barrier(8)
+
+    def racer(_):
+        start.wait(timeout=30)
+        return work(shared)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            results = [f.result(timeout=60)
+                       for f in [pool.submit(racer, i) for i in range(8)]]
+    finally:
+        sys.setswitchinterval(old)
+    assert results == [expected] * 8
+    assert differentiate(shared) is differentiate(shared)

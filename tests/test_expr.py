@@ -1,12 +1,16 @@
+import dataclasses
 import math
+import pickle
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from solvable.errors import DomainError, ExprSyntaxError, NonRationalExponent
 from solvable.expr import (
-    VAR, Add, Const, Exp, Fun, Mul, Pow, Var,
+    VAR, Add, Const, Exp, Expr, Fun, Mul, Pow, Var,
     add, compose, differentiate, evaluate, exp_, fun_, mul, parse, pow_,
     power_terms, print_expr, simplify,
 )
@@ -260,3 +264,103 @@ def test_simplify_is_fixed_point_on_pipeline_outputs():
               transformed_system(
                   FamilySpec(SigmaCase.ONE, -1.7, 0.9), 3, 1, -1).psi):
         assert simplify(e) == e
+
+
+# --- write-once node caches ----------------------------------------------
+
+# A recipe is a nested tuple; ``build`` turns it into a raw tree of node
+# constructors (no normalization), a fresh object graph on every call.
+_LEAVES = st.one_of(
+    st.builds(lambda k: ("const", k), st.integers(-3, 3)),
+    st.just(("var",)))
+
+
+def _extend(children):
+    return st.one_of(
+        st.builds(lambda ts: ("add", tuple(ts)),
+                  st.lists(children, min_size=2, max_size=3)),
+        st.builds(lambda fs: ("mul", tuple(fs)),
+                  st.lists(children, min_size=2, max_size=3)),
+        st.builds(lambda b, p, q: ("pow", b, Fraction(p, q)),
+                  children, st.integers(-3, 3), st.integers(1, 3)),
+        st.builds(lambda a: ("exp", a), children),
+        st.builds(lambda n, a: ("fun", n, a),
+                  st.sampled_from(["sin", "log", "cosh"]), children))
+
+
+RECIPES = st.recursive(_LEAVES, _extend, max_leaves=12)
+
+
+def build(recipe):
+    kind = recipe[0]
+    if kind == "const":
+        return Const(recipe[1] / 2)
+    if kind == "var":
+        return Var()
+    if kind == "add":
+        return Add(tuple(build(r) for r in recipe[1]))
+    if kind == "mul":
+        return Mul(tuple(build(r) for r in recipe[1]))
+    if kind == "pow":
+        return Pow(build(recipe[1]), recipe[2])
+    if kind == "exp":
+        return Exp(build(recipe[1]))
+    return Fun(recipe[1], build(recipe[2]))
+
+
+class _Hashed:
+    def __init__(self, h):
+        self.h = h
+
+    def __hash__(self):
+        return self.h
+
+
+def structural_hash(e):
+    """The frozen-dataclass hash over the fields, recomputed through the
+    whole tree without reading any node's cache."""
+    def field_value(v):
+        if isinstance(v, Expr):
+            return _Hashed(structural_hash(v))
+        if isinstance(v, tuple):
+            return tuple(field_value(u) for u in v)
+        return v
+    return hash(tuple(field_value(getattr(e, f.name))
+                      for f in dataclasses.fields(e)))
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(RECIPES)
+def test_equal_trees_hash_equal_and_match_structural_hash(recipe):
+    a, b = build(recipe), build(recipe)
+    assert a == b
+    assert hash(a) == hash(b)
+    assert hash(a) == structural_hash(a) == structural_hash(b)
+    assert hash(a) == hash(a)  # the second call reads the cache
+
+
+def test_differentiate_and_simplify_memoized_per_node():
+    e = parse("x^2*exp(-x^2/2)*sin(3*x) + log(1 + x^2)")
+    d = differentiate(e)
+    assert differentiate(e) is d
+    assert differentiate(parse(print_expr(e))) == d  # a fresh equal tree
+    s = simplify(d)
+    assert simplify(d) is s
+    assert e.diff(2) is differentiate(d)
+
+
+def test_node_caches_hold_no_self_reference_and_are_not_pickled():
+    e = parse("exp(x)*x^(1/2)")
+    assert simplify(e) == e
+    assert simplify(VAR) is VAR and not hasattr(VAR, "_simplified")
+    differentiate(e)
+    copy = pickle.loads(pickle.dumps(e))
+    assert not any(hasattr(copy, slot) for slot in Expr.__slots__)
+    assert copy == e and hash(copy) == hash(e)
+
+
+def test_non_expr_arguments_still_raise_type_error():
+    with pytest.raises(TypeError):
+        differentiate(2.0)
+    with pytest.raises(TypeError):
+        simplify("x")

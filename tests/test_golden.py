@@ -1,0 +1,61 @@
+"""Golden outputs: digests of the acceptance detail lines and of the stdout
+of the README's command-line examples.
+
+The digests pin the exact bytes, so a change to how expressions are built,
+cached or simplified that alters any printed digit shows here.  Elapsed
+seconds are stripped from the acceptance details; the README's
+``acceptance`` example is covered by the criteria themselves.
+"""
+
+import hashlib
+import io
+import re
+
+from solvable.acceptance import CRITERIA
+from solvable.cli import run
+
+README_COMMANDS = [
+    "families --alpha -7 --beta 1",
+    "poly --case s^2 --alpha -7 --beta 1 --ell 3",
+    "specfun eval --case s --alpha -1 --beta 2 --ell 2 --m 1 --grid 101",
+    "potential --case one --alpha -2 --beta 0 --m 0 --grid 201",
+    "eigenfunction --case one --alpha -2 --beta 0 --ell 1 --m 0",
+    "generate --c1 1 --c2 0 --n 0 --branch + --which cuberoot",
+    "solve-params --mode invsqrt --c1 -1 --c2 -6.75 --n 3",
+    "verify spectrum --family one --alpha -2 --beta 0 --m 0 --grid 4000",
+    "verify residual --system cuberoot --c1 1 --c2 0 --n 1 --branch +",
+    "verify orthogonality --case s --alpha -1 --beta 2 --m 1 --lmax 4",
+    "reproduce-dw --theta 1 --rho 0 --lambda -1 --which 1",
+]
+
+ACCEPTANCE_DIGEST = (
+    "ba2560f535bb568b7540c0f929c8ae0e82ac9ca2f3ccba58aa2a56b501ecca72")
+README_DIGEST = (
+    "af54f20a7de58b97203bef7b9861af7b863363a8d6533d7c046710b58065d042")
+
+_ELAPSED = re.compile(r"\d+\.\d+s \(cap \d+s\)")
+
+
+def acceptance_digest():
+    h = hashlib.sha256()
+    for index, _name, fn in CRITERIA:
+        passed, detail = fn(seed=42)
+        h.update(f"{index}|{passed}|{_ELAPSED.sub('', detail)}\n".encode())
+    return h.hexdigest()
+
+
+def readme_digest():
+    h = hashlib.sha256()
+    for cmd in README_COMMANDS:
+        out = io.StringIO()
+        code = run(cmd.split(), out)
+        h.update(f"{cmd}|{code}|{out.getvalue()}".encode())
+    return h.hexdigest()
+
+
+def test_acceptance_details_unchanged():
+    assert acceptance_digest() == ACCEPTANCE_DIGEST
+
+
+def test_readme_commands_unchanged():
+    assert readme_digest() == README_DIGEST

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -128,6 +129,36 @@ def _cuberoot_graded(n_sub, ratio=0.0):
     return fd_hamiltonian(cuberoot_potential(1.0, 0.0), 1e-3, 40.0, n_sub,
                           left_ratio=ratio,
                           grading=indicial_grading(1.0 / 6.0))
+
+
+class TestConstantPotential:
+    @pytest.mark.parametrize("build", [
+        lambda v: fd_hamiltonian(v, 0.0, 1.0, 32),
+        lambda v: fd_hamiltonian(v, 0.0, 1.0, 32, grading=2.0),
+        lambda v: fd_hamiltonian_indicial(v, 0.5, 0.0, 1.0, 32),
+    ], ids=["uniform", "graded", "indicial"])
+    def test_constant_shifts_spectrum(self, build):
+        # evaluate() of a constant Expr is a scalar; it must broadcast
+        base = eigenvalues_below(build(parse("0")), 60.0)
+        shifted = eigenvalues_below(build(parse("2")), 62.0)
+        assert len(base) >= 2 and len(shifted) == len(base)
+        assert np.allclose(np.array(shifted) - base, 2.0, atol=1e-7)
+
+
+class TestImmutableResults:
+    def test_fd_hamiltonian_arrays_are_read_only(self):
+        for ham in (fd_hamiltonian(parse("x^2"), -4.0, 4.0, 64),
+                    fd_hamiltonian(parse("x"), 0.0, 4.0, 64, grading=2.0)):
+            for name in ("grid", "diag", "h", "off"):
+                value = getattr(ham, name)
+                if isinstance(value, np.ndarray):
+                    with pytest.raises(ValueError):
+                        value[0] = 0.0
+
+    def test_quad_result_is_frozen(self):
+        res = integrate(lambda s: s * s, (0.0, 1.0))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            res.value = 0.0
 
 
 class TestGradedMesh:
