@@ -8,7 +8,7 @@ import numpy as np
 
 from solvable import (
     FamilySpec, SigmaCase, eigenvalue, eigenvalues_below, fd_hamiltonian,
-    potential, schrodinger_residual, variable_map, wavefunction,
+    potential, residual, variable_map, wavefunction,
 )
 from solvable.expr import evaluate, print_expr
 
@@ -22,8 +22,8 @@ print("  V(x)  :", evaluate(system.potential, xs))
 print()
 
 print("attached eigenpairs and their pointwise residuals at x=0.7:")
-for i, (lam, psi) in enumerate(system.known_eigenpairs):
-    res = schrodinger_residual(system, i, 0.7)
+for lam, psi in system.known_eigenpairs:
+    res = residual(system.potential, lam, psi, 0.7)
     print(f"  lambda={lam:g}  psi={print_expr(psi):40s} residual {res:.1e}")
 print()
 
@@ -39,9 +39,9 @@ vmap = variable_map(fam2)
 print(f"sigma = s^2: s(x) = {print_expr(vmap.inverse)}, image {vmap.image}")
 system2 = potential(fam2, 0, attach_ells=(0, 1, 2, 3))
 print(f"V_0(x) = {print_expr(system2.potential)[:72]}...")
-for i, (lam, _) in enumerate(system2.known_eigenpairs):
-    res = max(abs(schrodinger_residual(system2, i, float(x)))
-              for x in np.linspace(-1.5, 1.5, 25))
+for lam, psi in system2.known_eigenpairs:
+    res = np.max(np.abs(residual(system2.potential, lam, psi,
+                                 np.linspace(-1.5, 1.5, 25))))
     print(f"  lambda={lam:g}: max residual {res:.1e}")
 print()
 

@@ -47,8 +47,7 @@ from .specfun import (
     special_function,
 )
 from .schrodinger import (
-    SchrodingerSystem, VariableMap, potential, schrodinger_residual,
-    variable_map, wavefunction,
+    SchrodingerSystem, VariableMap, potential, variable_map, wavefunction,
 )
 from .generator import (
     ClosedFormEigenpair, GeneratedSystem, SecondOrderODE, TermDecomposition,
@@ -57,9 +56,8 @@ from .generator import (
     solve_params_quantsys, substitute, transformed_system,
 )
 from .oracle import (
-    FDHamiltonian,eigenvalues_below, fd_hamiltonian,
-    fd_hamiltonian_indicial, integrate, residual_norm,
-    richardson_eigenvalues,
+    FDHamiltonian, eigenvalues_below, fd_hamiltonian, integrate, residual,
+    residual_norm, richardson_eigenvalues,
 )
 
 __version__ = "0.1.0"
@@ -78,11 +76,11 @@ __all__ = [
     "apply_hm", "classical_match", "compose", "cuberoot_potential",
     "cutoff", "decompose", "differentiate", "eigenvalue",
     "eigenvalues_below", "eliminate_first_derivative", "evaluate",
-    "fd_hamiltonian", "fd_hamiltonian_indicial", "hermite_value",
-    "hm_operator", "integrate", "inverse_sqrt_potential", "jacobi_value",
+    "fd_hamiltonian", "hermite_value", "hm_operator", "integrate",
+    "inverse_sqrt_potential", "jacobi_value",
     "laguerre_value", "parse", "phi", "phi_rodrigues", "potential",
-    "power_terms", "print_expr", "reproduce_dw", "residual_norm",
-    "richardson_eigenvalues", "scalar_product", "schrodinger_residual",
+    "power_terms", "print_expr", "reproduce_dw", "residual",
+    "residual_norm", "richardson_eigenvalues", "scalar_product",
     "simplify", "solve_params_inverse_sqrt", "solve_params_quantsys",
     "special_function", "substitute", "transformed_system", "variable_map",
     "wavefunction", "weight",

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -20,8 +21,8 @@ from .errors import DegreeBeyondCutoff, Inadmissible
 from .expr import evaluate, power_terms, simplify, mul, pow_, exp_, VAR
 from .families import FamilySpec, SigmaCase, cutoff, eigenvalue, sample_points
 from .generator import (
-    GeneratedSystem, Provenance, boundary_ratio, cuberoot_potential,
-    reproduce_dw, solve_params_inverse_sqrt, solve_params_quantsys,
+    boundary_ratio, reproduce_dw, solve_params_inverse_sqrt,
+    solve_params_quantsys,
 )
 from .oracle import (
     eigenvalues_below, fd_hamiltonian, fd_nodes, indicial_grading,
@@ -32,7 +33,7 @@ from .schrodinger import potential, variable_map, wavefunction
 from .specfun import apply_hm, hm_operator, scalar_product, special_function
 
 __all__ = ["CriterionResult", "run_all", "CRITERIA", "ACCEPTANCE_FAMILIES",
-           "cuberoot_containment"]
+           "cuberoot_containment", "orthogonality_rows"]
 
 # representative admissible parameters per family; the s^2-1 row is run
 # at beta = 10 because -beta < alpha < 0 fails for the nominal beta = 1
@@ -112,6 +113,30 @@ def criterion_3_rodrigues(seed=42):
     return worst <= 1e-9, f"worst pointwise deviation {worst:.2e} (tol 1e-9)"
 
 
+def orthogonality_rows(fam, m, top):
+    """(ell, k, inner_s, inner_x) for m <= ell < k <= top: the inner
+    product of F_{ell,m} and F_{k,m} under the weight in s and of
+    Psi_{ell,m} and Psi_{k,m} in x, both divided by the norms in s."""
+    ells = range(m, top + 1)
+    fns = {ell: special_function(fam, ell, m) for ell in ells}
+    norms = {ell: math.sqrt(scalar_product(fam, f, f))
+             for ell, f in fns.items()}
+    psis = {ell: wavefunction(fam, ell, m) for ell in ells}
+    image = variable_map(fam).image
+    rows = []
+    for ell in ells:
+        for k in range(ell + 1, top + 1):
+            scale = norms[ell] * norms[k]
+            f, g = fns[ell], fns[k]
+            inner_s = scalar_product(fam, lambda s: f(s) / scale, g)
+            pe, pk = psis[ell], psis[k]
+            inner_x = integrate(
+                lambda x: evaluate(pe, x) * evaluate(pk, x) / scale,
+                image, 1e-9).value
+            rows.append((ell, k, inner_s, inner_x))
+    return rows
+
+
 def criterion_4_orthogonality(seed=42):
     """Normalized inner products <= 1e-8 for ell != k, in both the
     weighted s coordinate and the x coordinate, the two routes agreeing."""
@@ -120,31 +145,10 @@ def criterion_4_orthogonality(seed=42):
     for fam in _families():
         cap = cutoff(fam)
         top = min(cap.max_degree if cap.max_degree is not None else 6, 6)
-        vmap = variable_map(fam)
         for m in range(min(3, top) + 1):
-            if m >= cap.lambda_cap:
-                break
-            fns, psis, norms = {}, {}, {}
-            for ell in range(m, top + 1):
-                f = special_function(fam, ell, m)
-                fns[ell] = f
-                norms[ell] = math.sqrt(scalar_product(fam, f, f))
-                psis[ell] = wavefunction(fam, ell, m)
-            for ell in fns:
-                for k in fns:
-                    if k <= ell:
-                        continue
-                    scale = norms[ell] * norms[k]
-                    f, g = fns[ell], fns[k]
-                    inner_s = scalar_product(
-                        fam, lambda s: f(s) / scale, g)
-                    pe, pk = psis[ell], psis[k]
-                    inner_x = integrate(
-                        lambda x: evaluate(pe, x) * evaluate(pk, x) / scale,
-                        vmap.image, 1e-9).value
-                    worst_inner = max(worst_inner, abs(inner_s),
-                                      abs(inner_x))
-                    worst_gap = max(worst_gap, abs(inner_s - inner_x))
+            for _, _, inner_s, inner_x in orthogonality_rows(fam, m, top):
+                worst_inner = max(worst_inner, abs(inner_s), abs(inner_x))
+                worst_gap = max(worst_gap, abs(inner_s - inner_x))
     ok = worst_inner <= 1e-8 and worst_gap <= 1e-8
     return ok, (f"worst normalized inner product {worst_inner:.2e}, "
                 f"route disagreement {worst_gap:.2e} (tol 1e-8)")
@@ -185,17 +189,13 @@ def criterion_7_dw_reproduction(seed=42):
     pattern (0, -1/2, -3/16, E=-1) and ground state r^(1/4) e^(-r)."""
     g = reproduce_dw(1.0, 0.0, -1.0, which=1)
     t = {q: c for q, c in power_terms(g.potential).items() if c != 0.0}
-    from fractions import Fraction
-
     pattern_ok = (
         abs(t.get(Fraction(-1, 2), 0.0)) <= 1e-14
         and abs(t.get(Fraction(-1), 0.0) + 0.5) <= 1e-14
         and abs(t.get(Fraction(-2), 0.0) + 3.0 / 16.0) <= 1e-14
         and abs(g.energy + 1.0) <= 1e-14)
     psi = simplify(mul(pow_(VAR, 0.25), exp_(mul(-1, VAR))))
-    ground = GeneratedSystem(g.potential, g.energy, g.gauge,
-                             Provenance("dw", k=-1), psi)
-    res = residual_norm(ground)
+    res = residual_norm(g, (g.energy, psi))
     ok = pattern_ok and res <= 1e-10
     return ok, (f"pattern match: {pattern_ok}, ground-state residual "
                 f"{res:.2e} (tol 1e-10)")
@@ -230,13 +230,12 @@ def cuberoot_containment(c1, c2, levels, lo=1e-3, hi=40.0, n_sub=8000):
     its own matched wall u_0 = (psi_n(r_0)/psi_n(r_1)) u_1.  The mesh is
     graded toward the r^(1/6) cusp by ``indicial_grading``.
     """
-    v = cuberoot_potential(c1, c2)
     grading = indicial_grading(CUBEROOT_GAMMA)
     r1 = fd_nodes(lo, hi, n_sub, grading)[1]
     found = []
     for n in levels:
         pair = solve_params_quantsys(c1, c2, n, "+")
-        ham = fd_hamiltonian(v, lo, hi, n_sub,
+        ham = fd_hamiltonian(pair.potential, lo, hi, n_sub,
                              left_ratio=boundary_ratio(pair, lo, r1),
                              grading=grading)
         spectrum = eigenvalues_below(ham, pair.energy + 1.5)

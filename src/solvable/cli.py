@@ -19,15 +19,17 @@ import sys
 import numpy as np
 
 from .errors import Inadmissible, NoAdmissibleRoot, SolvableError
-from .expr import evaluate, power_terms, print_expr
-from .families import ALL_CASES, FamilySpec, SigmaCase, cutoff, eigenvalue
+from .expr import evaluate, parse, power_terms, print_expr
+from .families import (
+    ALL_CASES, FamilySpec, SigmaCase, cutoff, eigenvalue, sample_window,
+)
 from .generator import (
     reproduce_dw, solve_params_inverse_sqrt, solve_params_quantsys,
 )
-from .oracle import eigenvalues_below, fd_hamiltonian, residual_grid
+from .oracle import eigenvalues_below, fd_hamiltonian, residual, residual_grid
 from .polynomials import phi
-from .schrodinger import potential, schrodinger_residual, wavefunction
-from .specfun import scalar_product, special_function
+from .schrodinger import potential, wavefunction
+from .specfun import special_function
 from . import acceptance as acceptance_mod
 
 _CASE_NAMES = {
@@ -94,6 +96,18 @@ def _default_seed() -> int:
     return int(os.environ.get("SOLVABLE_SEED", "42"))
 
 
+def _grid_size(text) -> int:
+    """argparse type of the --grid point counts: an integer >= 1."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer, got {text!r}") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 def _add_family_flags(p, beta_default=None):
     p.add_argument("--case", "--family", dest="case",
                    choices=sorted(_CASE_NAMES), required=True,
@@ -148,8 +162,6 @@ def cmd_specfun(args, out):
     lo = args.smin if args.smin is not None else None
     hi = args.smax if args.smax is not None else None
     if lo is None or hi is None:
-        from .families import sample_window
-
         wlo, whi = sample_window(fam)
         lo = wlo if lo is None else lo
         hi = whi if hi is None else hi
@@ -256,22 +268,15 @@ def _generated_pair(args):
 
 def cmd_verify_residual(args, out):
     if args.system == "family":
-        fam = _family_from(args)
-        system = potential(fam, args.m, attach_ells=(args.ell,))
-        grid = residual_grid(system.interval, args.grid)
-        rows = [(x, schrodinger_residual(system, 0, float(x)))
-                for x in grid]
+        system = potential(_family_from(args), args.m,
+                           attach_ells=(args.ell,))
+        (lam, psi), = system.known_eigenpairs
     else:
-        pair = _generated_pair(args)
-        from .expr import differentiate, simplify
-
-        psi2 = differentiate(simplify(differentiate(pair.psi)))
-        grid = residual_grid(pair.interval, args.grid)
-        v = pair.potential
-        rows = [(x, float(-evaluate(psi2, x) + evaluate(v, x)
-                          * evaluate(pair.psi, x)
-                          - pair.energy * evaluate(pair.psi, x)))
-                for x in grid]
+        system = _generated_pair(args)
+        lam, psi = system.energy, system.psi
+    # one point at a time: on an array the residual can round differently
+    rows = [(x, residual(system.potential, lam, psi, float(x)))
+            for x in residual_grid(system.interval, args.grid)]
     emit_csv(("x", "residual"), rows, out)
     return 0
 
@@ -329,36 +334,14 @@ def cmd_verify_orthogonality(args, out):
     cap = cutoff(fam)
     top = min(args.lmax, (cap.max_degree
                           if cap.max_degree is not None else args.lmax))
-    m = args.m
-    fns = {ell: special_function(fam, ell, m)
-           for ell in range(m, top + 1)}
-    norms = {ell: math.sqrt(scalar_product(fam, f, f))
-             for ell, f in fns.items()}
-    from .oracle import integrate
-    from .schrodinger import variable_map
-
-    vmap = variable_map(fam)
-    rows = []
-    for ell in sorted(fns):
-        for k in sorted(fns):
-            if k <= ell:
-                continue
-            scale = norms[ell] * norms[k]
-            inner_s = scalar_product(
-                fam, lambda s: fns[ell](s) / scale, fns[k])
-            pe = wavefunction(fam, ell, m)
-            pk = wavefunction(fam, k, m)
-            inner_x = integrate(
-                lambda x: evaluate(pe, x) * evaluate(pk, x) / scale,
-                vmap.image, 1e-9).value
-            rows.append((ell, k, inner_s, inner_x, abs(inner_s - inner_x)))
+    rows = [(ell, k, inner_s, inner_x, abs(inner_s - inner_x))
+            for ell, k, inner_s, inner_x
+            in acceptance_mod.orthogonality_rows(fam, args.m, top)]
     emit_csv(("ell", "k", "inner_s", "inner_x", "route_gap"), rows, out)
     return 0
 
 
 def cmd_reproduce_dw(args, out):
-    from .expr import parse
-
     i_map = parse(args.ik) if args.ik else None
     x_of_r = parse(args.sub) if args.sub else None
     g = reproduce_dw(args.theta, args.rho, args.lam, args.which,
@@ -414,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_family_flags(pe)
     pe.add_argument("--ell", type=int, required=True)
     pe.add_argument("--m", type=int, required=True)
-    pe.add_argument("--grid", type=int, default=101)
+    pe.add_argument("--grid", type=_grid_size, default=101)
     pe.add_argument("--smin", type=float, default=None)
     pe.add_argument("--smax", type=float, default=None)
     pe.set_defaults(fn=cmd_specfun)
@@ -422,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("potential", help="V_m on a grid (CSV)")
     _add_family_flags(p)
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--grid", type=int, default=201)
+    p.add_argument("--grid", type=_grid_size, default=201)
     p.add_argument("--xmin", type=float, default=None)
     p.add_argument("--xmax", type=float, default=None)
     p.set_defaults(fn=cmd_potential)
@@ -431,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_family_flags(p)
     p.add_argument("--ell", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--grid", type=int, default=201)
+    p.add_argument("--grid", type=_grid_size, default=201)
     p.add_argument("--xmin", type=float, default=None)
     p.add_argument("--xmax", type=float, default=None)
     p.set_defaults(fn=cmd_eigenfunction)
@@ -470,7 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--c2", type=float, default=0.0)
     pr.add_argument("--n", type=int, default=0)
     pr.add_argument("--branch", choices=("+", "-"), default="+")
-    pr.add_argument("--grid", type=int, default=200)
+    pr.add_argument("--grid", type=_grid_size, default=200)
     pr.set_defaults(fn=cmd_verify_residual)
 
     ps = sub2.add_parser("spectrum")

@@ -732,7 +732,10 @@ def _parse_exponent(tk: _Tokenizer) -> Fraction:
             if kind != "num":
                 raise NonRationalExponent(
                     "exponent denominator must be a number", pos)
-            q = q / _parse_number(text, pos)
+            den = _parse_number(text, pos)
+            if den == 0:
+                raise ExprSyntaxError("exponent denominator is zero", pos)
+            q = q / den
         kind, text, pos = tk.next()
         if kind != ")":
             raise NonRationalExponent(

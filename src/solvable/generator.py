@@ -279,28 +279,23 @@ def _hermite_expr(n: int, arg: Expr) -> Expr:
 
 @dataclass(frozen=True)
 class ClosedFormEigenpair:
-    """One closed-form eigenpair of a generated potential."""
+    """One closed-form eigenpair (energy, psi) of a generated potential
+    on (0, inf)."""
 
     n: int
     branch: str             # '+' or '-'
     c1: float
     c2: float
+    potential: Expr
     energy: float
     psi: Expr
     alpha: float
     beta: float
     degenerate: bool = False
-    provenance_kind: str = "cuberoot"
 
     @property
     def interval(self):
         return (0.0, INF)
-
-    @property
-    def potential(self) -> Expr:
-        if self.provenance_kind == "cuberoot":
-            return cuberoot_potential(self.c1, self.c2)
-        return inverse_sqrt_potential(self.c1, self.c2)
 
 
 def cuberoot_potential(c1: float, c2: float) -> Expr:
@@ -362,8 +357,8 @@ def solve_params_quantsys(c1: float, c2: float, n: int,
                  mul(sign * amp_b, r23))),
         _hermite_expr(n, add(mul(herm_q, r23), -sign * herm_d))))
     return ClosedFormEigenpair(n, "+" if sign > 0 else "-", c1, c2,
-                               energy, psi, alpha, beta,
-                               provenance_kind="cuberoot")
+                               cuberoot_potential(c1, c2), energy, psi,
+                               alpha, beta)
 
 
 def _real_cubic_roots(a3: float, a2: float, a1: float, a0: float):
@@ -431,6 +426,7 @@ def solve_params_inverse_sqrt(c1: float, c2: float, n: int):
         roots = [c2 / (n + 0.5)]
     else:
         roots = _real_cubic_roots(n + 0.5, -c2, 0.0, c1 * c1)
+    v = inverse_sqrt_potential(c1, c2)
     pairs = []
     for alpha in roots:
         if alpha >= 0.0:
@@ -450,8 +446,8 @@ def solve_params_inverse_sqrt(c1: float, c2: float, n: int):
             exp_(add(mul(alpha / 2.0, VAR), mul(beta / math.sqrt(2.0), sqr))),
             _hermite_expr(n, arg)))
         pairs.append(ClosedFormEigenpair(
-            n, "+" if beta >= 0 else "-", c1, c2, energy, psi, alpha, beta,
-            degenerate=degenerate, provenance_kind="invsqrt"))
+            n, "+" if beta >= 0 else "-", c1, c2, v, energy, psi, alpha,
+            beta, degenerate=degenerate))
     if not pairs:
         raise NoAdmissibleRoot(
             f"no real root with alpha < 0 for c1={c1:g}, c2={c2:g}, n={n}")

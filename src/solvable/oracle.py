@@ -35,9 +35,8 @@ from .expr import Expr, differentiate, evaluate, simplify
 
 __all__ = [
     "QuadResult", "integrate", "FDHamiltonian", "fd_nodes", "fd_hamiltonian",
-    "indicial_grading", "fd_hamiltonian_indicial", "sturm_count",
-    "eigenvalues_below",
-    "richardson_eigenvalues", "residual_norm", "residual_grid",
+    "indicial_grading", "sturm_count", "eigenvalues_below",
+    "richardson_eigenvalues", "residual", "residual_norm", "residual_grid",
 ]
 
 _GL16 = np.polynomial.legendre.leggauss(16)
@@ -45,18 +44,11 @@ _GL8 = np.polynomial.legendre.leggauss(8)
 
 
 def _as_array_function(f):
-    """Accept Exprs, vectorized callables, and plain scalar callables."""
+    """An Expr as a function of an array; a callable as it is, so it must
+    take an array of points."""
     if isinstance(f, Expr):
         return lambda xs: evaluate(f, xs)
-    probe = np.array([0.5, 0.75])
-    try:
-        with np.errstate(all="ignore"):
-            out = np.asarray(f(probe), dtype=float)
-        if out.shape == probe.shape:
-            return f
-    except Exception:
-        pass
-    return lambda xs: np.array([float(f(float(x))) for x in np.asarray(xs)])
+    return f
 
 
 def _panel(f, a, b):
@@ -120,6 +112,8 @@ def integrate(f, interval, tol: float = 1e-10, rtol: float | None = None,
               max_nodes: int = 1 << 20) -> QuadResult:
     """Integrate f over the (possibly infinite) interval.
 
+    f is an Expr or a vectorized callable: it is called with a whole
+    panel of nodes at a time, all strictly inside the interval.
     Convergence target is max(tol, rtol * |integral|) with rtol
     defaulting to tol, so large-magnitude integrals are held to relative
     accuracy.  Finite endpoints are used as given; infinite sides are
@@ -289,7 +283,8 @@ def fd_nodes(x_lo: float, x_hi: float, n: int,
 def fd_hamiltonian(potential, x_lo: float, x_hi: float, n: int,
                    left_ratio: float = 0.0,
                    grading: float = 1.0) -> FDHamiltonian:
-    """FD Hamiltonian on the ``fd_nodes(x_lo, x_hi, n, grading)`` mesh."""
+    """FD Hamiltonian on the ``fd_nodes(x_lo, x_hi, n, grading)`` mesh;
+    the potential is an Expr or a vectorized callable."""
     if n < 16:
         raise InvalidParameter("need at least 16 subintervals")
     nodes = fd_nodes(x_lo, x_hi, n, grading)
@@ -318,31 +313,6 @@ def _nonuniform_stencil(nodes, v, left_ratio):
     return h, diag, off
 
 
-def fd_hamiltonian_indicial(regular_potential, gamma: float,
-                            x_lo: float, x_hi: float, n: int,
-                            left_ratio: float = 0.0) -> FDHamiltonian:
-    """FD Hamiltonian for V(r) = W(r) + gamma(gamma-1)/r^2 with the
-    singular part discretized by the curvature of its own indicial
-    solution r^gamma, so the stencil is exact on r^gamma.
-
-    This tames (but cannot eliminate) the systematic error a uniform
-    grid makes across the r^gamma cusp of a limit-circle endpoint; the
-    graded mesh of ``fd_hamiltonian`` with ``indicial_grading(gamma)``
-    removes it.
-    """
-    if n < 16:
-        raise InvalidParameter("need at least 16 subintervals")
-    h = (x_hi - x_lo) / n
-    grid = x_lo + h * np.arange(1, n)
-    w = np.broadcast_to(np.asarray(
-        _as_array_function(regular_potential)(grid), dtype=float), grid.shape)
-    sing = ((grid - h) ** gamma - 2.0 * grid ** gamma
-            + (grid + h) ** gamma) / (h * h * grid ** gamma)
-    diag = 2.0 / h ** 2 + w + sing
-    diag[0] -= left_ratio / h ** 2
-    return FDHamiltonian(x_lo, x_hi, n, grid, h, diag, -1.0 / h ** 2)
-
-
 def sturm_count(ham: FDHamiltonian, shifts):
     """Number of eigenvalues strictly below each shift (exact count via
     the sign changes of the Sturm sequence).
@@ -357,6 +327,8 @@ def sturm_count(ham: FDHamiltonian, shifts):
         off2 = [ham.off * ham.off] * len(rest)
     else:
         off2 = (ham.off * ham.off).tolist()
+    # a zero pivot is not counted, so it goes on as the pivot at a shift
+    # just below s, which is positive: every pivot falls as s grows
     tiny = 1e-290
     counts = []
     for s in shifts.tolist():
@@ -364,7 +336,7 @@ def sturm_count(ham: FDHamiltonian, shifts):
         count = int(q < 0.0)
         for d, o2 in zip(rest, off2):
             if q == 0.0:
-                q = -tiny
+                q = tiny
             q = (d - s) - o2 / q
             if q < 0.0:
                 count += 1
@@ -435,26 +407,27 @@ def residual_grid(interval, n: int = 400, clamp: float = 1e-3):
     return np.linspace(lo + eps, hi - eps, n)
 
 
-def residual_norm(system, pair=None, n: int = 400) -> float:
-    """max over a clamped grid of |(-psi'' + V psi - lam psi)| / (1 + |lam psi|).
-
-    ``system`` needs ``potential`` (Expr) and ``interval`` attributes;
-    ``pair`` is (lam, psi_expr), an index into known eigenpairs, or None
-    for a generated system carrying its own (energy, psi).
-    """
-    if pair is None:
-        lam, psi = system.energy, system.psi
-    elif isinstance(pair, int):
-        lam, psi = system.known_eigenpairs[pair]
-    else:
-        lam, psi = pair
-    xs = residual_grid(system.interval, n)
+def residual(potential: Expr, lam: float, psi: Expr, x):
+    """-psi''(x) + V(x) psi(x) - lam psi(x) at a point or an array of
+    points, with psi'' computed symbolically; raises SingularPoint where
+    V or psi is undefined."""
     psi2 = differentiate(simplify(differentiate(simplify(psi))))
     try:
-        pv = evaluate(psi, xs)
-        vals = -evaluate(psi2, xs) + evaluate(system.potential, xs) * pv \
-            - lam * pv
-        scale = 1.0 + np.abs(lam * pv)
+        pv = evaluate(psi, x)
+        return -evaluate(psi2, x) + evaluate(potential, x) * pv - lam * pv
     except DomainError as exc:
         raise SingularPoint(str(exc)) from exc
+
+
+def residual_norm(system, pair=None, n: int = 400) -> float:
+    """max over a clamped grid of |residual| / (1 + |lam psi|).
+
+    ``system`` needs ``potential`` (Expr) and ``interval`` attributes;
+    ``pair`` is (lam, psi_expr), or None for a system carrying its own
+    ``energy`` and ``psi``.
+    """
+    lam, psi = (system.energy, system.psi) if pair is None else pair
+    xs = residual_grid(system.interval, n)
+    vals = residual(system.potential, lam, psi, xs)
+    scale = 1.0 + np.abs(lam * evaluate(psi, xs))
     return float(np.max(np.abs(vals) / scale))

@@ -135,11 +135,6 @@ def phi(family: FamilySpec, ell: int) -> Poly:
     return Poly(tuple(cs))
 
 
-def _fit_window(family: FamilySpec):
-    lo, hi = sample_window(family)
-    return lo, hi
-
-
 def phi_rodrigues(family: FamilySpec, ell: int) -> Poly:
     """Rodrigues-construction oracle: (1/rho) d^ell [sigma^ell rho].
 
@@ -157,9 +152,9 @@ def phi_rodrigues(family: FamilySpec, ell: int) -> Poly:
     for _ in range(ell):
         work = simplify(differentiate(work))
     quotient = simplify(mul(work, pow_(rho, -1)))
+    lo, hi = sample_window(family)
     if ell == 0:
-        return Poly((evaluate(quotient, sum(_fit_window(family)) / 2.0),))
-    lo, hi = _fit_window(family)
+        return Poly((evaluate(quotient, (lo + hi) / 2.0),))
     # Chebyshev abscissas, twice-oversampled for a stable least-squares fit
     k = np.arange(2 * (ell + 1))
     xs = 0.5 * (lo + hi) + 0.5 * (hi - lo) * np.cos(
@@ -249,7 +244,7 @@ def classical_match(family: FamilySpec, ell: int) -> MatchReport:
     """Fit the single constant relating phi() to the classical
     Hermite/Laguerre/Jacobi counterpart; report the residual."""
     p = phi(family, ell)
-    xs = np.linspace(*_fit_window(family), 50)
+    xs = np.linspace(*sample_window(family), 50)
     ours = p(xs)
     theirs = _classical_values(family, ell, xs)
     constant = float(np.dot(theirs, ours) / np.dot(ours, ours))

@@ -22,10 +22,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import (
-    DegreeBeyondCutoff, DomainError, InvalidParameter, OrderExceedsDegree,
-    SingularPoint,
-)
+from .errors import DegreeBeyondCutoff, InvalidParameter, OrderExceedsDegree
 from .expr import (
     VAR, Expr, add, compose, differentiate, evaluate, exp_, fun_, mul,
     pow_, simplify,
@@ -35,7 +32,7 @@ from .specfun import multiplication_part, special_function
 
 __all__ = [
     "VariableMap", "SchrodingerSystem", "variable_map", "potential",
-    "wavefunction", "schrodinger_residual", "oscillator_potential_value",
+    "wavefunction", "oscillator_potential_value",
 ]
 
 INF = math.inf
@@ -134,19 +131,6 @@ def wavefunction(family: FamilySpec, ell: int, m: int) -> Expr:
               pow_(family.sigma_expr, Fraction(m, 2)),
               sf.poly_part.to_expr())
     return simplify(compose(simplify(amp), vmap.inverse))
-
-
-def schrodinger_residual(system: SchrodingerSystem, pair_index: int,
-                         x: float) -> float:
-    """-psi''(x) + V(x) psi(x) - lambda psi(x) for an attached eigenpair,
-    with psi'' computed symbolically."""
-    lam, psi = system.known_eigenpairs[pair_index]
-    psi2 = differentiate(simplify(differentiate(psi)))
-    try:
-        return float(-evaluate(psi2, x) + evaluate(system.potential, x)
-                     * evaluate(psi, x) - lam * evaluate(psi, x))
-    except DomainError as exc:
-        raise SingularPoint(str(exc)) from exc
 
 
 def oscillator_potential_value(family: FamilySpec, m: int, x) -> float:

@@ -136,7 +136,8 @@ def apply_hm(op: HmOperator, f, s):
 def scalar_product(family: FamilySpec, f, g, tol: float = 1e-9):
     """<f, g> = integral of f g rho over the family interval.
 
-    f and g may be Exprs, SpecialFunctions, or plain callables; raises
+    f and g may be Exprs or vectorized callables (SpecialFunctions are
+    both): each is called with a whole array of nodes.  Raises
     QuadratureNoConverge when the adaptive error estimate cannot be
     brought below tol.
     """

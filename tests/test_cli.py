@@ -164,6 +164,14 @@ class TestReproduceDW:
         for key, val in a["potential_terms"].items():
             assert b["potential_terms"][key] == pytest.approx(val)
 
+    def test_zero_exponent_denominator_exits_1(self, capsys):
+        code, text = invoke(["reproduce-dw", "--theta", "1", "--rho", "0",
+                             "--lambda", "-1", "--which", "1",
+                             "--Ik", "x^(1/0)"])
+        assert code == 1
+        assert text == ""
+        assert "at position 5" in capsys.readouterr().err
+
     def test_family_flag_alias(self):
         code, text = invoke(["verify", "spectrum", "--family", "one",
                              "--alpha", "-2", "--beta", "0", "--m", "0",
@@ -194,6 +202,30 @@ class TestInvalidParameters:
         assert code == 1
         assert text == ""
         assert constraint in capsys.readouterr().err
+
+
+class TestGridSize:
+    @pytest.mark.parametrize("argv", [
+        ["potential", "--case", "one", "--alpha", "-2", "--beta", "0",
+         "--m", "0"],
+        ["eigenfunction", "--case", "one", "--alpha", "-2", "--beta", "0",
+         "--ell", "1", "--m", "0"],
+        ["specfun", "eval", "--case", "s", "--alpha", "-1", "--beta", "2",
+         "--ell", "2", "--m", "1"],
+        ["verify", "residual", "--system", "cuberoot"],
+    ], ids=["potential", "eigenfunction", "specfun", "verify-residual"])
+    @pytest.mark.parametrize("grid", ["0", "-5"])
+    def test_grid_below_one_is_a_usage_error(self, argv, grid, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(argv + ["--grid", grid])
+        assert exc.value.code == 2
+        assert "--grid: must be at least 1" in capsys.readouterr().err
+
+    def test_one_point_grid(self):
+        code, text = invoke(["potential", "--case", "one", "--alpha", "-2",
+                             "--beta", "0", "--m", "0", "--grid", "1"])
+        assert code == 0
+        assert text == "x,V(x)\n-10,99\n"
 
 
 class TestDeterminism:

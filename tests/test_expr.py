@@ -138,6 +138,13 @@ class TestParse:
         with pytest.raises(NonRationalExponent):
             parse("x^(1+1)")
 
+    @pytest.mark.parametrize("text,position", [
+        ("x^(1/0)", 5), ("x^(-1/0)", 6), ("x^(0/0)", 5), ("x^(2/0.0)", 5)])
+    def test_zero_exponent_denominator(self, text, position):
+        with pytest.raises(ExprSyntaxError) as err:
+            parse(text)
+        assert err.value.position == position
+
 
 class TestEvaluate:
     def test_square(self):

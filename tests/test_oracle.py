@@ -3,15 +3,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal
 
-from solvable.errors import DomainError, QuadratureNoConverge
+from solvable.errors import DomainError, QuadratureNoConverge, SingularPoint
 from solvable.expr import parse
 from solvable import oracle
 from solvable.oracle import (
-    eigenvalues_below, fd_hamiltonian, fd_hamiltonian_indicial, fd_nodes,
-    indicial_grading, integrate, residual_norm, richardson_eigenvalues,
-    sturm_count,
+    FDHamiltonian, eigenvalues_below, fd_hamiltonian, fd_nodes,
+    indicial_grading, integrate, residual, residual_norm,
+    richardson_eigenvalues, sturm_count,
 )
 
 
@@ -42,10 +44,21 @@ class TestIntegrate:
         res = integrate(parse("exp(-x)"), (0.0, math.inf), 1e-10)
         assert res.value == pytest.approx(1.0, abs=1e-10)
 
-    def test_scalar_callable_input(self):
-        res = integrate(lambda s: math.exp(-s * s), (-math.inf, math.inf),
-                        1e-9)
-        assert res.value == pytest.approx(math.sqrt(math.pi), abs=1e-9)
+    def test_vectorized_callable_gets_whole_panels(self):
+        # a callable defined only on (1, inf) is called with whole panels
+        # of nodes, all inside the interval, never point by point
+        sizes = []
+
+        def f(s):
+            s = np.asarray(s)
+            if np.any(s <= 1.0):
+                raise ValueError("outside (1, inf)")
+            sizes.append(s.size)
+            return np.exp(1.0 - s)
+
+        res = integrate(f, (1.0, math.inf), 1e-10)
+        assert res.value == pytest.approx(1.0, abs=1e-10)
+        assert sizes and min(sizes) >= 8
 
     def test_divergent_integral_raises(self):
         with pytest.raises(QuadratureNoConverge):
@@ -116,12 +129,6 @@ class TestFDHamiltonian:
         for ell, (f, e) in enumerate(zip(fine, extrap)):
             assert abs(e - 2.0 * ell) < abs(f - 2.0 * ell)
 
-    def test_indicial_fitted_matches_plain_for_regular_potential(self):
-        # gamma = 0 or 1 has no singular part: r^gamma curvature is zero
-        plain = fd_hamiltonian(lambda x: x * x, 1.0, 5.0, 200)
-        fitted = fd_hamiltonian_indicial(lambda x: x * x, 1.0, 1.0, 5.0, 200)
-        assert np.allclose(plain.diag, fitted.diag, rtol=1e-12)
-
 
 def _cuberoot_graded(n_sub, ratio=0.0):
     from solvable.generator import cuberoot_potential
@@ -135,8 +142,7 @@ class TestConstantPotential:
     @pytest.mark.parametrize("build", [
         lambda v: fd_hamiltonian(v, 0.0, 1.0, 32),
         lambda v: fd_hamiltonian(v, 0.0, 1.0, 32, grading=2.0),
-        lambda v: fd_hamiltonian_indicial(v, 0.5, 0.0, 1.0, 32),
-    ], ids=["uniform", "graded", "indicial"])
+    ], ids=["uniform", "graded"])
     def test_constant_shifts_spectrum(self, build):
         # evaluate() of a constant Expr is a scalar; it must broadcast
         base = eigenvalues_below(build(parse("0")), 60.0)
@@ -227,35 +233,6 @@ class TestGradedMesh:
         assert 3.0 <= err[2000] / err[4000] <= 5.0
 
 
-class TestSingularContainment:
-    def test_matched_fd_contains_generated_energies_coarsely(self):
-        # Pins what the indicial-fitted, boundary-matched scheme on a
-        # uniform grid achieves for the singular cube-root system on the
-        # acceptance grid: containment to about 1e-2.  The uniform grid
-        # cannot resolve the r^(1/6) cusp; the graded mesh of criterion 9
-        # reaches its 2e-3.  Each closed-form eigenfunction carries its
-        # own r^(5/6) admixture at the limit-circle endpoint, hence one
-        # matched wall per level.  Guards against regressions in the FD
-        # machinery without overstating its accuracy.
-        from solvable.expr import VAR, mul, pow_, simplify
-        from solvable.generator import (
-            boundary_ratio, cuberoot_potential, solve_params_quantsys,
-        )
-
-        lo, hi, n_sub = 1e-3, 40.0, 8000
-        h = (hi - lo) / n_sub
-        regular = simplify(cuberoot_potential(1.0, 0.0)
-                           - mul(-5.0 / 36.0, pow_(VAR, -2)))
-        for n in range(3):
-            pair = solve_params_quantsys(1.0, 0.0, n, "+")
-            ham = fd_hamiltonian_indicial(
-                regular, 1.0 / 6.0, lo, hi, n_sub,
-                left_ratio=boundary_ratio(pair, lo, lo + h))
-            spectrum = eigenvalues_below(ham, pair.energy + 1.5)
-            err = min(abs(e - pair.energy) for e in spectrum)
-            assert err <= 5e-2
-
-
 class TestResidualNorm:
     def test_exact_oscillator_pair(self):
         from solvable.families import FamilySpec, SigmaCase
@@ -263,20 +240,74 @@ class TestResidualNorm:
 
         fam = FamilySpec(SigmaCase.ONE, -2.0, 0.0)
         system = potential(fam, 0, attach_ells=(0,))
-        assert residual_norm(system, 0) < 1e-10
+        assert residual_norm(system, system.known_eigenpairs[0]) < 1e-10
 
     def test_wrong_eigenvalue_flagged(self):
         from solvable.families import FamilySpec, SigmaCase
-        from solvable.schrodinger import potential, SchrodingerSystem
+        from solvable.schrodinger import potential
 
         fam = FamilySpec(SigmaCase.ONE, -2.0, 0.0)
-        base = potential(fam, 0)
-        bad = SchrodingerSystem(base.potential, base.interval,
-                                ((0.1, parse("exp(-x^2/2)")),))
-        assert residual_norm(bad, 0) > 1e-3
+        system = potential(fam, 0)
+        assert residual_norm(system, (0.1, parse("exp(-x^2/2)"))) > 1e-3
 
     def test_generated_pair(self):
         from solvable.generator import solve_params_quantsys
 
         pair = solve_params_quantsys(1.0, 0.0, 0, "+")
         assert residual_norm(pair) < 1e-8
+
+
+class TestResidual:
+    def test_array_matches_pointwise(self):
+        v, psi = parse("x^2 - 1"), parse("x*exp(-x^2/2)")
+        xs = np.linspace(-3.0, 3.0, 13)
+        on_array = residual(v, 2.0, psi, xs)
+        assert np.allclose(on_array, [residual(v, 2.0, psi, float(x))
+                                      for x in xs], rtol=0.0, atol=1e-15)
+        assert np.max(np.abs(on_array)) < 1e-12
+        assert abs(residual(v, 3.0, psi, 1.0)) == pytest.approx(
+            math.exp(-0.5))
+
+    def test_singular_point_raises(self):
+        with pytest.raises(SingularPoint):
+            residual(parse("1/x"), 0.0, parse("x"), 0.0)
+
+
+_entries = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
+
+
+class TestSturmCountProperty:
+    """sturm_count against numpy.linalg.eigvalsh on random symmetric
+    tridiagonal matrices, with a scalar and with a per-row off-diagonal.
+    Shifts closer to an eigenvalue than 1e-8 are skipped: there the count
+    depends on rounding."""
+
+    @staticmethod
+    def check(diag, off, shifts):
+        n = len(diag)
+        ham = FDHamiltonian(0.0, 1.0, n + 1, np.zeros(n), 1.0,
+                            np.array(diag, dtype=float), off)
+        off_rows = np.broadcast_to(off, n - 1)
+        evs = np.linalg.eigvalsh(np.diag(diag) + np.diag(off_rows, 1)
+                                 + np.diag(off_rows, -1))
+        # every gap between eigenvalues and both ends get a shift too
+        shifts = [t for t in [*shifts, *(0.5 * (evs[1:] + evs[:-1])),
+                              evs[0] - 1.0, evs[-1] + 1.0]
+                  if np.min(np.abs(evs - t)) > 1e-8 * (1.0 + abs(t))]
+        want = [int(np.sum(evs < t)) for t in shifts]
+        assert sturm_count(ham, shifts).tolist() == want
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(st.lists(_entries, min_size=1, max_size=30), _entries,
+           st.lists(_entries, max_size=8))
+    def test_scalar_off_diagonal(self, diag, off, shifts):
+        self.check(diag, off, shifts)
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(st.data())
+    def test_per_row_off_diagonals(self, data):
+        n = data.draw(st.integers(1, 30))
+        diag = data.draw(st.lists(_entries, min_size=n, max_size=n))
+        off = np.array(data.draw(st.lists(_entries, min_size=n - 1,
+                                          max_size=n - 1)))
+        self.check(diag, off, data.draw(st.lists(_entries, max_size=8)))

@@ -8,10 +8,11 @@ from solvable.expr import differentiate, evaluate, simplify
 from solvable.families import (
     ALL_CASES, FamilySpec, SigmaCase, cutoff, eigenvalue, sample_points,
 )
-from solvable.oracle import eigenvalues_below, fd_hamiltonian, integrate
+from solvable.oracle import (
+    eigenvalues_below, fd_hamiltonian, integrate, residual,
+)
 from solvable.schrodinger import (
-    oscillator_potential_value, potential, schrodinger_residual,
-    variable_map, wavefunction,
+    oscillator_potential_value, potential, variable_map, wavefunction,
 )
 from .test_families import make
 
@@ -133,8 +134,9 @@ class TestResidual:
     def test_oscillator_pairs(self):
         fam = FamilySpec(SigmaCase.ONE, -2.0, 0.0)
         sys0 = potential(fam, 0, attach_ells=(0, 1, 2))
-        assert abs(schrodinger_residual(sys0, 0, 0.3)) < 1e-10
-        assert abs(schrodinger_residual(sys0, 2, 1.5)) < 1e-9
+        (lam0, psi0), _, (lam2, psi2) = sys0.known_eigenpairs
+        assert abs(residual(sys0.potential, lam0, psi0, 0.3)) < 1e-10
+        assert abs(residual(sys0.potential, lam2, psi2, 1.5)) < 1e-9
 
     @pytest.mark.parametrize("case", ALL_CASES)
     def test_residual_sweep(self, case):
@@ -145,9 +147,8 @@ class TestResidual:
         xs = np.array([vm.to_x(s) for s in sample_points(fam, 100)])
         for m in range(top + 1):
             system = potential(fam, m, attach_ells=range(m, top + 1))
-            for i, (lam, psi) in enumerate(system.known_eigenpairs):
-                res = np.array([schrodinger_residual(system, i, float(x))
-                                for x in xs])
+            for lam, psi in system.known_eigenpairs:
+                res = residual(system.potential, lam, psi, xs)
                 scale = 1.0 + np.abs(lam * evaluate(psi, xs))
                 assert np.max(np.abs(res) / scale) <= 1e-8
 
