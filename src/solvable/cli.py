@@ -18,7 +18,10 @@ import sys
 
 import numpy as np
 
-from .errors import Inadmissible, NoAdmissibleRoot, SolvableError
+from .errors import (
+    Inadmissible, InvalidParameter, NoAdmissibleRoot, NonFiniteValue,
+    SolvableError,
+)
 from .expr import evaluate, parse, power_terms, print_expr
 from .families import (
     ALL_CASES, FamilySpec, SigmaCase, cutoff, eigenvalue, sample_window,
@@ -81,10 +84,19 @@ def emit_json(obj, out):
 
 
 def emit_csv(header, rows, out):
-    out.write(",".join(header) + "\n")
+    """Write the header and rows as CSV lines; a NaN or infinite number
+    raises NonFiniteValue before anything is written."""
+    lines = [",".join(header)]
     for row in rows:
-        out.write(",".join(g12(v) if isinstance(v, (int, float)) else str(v)
-                           for v in row) + "\n")
+        cells = [g12(v) if isinstance(v, (int, float)) else str(v)
+                 for v in row]
+        for name, v, cell in zip(header, row, cells):
+            if isinstance(v, (int, float)) and not math.isfinite(v):
+                raise NonFiniteValue(
+                    f"{cell} in column {name} of the row with "
+                    f"{header[0]}={cells[0]}")
+        lines.append(",".join(cells))
+    out.write("\n".join(lines) + "\n")
 
 
 def _family_from(args) -> FamilySpec:
@@ -334,6 +346,10 @@ def cmd_verify_orthogonality(args, out):
     cap = cutoff(fam)
     top = min(args.lmax, (cap.max_degree
                           if cap.max_degree is not None else args.lmax))
+    if not args.m < top:
+        raise InvalidParameter(
+            f"need m < min(lmax, L) for a pair m <= ell < k, got m={args.m}, "
+            f"min(lmax, L)={top}")
     rows = [(ell, k, inner_s, inner_x, abs(inner_s - inner_x))
             for ell, k, inner_s, inner_x
             in acceptance_mod.orthogonality_rows(fam, args.m, top)]

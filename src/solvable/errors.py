@@ -58,6 +58,11 @@ class SingularPoint(SolvableError):
     """Operator or potential evaluated at a singular point."""
 
 
+class NonFiniteValue(SolvableError):
+    """A value to be reported is NaN or infinite; the message names where
+    it sits."""
+
+
 class QuadratureNoConverge(SolvableError):
     """Adaptive quadrature failed to reach the requested tolerance."""
 

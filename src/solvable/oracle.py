@@ -6,7 +6,10 @@ serve as oracles for it:
 * composite 16-point Gauss-Legendre quadrature with worst-panel
   refinement and geometric truncation-window expansion for infinite
   endpoints (panel error from the embedded 8-point rule, tail error from
-  the measured geometric decay of successive window blocks);
+  the measured geometric decay of successive window blocks); the
+  integrand is called once per set of panels the algorithm evaluates
+  together, with the nodes of all of them in one array, so it must act
+  elementwise;
 
 * a three-point finite-difference Hamiltonian -d^2/dx^2 + V(x) with
   Dirichlet (or ratio-matched) boundaries on a uniform mesh, or on a mesh
@@ -41,6 +44,7 @@ __all__ = [
 
 _GL16 = np.polynomial.legendre.leggauss(16)
 _GL8 = np.polynomial.legendre.leggauss(8)
+_NODES = np.concatenate([_GL16[0], _GL8[0]])  # of one panel on [-1, 1]
 
 
 def _as_array_function(f):
@@ -51,16 +55,20 @@ def _as_array_function(f):
     return f
 
 
-def _panel(f, a, b):
-    """16-point value and |GL16 - GL8| error estimate on [a, b]."""
+def _panels(f, bounds):
+    """16-point value and |GL16 - GL8| error estimate of each panel [a, b]
+    in ``bounds``, from one call of f on the 24 nodes of every panel."""
+    a, b = np.array(bounds).T
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    y16 = np.asarray(f(mid + half * _GL16[0]), dtype=float)
-    y8 = np.asarray(f(mid + half * _GL8[0]), dtype=float)
-    v16 = half * float(np.dot(_GL16[1], y16))
-    v8 = half * float(np.dot(_GL8[1], y8))
-    if not (np.all(np.isfinite(y16)) and np.all(np.isfinite(y8))):
-        return v16, math.inf
-    return v16, abs(v16 - v8)
+    xs = mid[:, None] + half[:, None] * _NODES
+    y = np.asarray(f(xs.ravel()), dtype=float).reshape(xs.shape)
+    finite = np.isfinite(y).all(axis=1).tolist()
+    out = []
+    for h, row, ok in zip(half.tolist(), y, finite):
+        v16 = h * float(np.dot(_GL16[1], row[:16]))
+        v8 = h * float(np.dot(_GL8[1], row[16:]))
+        out.append((v16, abs(v16 - v8) if ok else math.inf))
+    return out
 
 
 @dataclass(frozen=True)
@@ -69,6 +77,7 @@ class QuadResult:
     error_estimate: float
     nodes: int
     window: tuple = (0.0, 0.0)
+    calls: int = 0  # calls of the integrand
 
     def __iter__(self):  # allow value, err = integrate(...)
         return iter((self.value, self.error_estimate))
@@ -77,43 +86,54 @@ class QuadResult:
 class _PanelHeap:
     """Max-heap on panel error with deterministic tie-breaking."""
 
-    def __init__(self):
+    def __init__(self, f):
+        self._f = f
         self._heap = []
         self._counter = 0
         self.value = 0.0
         self.abs_value = 0.0
         self.error = 0.0
         self.nodes = 0
+        self.calls = 0
 
-    def push(self, f, a, b):
-        v, e = _panel(f, a, b)
+    def evaluate(self, bounds):
+        """(value, error) of each panel in ``bounds``, in one call of f."""
+        self.calls += 1
+        return _panels(self._f, bounds)
+
+    def add(self, a, b, v, e):
         self.value += v
         self.abs_value += abs(v)
         self.error += e
         self.nodes += 24
         heapq.heappush(self._heap, (-e, self._counter, a, b, v))
         self._counter += 1
-        return v, e
+
+    def push(self, bounds):
+        for (a, b), (v, e) in zip(bounds, self.evaluate(bounds)):
+            self.add(a, b, v, e)
 
     def worst_error(self):
         return -self._heap[0][0] if self._heap else 0.0
 
-    def refine_worst(self, f):
+    def refine_worst(self):
         neg_e, _, a, b, v = heapq.heappop(self._heap)
         self.value -= v
         self.abs_value -= abs(v)
         self.error += neg_e  # neg_e == -e
         mid = 0.5 * (a + b)
-        self.push(f, a, mid)
-        self.push(f, mid, b)
+        self.push(((a, mid), (mid, b)))
 
 
 def integrate(f, interval, tol: float = 1e-10, rtol: float | None = None,
               max_nodes: int = 1 << 20) -> QuadResult:
     """Integrate f over the (possibly infinite) interval.
 
-    f is an Expr or a vectorized callable: it is called with a whole
-    panel of nodes at a time, all strictly inside the interval.
+    f is an Expr or a vectorized callable: each call gets the nodes of
+    one or more whole panels in one array, all strictly inside the
+    interval, so f must act elementwise.  The 4 core panels share one
+    call, as do the two halves of a refined panel and the march blocks
+    the stop rule is certain to need; ``QuadResult.calls`` counts them.
     Convergence target is max(tol, rtol * |integral|) with rtol
     defaulting to tol, so large-magnitude integrals are held to relative
     accuracy.  Finite endpoints are used as given; infinite sides are
@@ -126,8 +146,7 @@ def integrate(f, interval, tol: float = 1e-10, rtol: float | None = None,
     lo, hi = float(interval[0]), float(interval[1])
     if rtol is None:
         rtol = tol
-    f = _as_array_function(f)
-    heap = _PanelHeap()
+    heap = _PanelHeap(_as_array_function(f))
 
     if math.isinf(lo) and math.isinf(hi):
         core = (-1.0, 1.0)
@@ -137,9 +156,9 @@ def integrate(f, interval, tol: float = 1e-10, rtol: float | None = None,
         core = (hi - 1.0, hi)
     else:
         core = (lo, hi)
-    for k in range(4):
-        a = core[0] + (core[1] - core[0]) * k / 4.0
-        heap.push(f, a, a + (core[1] - core[0]) / 4.0)
+    span = core[1] - core[0]
+    starts = [core[0] + span * k / 4.0 for k in range(4)]
+    heap.push([(a, a + span / 4.0) for a in starts])
 
     tail_error = 0.0
     window = list(core)
@@ -149,38 +168,49 @@ def integrate(f, interval, tol: float = 1e-10, rtol: float | None = None,
 
     def march(side):  # side = +1 (toward hi) or -1 (toward lo)
         nonlocal tail_error
-        width = core[1] - core[0]
+        width = span
         edge = window[1] if side > 0 else window[0]
-        prev = None
-        quiet = 0
+        blocks = []
         for _ in range(70):
             a, b = (edge, edge + width) if side > 0 else (edge - width, edge)
-            v, _e = heap.push(f, a, b)
+            blocks.append((a, b))
             edge = b if side > 0 else a
-            # stop once three consecutive blocks are negligible and the
-            # measured block-to-block decay bounds the remaining tail
-            # (a single small block may just straddle a sign change)
-            if prev is not None and prev > 0 and abs(v) > 0:
-                ratio = abs(v) / prev
-            else:
-                ratio = 0.0 if abs(v) == 0.0 else 0.5
-            tail = abs(v) * ratio / (1.0 - ratio) if ratio < 0.9 else math.inf
-            if abs(v) <= target() / 8.0 and tail <= target() / 8.0:
-                quiet += 1
-                if quiet >= 3:
-                    tail_error += tail
-                    break
-            else:
-                quiet = 0
-            if abs(v) > 0:
-                prev = abs(v)
             width *= 2.0
-        else:
+        prev = None
+        quiet = 0
+        done = 0
+        while quiet < 3 and done < len(blocks):
+            # the march stops only after three quiet blocks in a row, so
+            # the next 3 - quiet blocks are evaluated whatever they hold
+            batch = blocks[done:done + 3 - quiet]
+            for (a, b), (v, e) in zip(batch, heap.evaluate(batch)):
+                heap.add(a, b, v, e)
+                done += 1
+                # stop once three consecutive blocks are negligible and the
+                # measured block-to-block decay bounds the remaining tail
+                # (a single small block may just straddle a sign change)
+                if prev is not None and prev > 0 and abs(v) > 0:
+                    ratio = abs(v) / prev
+                else:
+                    ratio = 0.0 if abs(v) == 0.0 else 0.5
+                tail = (abs(v) * ratio / (1.0 - ratio) if ratio < 0.9
+                        else math.inf)
+                if abs(v) <= target() / 8.0 and tail <= target() / 8.0:
+                    quiet += 1
+                    if quiet >= 3:
+                        tail_error += tail
+                        break
+                else:
+                    quiet = 0
+                if abs(v) > 0:
+                    prev = abs(v)
+        if quiet < 3:
             tail_error = math.inf
+        a, b = blocks[done - 1]
         if side > 0:
-            window[1] = edge
+            window[1] = b
         else:
-            window[0] = edge
+            window[0] = a
 
     if math.isinf(hi):
         march(+1)
@@ -190,7 +220,7 @@ def integrate(f, interval, tol: float = 1e-10, rtol: float | None = None,
     while heap.error + tail_error > target() / 2.0 and heap.nodes < max_nodes:
         if heap.worst_error() <= 6e-17 * heap.abs_value:
             break  # refinement is below the double-precision floor
-        heap.refine_worst(f)
+        heap.refine_worst()
 
     err = heap.error + tail_error
     if not math.isfinite(err) or err > max(target(),
@@ -198,7 +228,8 @@ def integrate(f, interval, tol: float = 1e-10, rtol: float | None = None,
         raise QuadratureNoConverge(
             f"error estimate {err:.3g} exceeds target {target():.3g} "
             f"after {heap.nodes} nodes")
-    return QuadResult(heap.value, err, heap.nodes, tuple(window))
+    return QuadResult(heap.value, err, heap.nodes, tuple(window),
+                      heap.calls)
 
 
 # --- finite-difference Hamiltonian ---------------------------------------

@@ -137,7 +137,8 @@ def scalar_product(family: FamilySpec, f, g, tol: float = 1e-9):
     """<f, g> = integral of f g rho over the family interval.
 
     f and g may be Exprs or vectorized callables (SpecialFunctions are
-    both): each is called with a whole array of nodes.  Raises
+    both): each is called with the nodes of one or more quadrature
+    panels in one array, so it must act elementwise.  Raises
     QuadratureNoConverge when the adaptive error estimate cannot be
     brought below tol.
     """

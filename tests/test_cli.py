@@ -182,8 +182,8 @@ class TestReproduceDW:
 
 class TestInvalidParameters:
     """Inputs outside a function's domain end in exit 1 with the violated
-    constraint named, never in a traceback or in output that is not
-    valid JSON."""
+    constraint named, never in a traceback, an empty table, a NaN printed
+    as data or output that is not valid JSON."""
 
     @pytest.mark.parametrize("argv,constraint", [
         (["verify", "spectrum", "--system", "cuberoot", "--c1", "0"],
@@ -196,6 +196,22 @@ class TestInvalidParameters:
         (["solve-params", "--mode", "invsqrt", "--c1", "1e300", "--c2", "1",
           "--n", "0"],
          "alpha, beta and E must be finite"),
+        (["verify", "orthogonality", "--case", "s", "--alpha", "-1",
+          "--beta", "2", "--m", "5", "--lmax", "4"],
+         "need m < min(lmax, L)"),
+        (["verify", "orthogonality", "--case", "s", "--alpha", "-1",
+          "--beta", "2", "--lmax", "-3"],
+         "need m < min(lmax, L)"),
+        (["verify", "orthogonality", "--case", "s", "--alpha", "-1",
+          "--beta", "2", "--m", "4", "--lmax", "4"],
+         "need m < min(lmax, L)"),
+        # the s^2 potential is inf * 0 = NaN below x of about -7.1
+        (["potential", "--case", "s^2", "--alpha", "-7", "--beta", "1",
+          "--m", "0"],
+         "nan in column V(x) of the row with x=-10"),
+        (["verify", "residual", "--case", "s^2", "--alpha", "-7",
+          "--beta", "1", "--ell", "0", "--m", "0"],
+         "nan in column residual of the row with x=-10"),
     ])
     def test_exit_1_names_constraint(self, argv, constraint, capsys):
         code, text = invoke(argv)

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -7,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal
 
+from solvable import FamilySpec, SigmaCase
 from solvable.errors import DomainError, QuadratureNoConverge, SingularPoint
-from solvable.expr import parse
+from solvable.expr import evaluate, parse
+from solvable.schrodinger import variable_map, wavefunction
 from solvable import oracle
 from solvable.oracle import (
     FDHamiltonian, eigenvalues_below, fd_hamiltonian, fd_nodes,
@@ -70,6 +73,91 @@ class TestIntegrate:
         fine = integrate(f, (-math.inf, math.inf), 1e-12)
         assert fine.error_estimate < coarse.error_estimate
         assert fine.nodes > coarse.nodes
+
+
+# (integrand, interval, tol): a finite interval, both half-lines, the whole
+# line, an endpoint singularity, an integrand that is inf * 0 = NaN in the
+# panels next to 0 (so it raises), and a slowly decaying oscillatory tail
+# whose march resets its run of quiet blocks twice
+PINNED_INTEGRALS = (
+    (lambda s: np.exp(-s) * np.cos(5.0 * s), (0.0, 3.0), 1e-12),
+    (lambda s: s * np.exp(-s), (0.0, math.inf), 1e-10),
+    (lambda s: np.exp(2.0 * s) / (1.0 + s * s), (-math.inf, 0.5), 1e-10),
+    (lambda s: np.exp(-s * s) * np.cos(3.0 * s), (-math.inf, math.inf),
+     1e-12),
+    (lambda s: 1.0 / np.sqrt(s), (0.0, 1.0), 1e-8),
+    (lambda s: np.exp(1.0 / s) * np.exp(-2.0 / s), (0.0, 1.0), 1e-10),
+    (lambda s: np.cos(0.7 * s) / (1.0 + s) ** 4, (0.0, math.inf), 1e-8),
+)
+
+# captured before integrand calls were batched across panels
+PINNED_DIGEST = (
+    "ec93774e434e7fc7beaf4cb98820b3967e507de696b8d0191da3a0814cc2b49a")
+
+
+class TestIntegratePinned:
+    """``integrate`` bit for bit: value, error estimate, node count and
+    window of each pinned integral, or its QuadratureNoConverge message."""
+
+    def test_digest(self):
+        lines = []
+        with np.errstate(over="ignore", invalid="ignore"):
+            for f, interval, tol in PINNED_INTEGRALS:
+                try:
+                    r = integrate(f, interval, tol)
+                except QuadratureNoConverge as exc:
+                    lines.append(str(exc))
+                    continue
+                lines.append(" ".join([
+                    r.value.hex(), r.error_estimate.hex(), str(r.nodes),
+                    r.window[0].hex(), r.window[1].hex()]))
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == PINNED_DIGEST
+
+    def test_divergent_message(self):
+        with pytest.raises(QuadratureNoConverge) as info:
+            integrate(lambda s: 1.0 / (1.0 + s), (0.0, math.inf), 1e-8)
+        assert str(info.value) == (
+            "error estimate inf exceeds target 4.85e-07 after 5088 nodes")
+
+    def test_s2_ladder_message(self):
+        # psi_3 of the s^2 family close to its cutoff: psi turns NaN far
+        # out on the march, so the error estimate is NaN
+        fam = FamilySpec(SigmaCase.S2, -6.05, 1.04)
+        psi = wavefunction(fam, 3, 0)
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(QuadratureNoConverge) as info:
+            integrate(lambda x: evaluate(psi, x) ** 2,
+                      variable_map(fam).image, 1e-9)
+        assert str(info.value) == (
+            "error estimate nan exceeds target 1e-09 after 1944 nodes")
+
+    def test_calls_batch_panels(self):
+        # one call for the 4 core panels, one per march batch and one per
+        # refinement (its two children); the march blocks of a Gaussian
+        # on R are [1, 3], [3, 7], ... on each side, of 24 nodes each
+        sizes = []
+
+        def f(s):
+            sizes.append(s.size)
+            return np.exp(-s * s)
+
+        res = integrate(f, (-math.inf, math.inf), 1e-10)
+        assert res.calls == len(sizes)
+        assert all(n > 0 and n % 24 == 0 for n in sizes)
+        assert sum(sizes) == res.nodes
+        blocks = 2 * round(math.log2((res.window[1] - 1.0) / 2.0 + 1.0))
+        march = np.cumsum(sizes[1:])
+        march_calls = int(np.searchsorted(march, 24 * blocks)) + 1
+        assert march[march_calls - 1] == 24 * blocks
+        refinements = (res.nodes - 96 - 24 * blocks) // 48
+        assert sizes[0] == 96
+        # per side 3 blocks, the last of them ([7, 15]) the first quiet
+        # one, then the 3 - 1 blocks that end the march
+        assert sizes[1:march_calls + 1] == [72, 48, 72, 48]
+        assert sizes[march_calls + 1:] == [48] * refinements
+        assert res.calls == 1 + march_calls + refinements
+        assert res.calls < res.nodes / 24
 
 
 class TestFDHamiltonian:
