@@ -47,13 +47,14 @@ from .specfun import (
     special_function,
 )
 from .schrodinger import (
-    SchrodingerSystem, VariableMap, potential, variable_map, wavefunction,
+    Provenance, SchrodingerSystem, VariableMap, potential, variable_map,
+    wavefunction,
 )
 from .generator import (
-    ClosedFormEigenpair, GeneratedSystem, SecondOrderODE, TermDecomposition,
-    cuberoot_potential, decompose, eliminate_first_derivative,
-    inverse_sqrt_potential, reproduce_dw, solve_params_inverse_sqrt,
-    solve_params_quantsys, substitute, transformed_system,
+    SecondOrderODE, TermDecomposition, cuberoot_potential, decompose,
+    eliminate_first_derivative, inverse_sqrt_potential, reproduce_dw,
+    solve_params_inverse_sqrt, solve_params_quantsys, substitute,
+    transformed_system,
 )
 from .oracle import (
     FDHamiltonian, eigenvalues_below, fd_hamiltonian, integrate, residual,
@@ -63,25 +64,22 @@ from .oracle import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ALL_CASES", "ClosedFormEigenpair", "DegenerateRecursion",
-    "DegreeBeyondCutoff", "DomainError", "Expr", "ExprSyntaxError",
-    "FDHamiltonian", "FamilyConstraintError", "FamilyCutoff", "FamilySpec",
-    "GeneratedSystem", "HmOperator", "Inadmissible", "InvalidParameter",
-    "MapNotClosedForm", "NoAdmissibleRoot", "NonIntegrableGauge",
-    "NonRationalExponent", "OrderExceedsDegree", "Poly",
-    "QuadratureNoConverge",
-    "SchrodingerSystem", "SecondOrderODE", "SigmaCase", "SingularPoint",
-    "SolvableError", "SpecialFunction", "TermDecomposition",
-    "Unimplemented", "UnsupportedCorrespondence", "VariableMap",
-    "apply_hm", "classical_match", "compose", "cuberoot_potential",
-    "cutoff", "decompose", "differentiate", "eigenvalue",
-    "eigenvalues_below", "eliminate_first_derivative", "evaluate",
-    "fd_hamiltonian", "hermite_value", "hm_operator", "integrate",
-    "inverse_sqrt_potential", "jacobi_value",
-    "laguerre_value", "parse", "phi", "phi_rodrigues", "potential",
-    "power_terms", "print_expr", "reproduce_dw", "residual",
-    "residual_norm", "richardson_eigenvalues", "scalar_product",
-    "simplify", "solve_params_inverse_sqrt", "solve_params_quantsys",
-    "special_function", "substitute", "transformed_system", "variable_map",
-    "wavefunction", "weight",
+    "ALL_CASES", "DegenerateRecursion", "DegreeBeyondCutoff", "DomainError",
+    "Expr", "ExprSyntaxError", "FDHamiltonian", "FamilyConstraintError",
+    "FamilyCutoff", "FamilySpec", "HmOperator", "Inadmissible",
+    "InvalidParameter", "MapNotClosedForm", "NoAdmissibleRoot",
+    "NonIntegrableGauge", "NonRationalExponent", "OrderExceedsDegree", "Poly",
+    "Provenance", "QuadratureNoConverge", "SchrodingerSystem",
+    "SecondOrderODE", "SigmaCase", "SingularPoint", "SolvableError",
+    "SpecialFunction", "TermDecomposition", "Unimplemented",
+    "UnsupportedCorrespondence", "VariableMap", "apply_hm", "classical_match",
+    "compose", "cuberoot_potential", "cutoff", "decompose", "differentiate",
+    "eigenvalue", "eigenvalues_below", "eliminate_first_derivative",
+    "evaluate", "fd_hamiltonian", "hermite_value", "hm_operator", "integrate",
+    "inverse_sqrt_potential", "jacobi_value", "laguerre_value", "parse",
+    "phi", "phi_rodrigues", "potential", "power_terms", "print_expr",
+    "reproduce_dw", "residual", "residual_norm", "richardson_eigenvalues",
+    "scalar_product", "simplify", "solve_params_inverse_sqrt",
+    "solve_params_quantsys", "special_function", "substitute",
+    "transformed_system", "variable_map", "wavefunction", "weight",
 ]

@@ -33,7 +33,7 @@ from .schrodinger import potential, variable_map, wavefunction
 from .specfun import apply_hm, hm_operator, scalar_product, special_function
 
 __all__ = ["CriterionResult", "run_all", "CRITERIA", "ACCEPTANCE_FAMILIES",
-           "cuberoot_containment", "orthogonality_rows"]
+           "cuberoot_containment", "family_spectrum", "orthogonality_rows"]
 
 # representative admissible parameters per family; the s^2-1 row is run
 # at beta = 10 because -beta < alpha < 0 fails for the nominal beta = 1
@@ -60,17 +60,53 @@ def _families():
     return [FamilySpec(case, a, b) for case, a, b in ACCEPTANCE_FAMILIES]
 
 
+def family_spectrum(fam, m, lo, hi, n_sub, e_max=None):
+    """(i, E_numeric, nearest lambda_ell, |difference|) for each FD
+    eigenvalue of V_m on [lo, hi] with n_sub subintervals below e_max;
+    the closed forms are lambda_ell for the first 16 ell below the cutoff,
+    and e_max defaults to half a unit above the sixth of them."""
+    ham = fd_hamiltonian(potential(fam, m).potential, lo, hi, n_sub)
+    cap = cutoff(fam)
+    analytic = []
+    ell = 0
+    while ell < cap.lambda_cap and len(analytic) < 16:
+        analytic.append(eigenvalue(fam, ell))
+        ell += 1
+    if e_max is None:
+        e_max = analytic[min(5, len(analytic) - 1)] + 0.5
+    rows = []
+    for i, e in enumerate(eigenvalues_below(ham, e_max)):
+        nearest = min(analytic, key=lambda a: abs(a - e))
+        rows.append((i, e, nearest, abs(e - nearest)))
+    return rows
+
+
 def criterion_1_oscillator_spectrum(seed=42):
     """FD spectrum of V_0 = x^2 - 1 matches 2*ell to 5e-4 in under 5 s."""
     t0 = time.time()
     fam = FamilySpec(SigmaCase.ONE, -2.0, 0.0)
-    system = potential(fam, 0)
-    ham = fd_hamiltonian(system.potential, -10.0, 10.0, 4000)
-    got = eigenvalues_below(ham, 9.0)
-    errs = [abs(e - 2.0 * ell) for ell, e in enumerate(got[:5])]
+    rows = family_spectrum(fam, 0, -10.0, 10.0, 4000, e_max=9.0)
+    errs = [abs(e - 2.0 * ell) for ell, e, _, _ in rows[:5]]
     elapsed = time.time() - t0
-    ok = len(got) >= 5 and max(errs) <= 5e-4 and elapsed < 5.0
+    ok = len(rows) >= 5 and max(errs) <= 5e-4 and elapsed < 5.0
     return ok, f"max|dE|={max(errs):.2e} (tol 5e-4), {elapsed:.2f}s (cap 5s)"
+
+
+def _hm_worst(fam, top):
+    """Largest |H_m F_{ell,m} - lambda_ell F_{ell,m}| / (1 + |lambda_ell
+    F_{ell,m}|) over the family's 100 sample points, ell <= top,
+    m <= ell."""
+    pts = sample_points(fam, 100)
+    worst = 0.0
+    for ell in range(top + 1):
+        lam = eigenvalue(fam, ell)
+        for m in range(ell + 1):
+            sf = special_function(fam, ell, m)
+            want = lam * sf(pts)
+            got = apply_hm(hm_operator(fam, m), sf, pts)
+            worst = max(worst, np.max(np.abs(got - want)
+                                      / (1.0 + np.abs(want))))
+    return worst
 
 
 def criterion_2_operator_residuals(seed=42):
@@ -81,16 +117,7 @@ def criterion_2_operator_residuals(seed=42):
     for fam in _families():
         cap = cutoff(fam)
         top = min(cap.max_degree if cap.max_degree is not None else 8, 8)
-        pts = sample_points(fam, 100)
-        for ell in range(top + 1):
-            lam = eigenvalue(fam, ell)
-            for m in range(ell + 1):
-                op = hm_operator(fam, m)
-                sf = special_function(fam, ell, m)
-                want = lam * sf(pts)
-                got = apply_hm(op, sf, pts)
-                dev = np.max(np.abs(got - want) / (1.0 + np.abs(want)))
-                worst = max(worst, dev)
+        worst = max(worst, _hm_worst(fam, top))
     elapsed = time.time() - t0
     ok = worst <= 1e-8 and elapsed < 10.0
     return ok, (f"worst residual {worst:.2e} (tol 1e-8), "
@@ -208,10 +235,11 @@ def criterion_8_cubic_round_trip(seed=42):
     c1 = alpha * beta / 2.0
     c2 = beta ** 2 / 4.0 + alpha / 2.0 - alpha * m + alpha * ell
     pairs = solve_params_inverse_sqrt(c1, c2, n=ell - m)
-    best = min(pairs, key=lambda p: abs(p.alpha + 2.0))
-    ok = (c1, c2) == (-1.0, -6.75) and abs(best.alpha + 2.0) <= 1e-10 \
+    best = min(pairs, key=lambda p: abs(p.provenance.alpha + 2.0))
+    best_alpha = best.provenance.alpha
+    ok = (c1, c2) == (-1.0, -6.75) and abs(best_alpha + 2.0) <= 1e-10 \
         and abs(best.energy + 1.0) <= 1e-12
-    return ok, (f"(c1, c2)=({c1:g}, {c2:g}), alpha={best.alpha:.12g}, "
+    return ok, (f"(c1, c2)=({c1:g}, {c2:g}), alpha={best_alpha:.12g}, "
                 f"E={best.energy:.12g}")
 
 
@@ -265,17 +293,7 @@ def criterion_10_finite_cutoff(seed=42):
         phi(fam, 4)
     except DegreeBeyondCutoff:
         raised = True
-    worst = 0.0
-    pts = sample_points(fam, 100)
-    for ell in range(4):
-        lam = eigenvalue(fam, ell)
-        for m in range(ell + 1):
-            op = hm_operator(fam, m)
-            sf = special_function(fam, ell, m)
-            want = lam * sf(pts)
-            got = apply_hm(op, sf, pts)
-            worst = max(worst, np.max(np.abs(got - want)
-                                      / (1.0 + np.abs(want))))
+    worst = _hm_worst(fam, 3)
     ok = cap.max_degree == 3 and raised and worst <= 1e-8
     return ok, (f"L={cap.max_degree}, ell=4 raises: {raised}, "
                 f"worst residual {worst:.2e}")

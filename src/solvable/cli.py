@@ -23,13 +23,11 @@ from .errors import (
     SolvableError,
 )
 from .expr import evaluate, parse, power_terms, print_expr
-from .families import (
-    ALL_CASES, FamilySpec, SigmaCase, cutoff, eigenvalue, sample_window,
-)
+from .families import ALL_CASES, FamilySpec, SigmaCase, cutoff, sample_window
 from .generator import (
     reproduce_dw, solve_params_inverse_sqrt, solve_params_quantsys,
 )
-from .oracle import eigenvalues_below, fd_hamiltonian, residual, residual_grid
+from .oracle import residual, residual_grid
 from .polynomials import phi
 from .schrodinger import potential, wavefunction
 from .specfun import special_function
@@ -213,35 +211,32 @@ def cmd_eigenfunction(args, out):
     return 0
 
 
+def _generated_pair(which, c1, c2, n, branch):
+    """The generated system on the branch: the cube-root eigenpair, or the
+    lowest-energy inverse-sqrt root whose beta has the branch's sign;
+    raises Inadmissible or NoAdmissibleRoot when there is none."""
+    if which == "cuberoot":
+        return solve_params_quantsys(c1, c2, n, branch)
+    matching = [p for p in solve_params_inverse_sqrt(c1, c2, n)
+                if p.provenance.branch == branch]
+    if not matching:
+        raise NoAdmissibleRoot(f"no root on branch {branch}")
+    return min(matching, key=lambda p: p.energy)
+
+
 def cmd_generate(args, out):
-    if args.which == "cuberoot":
-        try:
-            pair = solve_params_quantsys(args.c1, args.c2, args.n,
-                                         args.branch)
-        except Inadmissible as exc:
-            emit_json({"admissible": False, "reason": str(exc)}, out)
-            return 0
-        emit_json({"energy": pair.energy,
-                   "psi_expr": print_expr(pair.psi, "r"),
-                   "admissible": True,
-                   "alpha": pair.alpha, "beta": pair.beta}, out)
-        return 0
     try:
-        pairs = solve_params_inverse_sqrt(args.c1, args.c2, args.n)
-    except NoAdmissibleRoot as exc:
+        pair = _generated_pair(args.which, args.c1, args.c2, args.n,
+                               args.branch)
+    except (Inadmissible, NoAdmissibleRoot) as exc:
         emit_json({"admissible": False, "reason": str(exc)}, out)
         return 0
-    matching = [p for p in pairs if p.branch == args.branch]
-    if not matching:
-        emit_json({"admissible": False,
-                   "reason": f"no root on branch {args.branch}"}, out)
-        return 0
-    pair = min(matching, key=lambda p: p.energy)
-    emit_json({"energy": pair.energy,
-               "psi_expr": print_expr(pair.psi, "r"),
-               "admissible": True,
-               "alpha": pair.alpha, "beta": pair.beta,
-               "degenerate": pair.degenerate}, out)
+    prov = pair.provenance
+    entry = {"energy": pair.energy, "psi_expr": print_expr(pair.psi, "r"),
+             "admissible": True, "alpha": prov.alpha, "beta": prov.beta}
+    if args.which == "sqrt":
+        entry["degenerate"] = prov.degenerate
+    emit_json(entry, out)
     return 0
 
 
@@ -251,18 +246,20 @@ def cmd_solve_params(args, out):
         for branch in ("+", "-"):
             try:
                 p = solve_params_quantsys(args.c1, args.c2, args.n, branch)
-                entries.append({"branch": branch, "alpha": p.alpha,
-                                "beta": p.beta, "energy": p.energy,
-                                "admissible": True})
+                entries.append({"branch": branch,
+                                "alpha": p.provenance.alpha,
+                                "beta": p.provenance.beta,
+                                "energy": p.energy, "admissible": True})
             except Inadmissible as exc:
                 entries.append({"branch": branch, "admissible": False,
                                 "reason": str(exc)})
     else:
         try:
             for p in solve_params_inverse_sqrt(args.c1, args.c2, args.n):
-                entries.append({"alpha": p.alpha, "beta": p.beta,
-                                "energy": p.energy, "branch": p.branch,
-                                "degenerate": p.degenerate,
+                prov = p.provenance
+                entries.append({"alpha": prov.alpha, "beta": prov.beta,
+                                "energy": p.energy, "branch": prov.branch,
+                                "degenerate": prov.degenerate,
                                 "admissible": True})
         except NoAdmissibleRoot as exc:
             entries.append({"admissible": False, "reason": str(exc)})
@@ -270,24 +267,16 @@ def cmd_solve_params(args, out):
     return 0
 
 
-def _generated_pair(args):
-    if args.system == "cuberoot":
-        return solve_params_quantsys(args.c1, args.c2, args.n, args.branch)
-    pairs = solve_params_inverse_sqrt(args.c1, args.c2, args.n)
-    matching = [p for p in pairs if p.branch == args.branch] or pairs
-    return min(matching, key=lambda p: p.energy)
-
-
 def cmd_verify_residual(args, out):
     if args.system == "family":
         system = potential(_family_from(args), args.m,
                            attach_ells=(args.ell,))
-        (lam, psi), = system.known_eigenpairs
     else:
-        system = _generated_pair(args)
-        lam, psi = system.energy, system.psi
+        system = _generated_pair(args.system, args.c1, args.c2, args.n,
+                                 args.branch)
     # one point at a time: on an array the residual can round differently
-    rows = [(x, residual(system.potential, lam, psi, float(x)))
+    rows = [(x, residual(system.potential, system.energy, system.psi,
+                         float(x)))
             for x in residual_grid(system.interval, args.grid)]
     emit_csv(("x", "residual"), rows, out)
     return 0
@@ -295,24 +284,10 @@ def cmd_verify_residual(args, out):
 
 def cmd_verify_spectrum(args, out):
     if args.system == "family":
-        fam = _family_from(args)
-        system = potential(fam, args.m)
         lo = args.xmin if args.xmin is not None else -10.0
         hi = args.xmax if args.xmax is not None else 10.0
-        ham = fd_hamiltonian(system.potential, lo, hi, args.grid)
-        cap = cutoff(fam)
-        analytic = []
-        ell = 0
-        while ell < cap.lambda_cap and len(analytic) < 16:
-            analytic.append(eigenvalue(fam, ell))
-            ell += 1
-        e_max = args.emax if args.emax is not None else (
-            analytic[min(5, len(analytic) - 1)] + 0.5)
-        rows = []
-        for i, e in enumerate(eigenvalues_below(ham, e_max)):
-            nearest = min(analytic, key=lambda a: abs(a - e)) if analytic \
-                else float("nan")
-            rows.append((i, e, nearest, abs(e - nearest)))
+        rows = acceptance_mod.family_spectrum(_family_from(args), args.m, lo,
+                                              hi, args.grid, args.emax)
     else:
         # the E_n^+ are not the spectrum of one self-adjoint extension, so
         # each level is solved under its own matched wall (criterion 9);
@@ -369,7 +344,7 @@ def cmd_reproduce_dw(args, out):
                             if c != 0.0},
         "potential_expr": print_expr(g.potential, "r"),
         "energy": g.energy,
-        "gauge_expr": print_expr(g.gauge, "r"),
+        "gauge_expr": print_expr(g.provenance.gauge, "r"),
     }, out)
     return 0
 

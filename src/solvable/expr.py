@@ -435,8 +435,10 @@ def _derivative(e: Expr) -> Expr:
 
 def evaluate(e: Expr, value):
     """Evaluate at a scalar or numpy array; raises DomainError outside
-    the mathematical domain."""
-    with np.errstate(over="ignore", under="ignore"):
+    the mathematical domain.  Overflow, underflow and inf * 0 or inf - inf
+    pass silently as inf, 0 and NaN; callers that report numbers check
+    that they are finite."""
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         return _eval(e, value)
 
 

@@ -46,14 +46,12 @@ from .expr import (
 )
 from .families import FamilySpec, SigmaCase
 from .polynomials import hermite_poly
-from .schrodinger import wavefunction
+from .schrodinger import Provenance, SchrodingerSystem, wavefunction
 
 __all__ = [
     "SecondOrderODE", "EliminationResult", "TermDecomposition",
-    "SubstitutionMap", "SubstitutionResult", "GeneratedSystem",
-    "ClosedFormEigenpair", "Provenance",
-    "eliminate_first_derivative", "decompose", "substitute",
-    "transformed_system", "solve_params_quantsys",
+    "SubstitutionMap", "SubstitutionResult", "eliminate_first_derivative",
+    "decompose", "substitute", "transformed_system", "solve_params_quantsys",
     "solve_params_inverse_sqrt", "reproduce_dw", "boundary_ratio",
 ]
 
@@ -236,30 +234,8 @@ def substitute(dec: TermDecomposition, k: int,
     return SubstitutionResult(smap, -c_map, gauge)
 
 
-@dataclass(frozen=True)
-class Provenance:
-    source: str
-    ell: int | None = None
-    m: int | None = None
-    k: int | None = None
-    branch: str | None = None
-
-
-@dataclass(frozen=True)
-class GeneratedSystem:
-    """-d^2/dr^2 + potential on the interval, one analytic eigenpair
-    (energy, psi) attached, plus the gauge that produced it."""
-
-    potential: Expr
-    energy: float
-    gauge: Expr
-    provenance: Provenance
-    psi: Expr | None = None
-    interval: tuple = (0.0, INF)
-
-
 def transformed_system(family: FamilySpec, ell: int, m: int,
-                       k: int) -> GeneratedSystem:
+                       k: int) -> SchrodingerSystem:
     """Run decompose + substitute on a family eigenpair; the returned
     psi = gauge * Psi_{ell,m}(x(r)) solves -psi'' + W psi = E psi."""
     dec = decompose(family, m)
@@ -267,35 +243,15 @@ def transformed_system(family: FamilySpec, ell: int, m: int,
     w = sub.potential(dec, ell)
     psi_x = wavefunction(family, ell, m)
     psi_r = simplify(mul(sub.gauge, compose(psi_x, sub.map.x_of_r)))
-    return GeneratedSystem(w, sub.energy, sub.gauge,
-                           Provenance("family", ell, m, k, None), psi_r)
+    return SchrodingerSystem(
+        w, (0.0, INF), ((sub.energy, psi_r),),
+        Provenance(family.alpha, family.beta, gauge=sub.gauge))
 
 
 def _hermite_expr(n: int, arg: Expr) -> Expr:
     coeffs = hermite_poly(n).coeffs
     terms = [mul(c, pow_(arg, j)) for j, c in enumerate(coeffs) if c != 0.0]
     return add(*terms)
-
-
-@dataclass(frozen=True)
-class ClosedFormEigenpair:
-    """One closed-form eigenpair (energy, psi) of a generated potential
-    on (0, inf)."""
-
-    n: int
-    branch: str             # '+' or '-'
-    c1: float
-    c2: float
-    potential: Expr
-    energy: float
-    psi: Expr
-    alpha: float
-    beta: float
-    degenerate: bool = False
-
-    @property
-    def interval(self):
-        return (0.0, INF)
 
 
 def cuberoot_potential(c1: float, c2: float) -> Expr:
@@ -323,8 +279,8 @@ def _branch_sign(branch) -> int:
 
 
 def solve_params_quantsys(c1: float, c2: float, n: int,
-                          branch) -> ClosedFormEigenpair:
-    """Closed-form eigenpair of the cube-root potential.
+                          branch) -> SchrodingerSystem:
+    """The cube-root system on (0, inf) with its closed-form eigenpair.
 
     alpha = -2 sqrt(c1), beta = sign * 2 sqrt(c2 + sqrt(c1)(1+2n)),
     E = sign * 2 sqrt(c1 c2 + c1 sqrt(c1) (1+2n)); admissible when the
@@ -356,9 +312,9 @@ def solve_params_quantsys(c1: float, c2: float, n: int,
         exp_(add(mul(-amp_a, pow_(VAR, Fraction(4, 3))),
                  mul(sign * amp_b, r23))),
         _hermite_expr(n, add(mul(herm_q, r23), -sign * herm_d))))
-    return ClosedFormEigenpair(n, "+" if sign > 0 else "-", c1, c2,
-                               cuberoot_potential(c1, c2), energy, psi,
-                               alpha, beta)
+    return SchrodingerSystem(
+        cuberoot_potential(c1, c2), (0.0, INF), ((energy, psi),),
+        Provenance(alpha, beta, "+" if sign > 0 else "-"))
 
 
 def _real_cubic_roots(a3: float, a2: float, a1: float, a0: float):
@@ -415,9 +371,10 @@ def solve_params_inverse_sqrt(c1: float, c2: float, n: int):
 
         (n + 1/2) alpha^3 - c2 alpha^2 + c1^2 = 0,
 
-    solved for all real roots; roots with alpha < 0 yield eigenpairs
-    with E = -alpha^2/4.  c1 = 0 degenerates to the pure beta = 0
-    branch (cubic factor alpha^2), flagged on the output.
+    solved for all real roots; each root with alpha < 0 yields one system
+    on (0, inf) with the eigenpair E = -alpha^2/4.  c1 = 0 degenerates to
+    the pure beta = 0 branch (cubic factor alpha^2), flagged in each
+    system's provenance.
     """
     if n < 0:
         raise InvalidParameter("n must be a nonnegative integer")
@@ -445,9 +402,9 @@ def solve_params_inverse_sqrt(c1: float, c2: float, n: int):
             pow_(VAR, Fraction(1, 4)),
             exp_(add(mul(alpha / 2.0, VAR), mul(beta / math.sqrt(2.0), sqr))),
             _hermite_expr(n, arg)))
-        pairs.append(ClosedFormEigenpair(
-            n, "+" if beta >= 0 else "-", c1, c2, v, energy, psi, alpha,
-            beta, degenerate=degenerate))
+        pairs.append(SchrodingerSystem(
+            v, (0.0, INF), ((energy, psi),),
+            Provenance(alpha, beta, "+" if beta >= 0 else "-", degenerate)))
     if not pairs:
         raise NoAdmissibleRoot(
             f"no real root with alpha < 0 for c1={c1:g}, c2={c2:g}, n={n}")
@@ -456,14 +413,16 @@ def solve_params_inverse_sqrt(c1: float, c2: float, n: int):
 
 def reproduce_dw(theta: float, rho_coeff: float, lam: float, which: int,
                  i_map: Expr | None = None,
-                 x_of_r: Expr | None = None) -> GeneratedSystem:
+                 x_of_r: Expr | None = None) -> SchrodingerSystem:
     """Transform the translated harmonic oscillator
     [-d^2/dx^2 + theta^2 x^2 + rho x + lam] phi = 0 through the generic
     pipeline; which=1 is the sqrt(2r) route, which=2 the cube-root route.
 
     i_map overrides the map-defining term (x^2 or x by default) with an
     arbitrary expression; x_of_r supplies the change of variable directly
-    when x' = 1/sqrt(i_map(x)) has no closed form in the IR.
+    when x' = 1/sqrt(i_map(x)) has no closed form in the IR.  The
+    energy is known in closed form, the eigenfunction is not: the one
+    attached eigenpair is (E, None).
     """
     if which not in (1, 2):
         raise InvalidParameter("which must be 1 or 2")
@@ -480,8 +439,8 @@ def reproduce_dw(theta: float, rho_coeff: float, lam: float, which: int,
         c_zero=lambda ell: lam)
     sub = substitute(dec, k, x_of_r)
     w = sub.potential(dec, 0)
-    return GeneratedSystem(w, sub.energy, sub.gauge,
-                           Provenance("dw", k=k))
+    return SchrodingerSystem(w, (0.0, INF), ((sub.energy, None),),
+                             Provenance(gauge=sub.gauge))
 
 
 def boundary_ratio(pair, r0: float, r1: float) -> float:

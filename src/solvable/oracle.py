@@ -454,8 +454,8 @@ def residual_norm(system, pair=None, n: int = 400) -> float:
     """max over a clamped grid of |residual| / (1 + |lam psi|).
 
     ``system`` needs ``potential`` (Expr) and ``interval`` attributes;
-    ``pair`` is (lam, psi_expr), or None for a system carrying its own
-    ``energy`` and ``psi``.
+    ``pair`` is (lam, psi_expr), or None for the only known eigenpair of
+    a ``SchrodingerSystem`` (its ``energy`` and ``psi``).
     """
     lam, psi = (system.energy, system.psi) if pair is None else pair
     xs = residual_grid(system.interval, n)

@@ -19,7 +19,7 @@ feeds the symbolic pipeline.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DegreeBeyondCutoff, InvalidParameter, OrderExceedsDegree
@@ -31,8 +31,8 @@ from .families import FamilySpec, SigmaCase, cutoff, eigenvalue, weight
 from .specfun import multiplication_part, special_function
 
 __all__ = [
-    "VariableMap", "SchrodingerSystem", "variable_map", "potential",
-    "wavefunction", "oscillator_potential_value",
+    "VariableMap", "Provenance", "SchrodingerSystem", "variable_map",
+    "potential", "wavefunction", "oscillator_potential_value",
 ]
 
 INF = math.inf
@@ -80,13 +80,47 @@ def variable_map(family: FamilySpec) -> VariableMap:
 
 
 @dataclass(frozen=True)
+class Provenance:
+    """The parameters a generated system came from: the oscillator's
+    alpha and beta, the branch (the sign of beta), whether the parameter
+    cubic degenerated (c1 = 0), and the gauge factor of the transform."""
+
+    alpha: float | None = None
+    beta: float | None = None
+    branch: str | None = None
+    degenerate: bool = False
+    gauge: Expr | None = None
+
+
+@dataclass(frozen=True)
 class SchrodingerSystem:
-    """-d^2/dx^2 + V(x) on (a', b') with any attached analytic eigenpairs
-    (lambda, psi) as expressions in x."""
+    """-d^2/dx^2 + V(x) on (a', b') with its known closed-form eigenpairs
+    (lambda, psi), psi an expression in x or None where only lambda is
+    known, and the provenance of a generated system.  Every constructor,
+    the family potentials and the generator alike, returns this type."""
 
     potential: Expr
     interval: tuple
-    known_eigenpairs: tuple = field(default=())
+    known_eigenpairs: tuple = ()
+    provenance: Provenance | None = None
+
+    def _only_pair(self):
+        count = len(self.known_eigenpairs)
+        if count != 1:
+            raise InvalidParameter(
+                f"energy and psi need exactly one known eigenpair; this "
+                f"system has {count}")
+        return self.known_eigenpairs[0]
+
+    @property
+    def energy(self) -> float:
+        """lambda of the system's only known eigenpair."""
+        return self._only_pair()[0]
+
+    @property
+    def psi(self) -> Expr | None:
+        """psi of the system's only known eigenpair."""
+        return self._only_pair()[1]
 
 
 def _potential_in_s(family: FamilySpec, m: int) -> Expr:

@@ -96,12 +96,6 @@ class HmOperator:
     m: int
     mult: Expr
 
-    def coefficient_exprs(self):
-        """(second-derivative, first-derivative, multiplication) coefficients."""
-        return (mul(-1, self.family.sigma_expr),
-                mul(-1, self.family.tau_expr),
-                self.mult)
-
 
 def hm_operator(family: FamilySpec, m: int) -> HmOperator:
     return HmOperator(family, m, multiplication_part(family, m))

@@ -1,12 +1,16 @@
 import io
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from solvable.cli import run
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def invoke(argv):
@@ -76,6 +80,21 @@ class TestGenerate:
         obj = json.loads(text)
         assert obj["admissible"] is True
         assert obj["energy"] == pytest.approx(-1.0)
+
+    def test_sqrt_route_without_a_root_on_the_branch(self, capsys):
+        # every root of the inverse-sqrt cubic has beta of the sign of -c1,
+        # so c1 = 1 has no root on branch +: generate reports it, and
+        # verify residual fails instead of checking the branch - root
+        args = ["--c1", "1", "--c2", "3", "--n", "0", "--branch", "+"]
+        code, text = invoke(["generate", "--which", "sqrt"] + args)
+        assert code == 0
+        assert text == ('{\n  "admissible": false,\n'
+                        '  "reason": "no root on branch +"\n}\n')
+        code, text = invoke(["verify", "residual", "--system", "sqrt"]
+                            + args)
+        assert code == 1
+        assert text == ""
+        assert capsys.readouterr().err == "error: no root on branch +\n"
 
 
 class TestSolveParams:
@@ -218,6 +237,19 @@ class TestInvalidParameters:
         assert code == 1
         assert text == ""
         assert constraint in capsys.readouterr().err
+
+    def test_nan_rows_print_only_the_error_line(self):
+        # in a fresh interpreter, so a numpy RuntimeWarning would reach
+        # stderr ahead of the error line
+        env = dict(os.environ, PYTHONPATH="src")
+        proc = subprocess.run(
+            [sys.executable, "-m", "solvable", "potential", "--case", "s^2",
+             "--alpha", "-7", "--beta", "1", "--m", "0"],
+            cwd=ROOT, env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            "error: nan in column V(x) of the row with x=-10\n")
 
 
 class TestGridSize:

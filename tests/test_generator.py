@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -225,8 +226,9 @@ class TestQuantsysEigenpairs:
         for n in range(5):
             for br in "+-":
                 p = solve_params_quantsys(1.3, -0.4, n, br)
+                prov = p.provenance
                 assert p.energy == pytest.approx(
-                    -p.alpha * p.beta / 2.0, abs=1e-12)
+                    -prov.alpha * prov.beta / 2.0, abs=1e-12)
 
     @pytest.mark.parametrize("n", range(4))
     @pytest.mark.parametrize("branch", ["+", "-"])
@@ -241,7 +243,8 @@ class TestQuantsysEigenpairs:
         rs = np.linspace(0.2, 8.0, 50)
         for n in range(5):
             q = solve_params_quantsys(c1, c2, n, branch)
-            fam = FamilySpec(SigmaCase.ONE, q.alpha, q.beta)
+            fam = FamilySpec(SigmaCase.ONE, q.provenance.alpha,
+                             q.provenance.beta)
             for m in (0, 1, 2):
                 g = transformed_system(fam, n + m, m, +1)
                 assert g.energy == pytest.approx(q.energy, abs=1e-12)
@@ -254,8 +257,9 @@ class TestQuantsysEigenpairs:
         for n in range(4):
             for br in "+-":
                 p = solve_params_quantsys(2.3, 1.1, n, br)
-                assert p.alpha < 0
-                assert math.copysign(1, p.energy) == math.copysign(1, p.beta)
+                assert p.provenance.alpha < 0
+                assert math.copysign(1, p.energy) == math.copysign(
+                    1, p.provenance.beta)
 
     def test_square_integrable(self):
         for n in (0, 3):
@@ -272,17 +276,17 @@ class TestInverseSqrtEigenpairs:
         c2 = beta ** 2 / 4.0 + alpha / 2.0 - alpha * m + alpha * ell
         assert (c1, c2) == (-1.0, -6.75)
         pairs = solve_params_inverse_sqrt(c1, c2, n=ell - m)
-        best = min(pairs, key=lambda p: abs(p.alpha + 2.0))
-        assert best.alpha == pytest.approx(-2.0, abs=1e-10)
+        best = min(pairs, key=lambda p: abs(p.provenance.alpha + 2.0))
+        assert best.provenance.alpha == pytest.approx(-2.0, abs=1e-10)
         assert best.energy == pytest.approx(-1.0, abs=1e-12)
 
     def test_degenerate_c1_zero(self):
         pairs = solve_params_inverse_sqrt(0.0, -2.0, 1)
         assert len(pairs) == 1
         p = pairs[0]
-        assert p.degenerate
-        assert p.beta == 0.0
-        assert p.alpha == pytest.approx(-2.0 / 1.5)
+        assert p.provenance.degenerate
+        assert p.provenance.beta == 0.0
+        assert p.provenance.alpha == pytest.approx(-2.0 / 1.5)
 
     def test_degenerate_inadmissible(self):
         with pytest.raises(NoAdmissibleRoot):
@@ -292,7 +296,8 @@ class TestInverseSqrtEigenpairs:
         pairs = solve_params_inverse_sqrt(-1.0, 0.0, 0)
         assert len(pairs) == 1
         p = pairs[0]
-        assert p.alpha == pytest.approx(-2.0 ** (1.0 / 3.0), abs=1e-12)
+        assert p.provenance.alpha == pytest.approx(
+            -2.0 ** (1.0 / 3.0), abs=1e-12)
         assert p.energy == pytest.approx(-2.0 ** (2.0 / 3.0) / 4.0, abs=1e-12)
 
     @pytest.mark.parametrize("c1,c2,n", [
@@ -305,7 +310,9 @@ class TestInverseSqrtEigenpairs:
     def test_beta_sign_consistency(self):
         # alpha*beta/2 must reproduce c1 for every returned root
         for p in solve_params_inverse_sqrt(2.0, -3.0, 1):
-            assert p.alpha * p.beta / 2.0 == pytest.approx(p.c1, rel=1e-10)
+            prov = p.provenance
+            assert prov.alpha * prov.beta / 2.0 == pytest.approx(
+                2.0, rel=1e-10)
 
 
 class TestReproduceDW:
@@ -320,10 +327,9 @@ class TestReproduceDW:
     def test_sqrt_route_ground_state(self):
         g = reproduce_dw(1.0, 0.0, -1.0, which=1)
         psi = simplify(mul(pow_(VAR, Fraction(1, 4)), exp_(mul(-1, VAR))))
-        from solvable.generator import GeneratedSystem, Provenance
-
-        sys_with_pair = GeneratedSystem(
-            g.potential, g.energy, g.gauge, Provenance("dw"), psi)
+        # the energy is known in closed form, the eigenfunction is not
+        assert g.known_eigenpairs == ((g.energy, None),)
+        sys_with_pair = replace(g, known_eigenpairs=((g.energy, psi),))
         assert residual_norm(sys_with_pair) <= 1e-10
 
     def test_cuberoot_route_pattern(self):

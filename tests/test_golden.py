@@ -1,5 +1,5 @@
-"""Golden outputs: digests of the acceptance detail lines and of the stdout
-of the README's command-line examples.
+"""Golden outputs: digests of the acceptance detail lines, of the stdout
+of the README's command-line examples and of further CLI commands.
 
 The digests pin the exact bytes, so a change to how expressions are built,
 cached or simplified that alters any printed digit shows here.  Elapsed
@@ -59,3 +59,42 @@ def test_acceptance_details_unchanged():
 
 def test_readme_commands_unchanged():
     assert readme_digest() == README_DIGEST
+
+# CLI outputs no README example covers: the family spectrum table, both
+# branches of the inverse-sqrt generator, the quantsys parameter roots, the
+# inverse-sqrt and non-oscillator family residuals and the cube-root
+# transform of the translated oscillator
+CLI_COMMANDS = [
+    "verify spectrum --system family --case s --alpha -1 --beta 2 --m 0 "
+    "--xmin 0.001 --xmax 30 --grid 2000",
+    "verify spectrum --system family --case 1-s^2 --alpha -5 --beta 1 "
+    "--m 0 --xmin -1.5707 --xmax 1.5707 --grid 2000",
+    "verify spectrum --system family --case s^2+1 --alpha -5 --beta 1 "
+    "--m 1 --grid 2000",
+    "generate --which sqrt --c1 1 --c2 3 --n 0 --branch +",
+    "generate --which sqrt --c1 1 --c2 3 --n 0 --branch -",
+    "solve-params --mode quantsys --c1 1 --c2 -5 --n 1",
+    "solve-params --mode quantsys --c1 1.5 --c2 0.7 --n 2",
+    "verify residual --system sqrt --c1 1 --c2 3 --n 0 --branch -",
+    "verify residual --system family --case s --alpha -1 --beta 2 --ell 2 "
+    "--m 1",
+    "verify residual --system family --case 1-s^2 --alpha -5 --beta 1 "
+    "--ell 3 --m 2 --grid 100",
+    "reproduce-dw --theta 1 --rho 0 --lambda -1 --which 2",
+]
+
+CLI_DIGEST = (
+    "1d766bfccc51e279c640c88da11fd840ef031881eeca0738648e508639f41a82")
+
+
+def cli_digest():
+    h = hashlib.sha256()
+    for cmd in CLI_COMMANDS:
+        out = io.StringIO()
+        code = run(cmd.split(), out)
+        h.update(f"{cmd}|{code}|{out.getvalue()}".encode())
+    return h.hexdigest()
+
+
+def test_cli_commands_unchanged():
+    assert cli_digest() == CLI_DIGEST

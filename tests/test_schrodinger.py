@@ -1,20 +1,67 @@
 import math
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
 
-from solvable.errors import DegreeBeyondCutoff
-from solvable.expr import differentiate, evaluate, simplify
+from solvable.errors import DegreeBeyondCutoff, InvalidParameter
+from solvable.expr import differentiate, evaluate, parse, simplify
 from solvable.families import (
     ALL_CASES, FamilySpec, SigmaCase, cutoff, eigenvalue, sample_points,
+)
+from solvable.generator import (
+    reproduce_dw, solve_params_inverse_sqrt, solve_params_quantsys,
+    transformed_system,
 )
 from solvable.oracle import (
     eigenvalues_below, fd_hamiltonian, integrate, residual,
 )
 from solvable.schrodinger import (
-    oscillator_potential_value, potential, variable_map, wavefunction,
+    SchrodingerSystem, oscillator_potential_value, potential, variable_map,
+    wavefunction,
 )
 from .test_families import make
+
+
+# each constructor's systems, with one known eigenpair apiece
+CONSTRUCTORS = {
+    "potential": lambda: [potential(make(SigmaCase.S), 0, attach_ells=(0,))],
+    "transformed_system": lambda: [
+        transformed_system(FamilySpec(SigmaCase.ONE, -1.7, 0.9), 2, 1, 1)],
+    "reproduce_dw": lambda: [reproduce_dw(1.0, 0.0, -1.0, which=1)],
+    "solve_params_quantsys": lambda: [
+        solve_params_quantsys(1.0, 0.0, 1, "-")],
+    "solve_params_inverse_sqrt": lambda: [
+        *solve_params_inverse_sqrt(-1.0, -6.75, 3),
+        *solve_params_inverse_sqrt(1.0, 3.0, 0),
+        *solve_params_inverse_sqrt(0.0, -2.0, 1)],
+}
+
+
+class TestOneSystemType:
+    @pytest.mark.parametrize("make_systems", CONSTRUCTORS.values(),
+                             ids=CONSTRUCTORS.keys())
+    def test_frozen_system_with_one_eigenpair(self, make_systems):
+        systems = make_systems()
+        assert systems
+        for system in systems:
+            assert isinstance(system, SchrodingerSystem)
+            with pytest.raises(FrozenInstanceError):
+                system.potential = parse("x")
+            with pytest.raises(FrozenInstanceError):
+                system.known_eigenpairs = ()
+            (lam, psi), = system.known_eigenpairs
+            assert system.energy == lam
+            assert system.psi is psi
+
+    @pytest.mark.parametrize("ells", [(), (0, 1, 2)])
+    def test_energy_and_psi_need_exactly_one_eigenpair(self, ells):
+        system = potential(make(SigmaCase.S), 0, attach_ells=ells)
+        count = len(ells)
+        for name in ("energy", "psi"):
+            with pytest.raises(InvalidParameter,
+                               match=f"this system has {count}"):
+                getattr(system, name)
 
 
 class TestVariableMap:
