@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DegreeBeyondCutoff, Inadmissible
+from .errors import DegreeBeyondCutoff, Inadmissible, InvalidParameter
 from .expr import evaluate, power_terms, simplify, mul, pow_, exp_, VAR
 from .families import FamilySpec, SigmaCase, cutoff, eigenvalue, sample_points
 from .generator import (
@@ -64,8 +64,15 @@ def family_spectrum(fam, m, lo, hi, n_sub, e_max=None):
     """(i, E_numeric, nearest lambda_ell, |difference|) for each FD
     eigenvalue of V_m on [lo, hi] with n_sub subintervals below e_max;
     the closed forms are lambda_ell for the first 16 ell below the cutoff,
-    and e_max defaults to half a unit above the sixth of them."""
-    ham = fd_hamiltonian(potential(fam, m).potential, lo, hi, n_sub)
+    and e_max defaults to half a unit above the sixth of them.  The window
+    must lie strictly inside the family's x interval."""
+    system = potential(fam, m)
+    a, b = system.interval
+    if not (a < lo and hi < b):
+        raise InvalidParameter(
+            f"need the window [{lo:g}, {hi:g}] strictly inside the x "
+            f"interval ({a:g}, {b:g})")
+    ham = fd_hamiltonian(system.potential, lo, hi, n_sub)
     cap = cutoff(fam)
     analytic = []
     ell = 0

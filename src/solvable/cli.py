@@ -29,7 +29,7 @@ from .generator import (
 )
 from .oracle import residual, residual_grid
 from .polynomials import phi
-from .schrodinger import potential, wavefunction
+from .schrodinger import potential, variable_map, wavefunction
 from .specfun import special_function
 from . import acceptance as acceptance_mod
 
@@ -180,11 +180,11 @@ def cmd_specfun(args, out):
     return 0
 
 
-def _x_window(args, system):
+def _x_window(args, interval):
     lo = args.xmin
     hi = args.xmax
     if lo is None or hi is None:
-        g = residual_grid(system.interval, 2)
+        g = residual_grid(interval, 2)
         lo = g[0] if lo is None else lo
         hi = g[-1] if hi is None else hi
     return lo, hi
@@ -193,7 +193,7 @@ def _x_window(args, system):
 def cmd_potential(args, out):
     fam = _family_from(args)
     system = potential(fam, args.m)
-    lo, hi = _x_window(args, system)
+    lo, hi = _x_window(args, system.interval)
     grid = np.linspace(lo, hi, args.grid)
     vals = evaluate(system.potential, grid)
     emit_csv(("x", "V(x)"), zip(grid, np.broadcast_to(vals, grid.shape)),
@@ -205,7 +205,7 @@ def cmd_eigenfunction(args, out):
     fam = _family_from(args)
     psi = wavefunction(fam, args.ell, args.m)
     system = potential(fam, args.m)
-    lo, hi = _x_window(args, system)
+    lo, hi = _x_window(args, system.interval)
     grid = np.linspace(lo, hi, args.grid)
     emit_csv(("x", "psi(x)"), zip(grid, evaluate(psi, grid)), out)
     return 0
@@ -284,10 +284,10 @@ def cmd_verify_residual(args, out):
 
 def cmd_verify_spectrum(args, out):
     if args.system == "family":
-        lo = args.xmin if args.xmin is not None else -10.0
-        hi = args.xmax if args.xmax is not None else 10.0
-        rows = acceptance_mod.family_spectrum(_family_from(args), args.m, lo,
-                                              hi, args.grid, args.emax)
+        fam = _family_from(args)
+        lo, hi = _x_window(args, variable_map(fam).image)
+        rows = acceptance_mod.family_spectrum(fam, args.m, lo, hi, args.grid,
+                                              args.emax)
     else:
         # the E_n^+ are not the spectrum of one self-adjoint extension, so
         # each level is solved under its own matched wall (criterion 9);

@@ -341,7 +341,8 @@ def _real_cubic_roots(a3: float, a2: float, a1: float, a0: float):
                  for j in range(3)]
     elif big_p < 0:
         mag = 2.0 * math.sqrt(-big_p / 3.0)
-        u = -3.0 * abs(big_q) / (big_p * mag)
+        # u >= 1 but for rounding next to a double root
+        u = max(1.0, -3.0 * abs(big_q) / (big_p * mag))
         t = -math.copysign(mag, big_q) * math.cosh(math.acosh(u) / 3.0)
         roots = [t]
     else:

@@ -15,7 +15,10 @@ serve as oracles for it:
   Dirichlet (or ratio-matched) boundaries on a uniform mesh, or on a mesh
   graded toward a singular endpoint at x = 0, whose eigenvalues are
   located by Sturm-sequence counting plus bisection, so the count of
-  eigenvalues below any shift is exact.
+  eigenvalues below any shift is exact; the bisection's below/above
+  decisions are replayed from monotone counts and Newton-located flip
+  points, so about half the row sweeps give the plain bisection's result
+  bit for bit.
 
 A uniform mesh cannot resolve an r^gamma cusp at a regular-singular
 endpoint (for the cube-root potential, gamma = 1/6): its error stalls near
@@ -32,7 +35,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
-    DomainError, InvalidParameter, QuadratureNoConverge, SingularPoint,
+    DomainError, InvalidParameter, NonFiniteValue, QuadratureNoConverge,
+    SingularPoint,
 )
 from .expr import Expr, differentiate, evaluate, simplify
 
@@ -315,13 +319,19 @@ def fd_hamiltonian(potential, x_lo: float, x_hi: float, n: int,
                    left_ratio: float = 0.0,
                    grading: float = 1.0) -> FDHamiltonian:
     """FD Hamiltonian on the ``fd_nodes(x_lo, x_hi, n, grading)`` mesh;
-    the potential is an Expr or a vectorized callable."""
+    the potential is an Expr or a vectorized callable, and must be finite
+    at every interior node (NonFiniteValue names the first that is not):
+    the Sturm count would read a NaN pivot as "not below"."""
     if n < 16:
         raise InvalidParameter("need at least 16 subintervals")
     nodes = fd_nodes(x_lo, x_hi, n, grading)
     grid = nodes[1:-1]
     v = np.broadcast_to(np.asarray(_as_array_function(potential)(grid),
                                    dtype=float), grid.shape)
+    finite = np.isfinite(v)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise NonFiniteValue(f"potential is {v[i]:g} at x={grid[i]:g}")
     if grading == 1.0:
         h = (x_hi - x_lo) / n
         diag = 2.0 / h ** 2 + v
@@ -344,46 +354,184 @@ def _nonuniform_stencil(nodes, v, left_ratio):
     return h, diag, off
 
 
-def sturm_count(ham: FDHamiltonian, shifts):
-    """Number of eigenvalues strictly below each shift (exact count via
-    the sign changes of the Sturm sequence).
+# a zero pivot is not counted, so it goes on as the pivot at a shift just
+# below s, which is positive: every pivot falls as s grows
+_TINY = 1e-290
+# an index goes to Newton once counts j and j + 1 bracket its flip point
+# within this share of max(1, |midpoint|)
+_ISOLATED = 0.1
+# Newton stops at a step of this share of the bisection's final width
+# w = rtol * max(1, |E|), and probes this share of w either side of its
+# root; it gives up after _NEWTON_STEPS sweeps, under half the passes a
+# bisection from the isolating bracket down to w makes
+_NEWTON_STOP = 0.125
+_PROBE = 0.125
+_NEWTON_STEPS = 12
 
-    The recurrence is sequential in the rows, so each shift is swept on
-    its own in plain floats; for the few shifts that bisection sends,
-    that is cheaper than one numpy call per row on a short array.
-    """
-    shifts = np.atleast_1d(np.asarray(shifts, dtype=float))
-    d0, rest = float(ham.diag[0]), ham.diag[1:].tolist()
+
+def _rows(ham):
+    """d_0, the other diagonal entries and the squared off-diagonals, as
+    Python floats for the sweeps."""
+    rest = ham.diag[1:].tolist()
     if np.ndim(ham.off) == 0:
         off2 = [ham.off * ham.off] * len(rest)
     else:
         off2 = (ham.off * ham.off).tolist()
-    # a zero pivot is not counted, so it goes on as the pivot at a shift
-    # just below s, which is positive: every pivot falls as s grows
-    tiny = 1e-290
+    return float(ham.diag[0]), rest, off2
+
+
+def _counts(rows, shifts):
+    """Sturm count at each shift, one plain-float sweep of the rows each.
+
+    The recurrence is sequential in the rows, so each shift is swept on
+    its own; for the few shifts a bisection pass sends, that is cheaper
+    than one numpy call per row on a short array.
+    """
+    d0, rest, off2 = rows
     counts = []
-    for s in shifts.tolist():
+    for s in shifts:
         q = d0 - s
         count = int(q < 0.0)
         for d, o2 in zip(rest, off2):
             if q == 0.0:
-                q = tiny
+                q = _TINY
             q = (d - s) - o2 / q
             if q < 0.0:
                 count += 1
         counts.append(count)
-    return np.array(counts, dtype=np.int64)
+    return counts
+
+
+def _newton_sweep(rows, s):
+    """The Sturm count at s and d/ds log|det(T - s)|, the sum of q_i'/q_i
+    over the count's pivots with q_i' = -1 + o_i^2 q_(i-1)'/q_(i-1)^2, in
+    one sweep; None where a pivot is zero.  Without a zero pivot the
+    pivots are the count's own, so the count is too."""
+    d0, rest, off2 = rows
+    q, dq = d0 - s, -1.0
+    count = 0
+    total = 0.0
+    for d, o2 in zip(rest, off2):
+        if q == 0.0:
+            return None
+        if q < 0.0:
+            count += 1
+        u = dq / q
+        total += u
+        t = o2 / q
+        q = (d - s) - t
+        dq = -1.0 + t * u
+    if q == 0.0:
+        return None
+    return count + int(q < 0.0), total + dq / q
+
+
+def sturm_count(ham: FDHamiltonian, shifts):
+    """Number of eigenvalues strictly below each shift (exact count via
+    the sign changes of the Sturm sequence)."""
+    shifts = np.atleast_1d(np.asarray(shifts, dtype=float))
+    return np.array(_counts(_rows(ham), shifts.tolist()), dtype=np.int64)
+
+
+class _Replay:
+    """The decisions count(mid_j) >= j + 1 of a Sturm bisection over the
+    indices j < k, from as few counts as possible.
+
+    The floating-point count is monotone in the shift (Demmel, Dhillon &
+    Ren, ETNA 3, 1995), so for each j the counts taken so far give the
+    highest shift ``low[j]`` with count <= j and the lowest ``high[j]``
+    with count >= j + 1: a midpoint at or below low[j] is not below the
+    flip point, one at or above high[j] is, and only those in between are
+    counted, each distinct one once per pass.  Once two counts j and j + 1
+    isolate the flip point, a Newton iteration on log|det(T - s)| locates
+    it, and the probes either side of it that the counts have not settled
+    join the next pass's counts.  Newton only chooses shifts to count;
+    every decision rests on a count.
+    """
+
+    def __init__(self, rows, k, e_max, rtol):
+        self.rows = rows
+        self.rtol = rtol
+        self.idx = np.arange(k)
+        self.low = np.full(k, -math.inf)
+        self.low_count = np.full(k, -1)
+        self.high = np.full(k, e_max)
+        self.high_count = np.full(k, k)
+        self.located = np.zeros(k, dtype=bool)
+        self.probes = []
+
+    def record(self, shift, count):
+        at_most = count <= self.idx
+        raise_low = at_most & (shift > self.low)
+        self.low[raise_low] = shift
+        self.low_count[raise_low] = count
+        drop_high = ~at_most & (shift < self.high)
+        self.high[drop_high] = shift
+        self.high_count[drop_high] = count
+
+    def below(self, mid):
+        """count(mid_j) >= j + 1 for each j."""
+        below = mid >= self.high
+        open_ = ~below & (mid > self.low)
+        shifts = sorted(set(mid[open_].tolist()).union(self.probes))
+        self.probes = []
+        counted = dict(zip(shifts, _counts(self.rows, shifts)))
+        for shift, count in counted.items():
+            self.record(shift, count)
+        for j in np.flatnonzero(open_).tolist():
+            below[j] = counted[float(mid[j])] >= j + 1
+        self.locate(mid)
+        return below
+
+    def locate(self, mid):
+        """Newton probes for each index whose flip point the counts have
+        just isolated.  Each Newton sweep counts its shift as well, and a
+        step that would leave the counted bracket bisects it instead."""
+        ready = (~self.located & (self.low_count == self.idx)
+                 & (self.high_count == self.idx + 1)
+                 & (self.high - self.low
+                    <= _ISOLATED * np.maximum(1.0, np.abs(mid))))
+        for j in np.flatnonzero(ready).tolist():
+            self.located[j] = True
+            s = 0.5 * (float(self.low[j]) + float(self.high[j]))
+            for _ in range(_NEWTON_STEPS):
+                swept = _newton_sweep(self.rows, s)
+                if swept is None:
+                    break
+                count, slope = swept
+                self.record(s, count)
+                a, b = float(self.low[j]), float(self.high[j])
+                if b - a <= 2.0 * _PROBE * self.rtol * max(1.0, abs(s)):
+                    break  # the counts alone pin the flip point
+                step = 1.0 / slope if slope != 0.0 else math.inf
+                if not a < s - step < b:
+                    s = 0.5 * (a + b)
+                    continue
+                s -= step
+                w = self.rtol * max(1.0, abs(s))
+                if abs(step) <= _NEWTON_STOP * w:
+                    self.probes += [p for p in (s - _PROBE * w,
+                                                s + _PROBE * w)
+                                    if a < p < b]
+                    break
 
 
 def eigenvalues_below(ham: FDHamiltonian, e_max: float,
                       rtol: float = 1e-10) -> list:
     """All eigenvalues below e_max, each bracketed by Sturm counts and
-    polished by bisection to rtol * max(1, |E|)."""
-    k = int(sturm_count(ham, e_max)[0])
+    polished by bisection to rtol * max(1, |E|).
+
+    The bisection's below/above decisions are replayed from monotone
+    counts and Newton-located flip points (see ``_Replay``), so far fewer
+    rows are swept, and the result is bit for bit the plain bisection's.
+    """
+    rows = _rows(ham)
+    k = _counts(rows, [float(e_max)])[0]
     if k == 0:
         return []
     if np.ndim(ham.off) == 0:
-        lo0 = float(np.min(ham.diag)) + 2.0 * ham.off  # Gershgorin bound
+        # Gershgorin bound, whatever the sign of the off-diagonal
+        lo0 = float(np.min(ham.diag)) - 2.0 * abs(ham.off)
     else:
         # row-wise Gershgorin bound: on a graded mesh min(diag) + 2 min(off)
         # would sit near -1/h_0^2 and cost dozens of extra passes
@@ -392,10 +540,10 @@ def eigenvalues_below(ham: FDHamiltonian, e_max: float,
                            - np.append(a, 0.0)))
     lo = np.full(k, lo0)
     hi = np.full(k, float(e_max))
-    idx = np.arange(k)
+    replay = _Replay(rows, k, float(e_max), rtol)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        below = sturm_count(ham, mid) >= idx + 1
+        below = replay.below(mid)
         hi = np.where(below, mid, hi)
         lo = np.where(below, lo, mid)
         if np.all(hi - lo <= rtol * np.maximum(1.0, np.abs(mid))):

@@ -127,6 +127,23 @@ class TestVerify:
         for row in rows:
             assert float(row[3]) < 5e-4
 
+    @pytest.mark.parametrize("case,alpha,beta,m", [
+        ("s", "-1", "2", "0"),
+        ("1-s^2", "-5", "1", "0"),
+        ("s^2-1", "-7", "10", "1"),
+    ])
+    def test_spectrum_family_default_window_inside_interval(
+            self, case, alpha, beta, m):
+        # the default window is the family's x interval clamped as in
+        # residual_grid, not [-10, 10]
+        code, text = invoke(["verify", "spectrum", "--case", case,
+                             "--alpha", alpha, "--beta", beta, "--m", m,
+                             "--grid", "2000"])
+        assert code == 0
+        rows = [line.split(",") for line in text.strip().splitlines()[1:]]
+        assert len(rows) >= 3
+        assert max(float(row[3]) for row in rows) <= 5e-4
+
     @pytest.mark.parametrize("c1,c2,levels", [
         (1.5, 0.7, [0, 1, 2]),
         # n = 0, 1 are inadmissible; the first admissible level is n = 2
@@ -231,6 +248,17 @@ class TestInvalidParameters:
         (["verify", "residual", "--case", "s^2", "--alpha", "-7",
           "--beta", "1", "--ell", "0", "--m", "0"],
          "nan in column residual of the row with x=-10"),
+        # a NaN potential would be read as no eigenvalue at all
+        (["verify", "spectrum", "--case", "s^2", "--alpha", "-7",
+          "--beta", "1", "--m", "0"],
+         "potential is nan at x=-9.995"),
+        (["verify", "spectrum", "--case", "1-s^2", "--alpha", "-5",
+          "--beta", "1", "--m", "0", "--xmin", "-5", "--xmax", "5"],
+         "need the window [-5, 5] strictly inside the x interval "
+         "(-1.5708, 1.5708)"),
+        (["verify", "spectrum", "--case", "s", "--alpha", "-1",
+          "--beta", "2", "--m", "0", "--xmin", "0"],
+         "need the window [0, 30] strictly inside the x interval (0, inf)"),
     ])
     def test_exit_1_names_constraint(self, argv, constraint, capsys):
         code, text = invoke(argv)

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from solvable.errors import (
     Inadmissible, MapNotClosedForm, NoAdmissibleRoot, NonIntegrableGauge,
@@ -15,8 +17,8 @@ from solvable.expr import (
 )
 from solvable.families import FamilySpec, SigmaCase
 from solvable.generator import (
-    SecondOrderODE, antiderivative_of_powers, boundary_ratio,
-    cuberoot_potential, decompose, eliminate_first_derivative,
+    SecondOrderODE, _real_cubic_roots, antiderivative_of_powers,
+    boundary_ratio, cuberoot_potential, decompose, eliminate_first_derivative,
     inverse_sqrt_potential, reproduce_dw, solve_params_inverse_sqrt,
     solve_params_quantsys, substitute, transformed_system,
 )
@@ -313,6 +315,70 @@ class TestInverseSqrtEigenpairs:
             prov = p.provenance
             assert prov.alpha * prov.beta / 2.0 == pytest.approx(
                 2.0, rel=1e-10)
+
+
+@st.composite
+def _cubics(draw):
+    """Coefficients (a3, a2, a1, a0) of a cubic with three distinct real
+    roots, one real root and a complex pair, a double root beside a simple
+    one, or three real roots within 1e-3 of each other."""
+    shape = draw(st.sampled_from(("distinct", "one real", "double",
+                                  "near triple")))
+    a3 = draw(st.floats(0.1, 10.0)) * draw(st.sampled_from((1.0, -1.0)))
+    r = draw(st.floats(-20.0, 20.0))
+    gap = st.floats(0.5, 10.0)
+    if shape == "distinct":
+        g1, g2 = draw(gap), draw(gap)
+        coeffs = np.poly([r, r + g1, r + g1 + g2])
+    elif shape == "one real":
+        c, b = draw(st.floats(-20.0, 20.0)), draw(gap)
+        coeffs = np.polymul([1.0, -r], [1.0, -2.0 * c, c * c + b * b])
+    elif shape == "double":
+        coeffs = np.poly([r, r, r + draw(gap) * draw(
+            st.sampled_from((1.0, -1.0)))])
+    else:
+        d = draw(st.floats(1e-6, 1e-3)) * max(1.0, abs(r))
+        coeffs = np.poly([r - d, r, r + draw(st.floats(0.5, 1.0)) * d])
+    return shape, tuple(float(a3 * c) for c in coeffs)
+
+
+class TestRealCubicRoots:
+    """``_real_cubic_roots`` against numpy.roots: every root it returns is
+    a root to a relative residual of 1e-9, and every simple real root that
+    numpy finds is among them to a relative 1e-9."""
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(_cubics())
+    def test_against_numpy_roots(self, case):
+        shape, coeffs = case
+        got = _real_cubic_roots(*coeffs)
+        assert got == sorted(got) and all(map(math.isfinite, got))
+        for x in got:
+            size = sum(abs(c) * max(1.0, abs(x)) ** (3 - i)
+                       for i, c in enumerate(coeffs))
+            assert abs(np.polyval(coeffs, x)) <= 1e-9 * size
+        ref = np.roots(coeffs)
+        scale = max(1.0, float(np.max(np.abs(ref))))
+        simple = [float(z.real) for z in ref
+                  if abs(z.imag) <= 1e-9 * scale
+                  and np.sum(np.abs(ref - z) <= 1e-2 * scale) == 1]
+        for want in simple:
+            assert min(abs(x - want) for x in got) <= 1e-9 * max(1.0,
+                                                                   abs(want))
+        if shape == "distinct":
+            assert len(got) == 3
+        elif shape == "one real":
+            assert len(got) == 1
+        else:  # a cluster; beside a double root numpy finds one simple
+            assert got and len(simple) == (1 if shape == "double" else 0)
+
+    def test_double_root_from_rounding(self):
+        # (n + 1/2) a^3 - c2 a^2 + c1^2 at n = 1 with a double root at
+        # a = c2 / 2.25 and the simple root -c2 / 4.5: rounding makes the
+        # discriminant just negative, and acosh must not see u < 1
+        c1, c2 = 21.92398293660021, 19.39880901019049
+        (pair,) = solve_params_inverse_sqrt(c1, c2, 1)
+        assert pair.provenance.alpha == pytest.approx(-c2 / 4.5, rel=1e-9)
 
 
 class TestReproduceDW:

@@ -8,10 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal
 
-from solvable import FamilySpec, SigmaCase
-from solvable.errors import DomainError, QuadratureNoConverge, SingularPoint
+from solvable import FamilySpec, SigmaCase, acceptance
+from solvable.errors import (
+    DomainError, NonFiniteValue, QuadratureNoConverge, SingularPoint,
+)
 from solvable.expr import evaluate, parse
-from solvable.schrodinger import variable_map, wavefunction
+from solvable.schrodinger import potential, variable_map, wavefunction
 from solvable import oracle
 from solvable.oracle import (
     FDHamiltonian, eigenvalues_below, fd_hamiltonian, fd_nodes,
@@ -174,6 +176,16 @@ class TestFDHamiltonian:
         assert [round(e) for e in got] == [1, 4, 9]
         for e, want in zip(got, (1.0, 4.0, 9.0)):
             assert e == pytest.approx(want, abs=1e-3)
+
+    def test_non_finite_potential_raises(self):
+        # a NaN pivot counts as "not below", so it would hide eigenvalues
+        with pytest.raises(NonFiniteValue,
+                           match=r"potential is nan at x=0\.25"):
+            fd_hamiltonian(lambda x: np.where(x > 0.0, np.nan, x * x),
+                           -2.0, 2.0, 16)
+        with pytest.raises(NonFiniteValue, match="potential is inf at x=1"):
+            fd_hamiltonian(lambda x: np.where(x == 1.0, np.inf, x),
+                           0.0, 4.0, 16, grading=2.0)
 
     def test_positive_operator_empty_list(self):
         ham = fd_hamiltonian(lambda x: np.zeros_like(x), 0.0, 1.0, 16)
@@ -364,6 +376,12 @@ class TestResidual:
 _entries = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
 
 
+def _tridiagonal(diag, off):
+    n = len(diag)
+    return FDHamiltonian(0.0, 1.0, n + 1, np.zeros(n), 1.0,
+                         np.array(diag, dtype=float), off)
+
+
 class TestSturmCountProperty:
     """sturm_count against numpy.linalg.eigvalsh on random symmetric
     tridiagonal matrices, with a scalar and with a per-row off-diagonal.
@@ -373,8 +391,7 @@ class TestSturmCountProperty:
     @staticmethod
     def check(diag, off, shifts):
         n = len(diag)
-        ham = FDHamiltonian(0.0, 1.0, n + 1, np.zeros(n), 1.0,
-                            np.array(diag, dtype=float), off)
+        ham = _tridiagonal(diag, off)
         off_rows = np.broadcast_to(off, n - 1)
         evs = np.linalg.eigvalsh(np.diag(diag) + np.diag(off_rows, 1)
                                  + np.diag(off_rows, -1))
@@ -399,3 +416,154 @@ class TestSturmCountProperty:
         off = np.array(data.draw(st.lists(_entries, min_size=n - 1,
                                           max_size=n - 1)))
         self.check(diag, off, data.draw(st.lists(_entries, max_size=8)))
+
+
+def reference_eigenvalues_below(ham, e_max, rtol=1e-10):
+    """Plain Sturm bisection, every midpoint counted: the loop that
+    ``eigenvalues_below`` replays, kept here as its reference."""
+    k = int(sturm_count(ham, e_max)[0])
+    if k == 0:
+        return []
+    if np.ndim(ham.off) == 0:
+        lo0 = float(np.min(ham.diag)) - 2.0 * abs(ham.off)
+    else:
+        a = np.abs(ham.off)
+        lo0 = float(np.min(ham.diag - np.append(0.0, a)
+                           - np.append(a, 0.0)))
+    lo = np.full(k, lo0)
+    hi = np.full(k, float(e_max))
+    idx = np.arange(k)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        below = sturm_count(ham, mid) >= idx + 1
+        hi = np.where(below, mid, hi)
+        lo = np.where(below, lo, mid)
+        if np.all(hi - lo <= rtol * np.maximum(1.0, np.abs(mid))):
+            break
+    return [float(v) for v in 0.5 * (lo + hi)]
+
+
+def _oscillator(alpha, beta, n_sub):
+    """FD Hamiltonian of V_0 of the family "one" on the box of half-width
+    10 oscillator lengths around its well, and an e_max halfway between
+    levels 4 and 5 (the benchmark's spectrum tasks)."""
+    centre, half = -beta / alpha, 10.0 * math.sqrt(2.0 / -alpha)
+    fam = FamilySpec(SigmaCase.ONE, alpha, beta)
+    ham = fd_hamiltonian(potential(fam, 0).potential, centre - half,
+                         centre + half, n_sub)
+    return ham, -4.5 * alpha
+
+
+PINNED_OSCILLATORS = ((-1.5, 1.2, 2000), (-2.0, 0.5, 3000),
+                      (-2.8, -0.6, 4000))
+
+# captured with plain bisection, every midpoint counted
+PINNED_EIGENVALUES_DIGEST = (
+    "acf23191cad0f3dcc4670491c9a8b789eac65ba6ab2b1fb1e6f01044c6058fda")
+
+
+class TestEigenvaluesPinned:
+    """``eigenvalues_below`` bit for bit on the oscillators, on the graded
+    cube-root levels of criterion 9 and on the discrete Laplacian, whose
+    dyadic midpoints meet exact zero pivots."""
+
+    def test_digest(self, monkeypatch):
+        spectra = [eigenvalues_below(*_oscillator(*p))
+                   for p in PINNED_OSCILLATORS]
+
+        def recording(ham, e_max):
+            spectra.append(eigenvalues_below(ham, e_max))
+            return spectra[-1]
+
+        monkeypatch.setattr(acceptance, "eigenvalues_below", recording)
+        acceptance.cuberoot_containment(1.0, 0.0, range(3))
+        spectra.append(eigenvalues_below(
+            _tridiagonal(np.full(12, 2.0), -1.0), 4.0))
+        assert len(spectra) == 7 and all(spectra)
+        text = "\n".join(repr(s) for s in spectra)
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert digest == PINNED_EIGENVALUES_DIGEST
+
+
+@st.composite
+def _tridiagonals(draw):
+    """(diag, off, e_max, rtol): random, clustered (couplings near 1e-8
+    between repeated diagonal values), integer (exact zero pivots and
+    zero couplings) and graded-coupling (geometric over many decades)
+    symmetric tridiagonals, with a scalar (negative, as the FD stencil
+    builds it) or a per-row off-diagonal."""
+    kind = draw(st.sampled_from(("random", "clustered", "integer",
+                                 "graded")))
+    n = draw(st.integers(2, 24))
+    if kind == "random":
+        diag = draw(st.lists(_entries, min_size=n, max_size=n))
+        off = draw(st.lists(_entries, min_size=n - 1, max_size=n - 1))
+    elif kind == "clustered":
+        diag = draw(st.lists(st.sampled_from((-1.0, 0.0, 0.5, 2.0)),
+                             min_size=n, max_size=n))
+        off = [1e-8 * v for v in draw(st.lists(
+            st.floats(-1.0, 1.0), min_size=n - 1, max_size=n - 1))]
+    elif kind == "integer":
+        diag = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+        off = draw(st.lists(st.integers(-2, 2), min_size=n - 1,
+                            max_size=n - 1))
+    else:
+        diag = draw(st.lists(_entries, min_size=n, max_size=n))
+        c, ratio = draw(_entries), draw(st.floats(1e-3, 0.7))
+        off = [c * ratio ** i for i in range(n - 1)]
+    off = np.array(off, dtype=float)
+    if draw(st.booleans()):
+        off = -abs(float(off[0]))
+    span = float(np.max(np.abs(off))) if np.size(off) else 0.0
+    lo, hi = min(diag) - 2.0 * span, max(diag) + 2.0 * span
+    e_max = lo + (hi - lo) * draw(st.floats(-0.1, 1.1))
+    rtol = draw(st.sampled_from((1e-10, 1e-10, 1e-6, 1e-14)))
+    return [float(d) for d in diag], off, e_max, rtol
+
+
+class TestEigenvaluesReplayProperty:
+    """``eigenvalues_below`` returns exactly the floats of plain bisection
+    on small tridiagonals of every shape that stresses the count."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(_tridiagonals())
+    def test_same_floats_as_bisection(self, case):
+        diag, off, e_max, rtol = case
+        ham = _tridiagonal(diag, off)
+        assert (eigenvalues_below(ham, e_max, rtol)
+                == reference_eigenvalues_below(ham, e_max, rtol))
+
+    def test_sign_of_scalar_off_diagonal_is_irrelevant(self):
+        # the spectrum depends on off^2 only, so the Gershgorin start of
+        # the bisection must too
+        diag = [3.0, -1.0, 0.5, 2.0, -2.0]
+        assert (eigenvalues_below(_tridiagonal(diag, 1.5), 4.0)
+                == eigenvalues_below(_tridiagonal(diag, -1.5), 4.0))
+
+
+class TestReplaySweeps:
+    """The replay's gain in row sweeps, on the benchmark's oscillator: a
+    Newton sweep carries the pivots' derivatives as well and counts as 2.5
+    count sweeps."""
+
+    def test_at_most_sixty_percent_of_bisection(self, monkeypatch):
+        sweeps = []
+        counts, newton = oracle._counts, oracle._newton_sweep
+
+        def counting(rows, shifts):
+            sweeps.append(len(shifts))
+            return counts(rows, shifts)
+
+        def newton_counting(rows, s):
+            sweeps.append(2.5)
+            return newton(rows, s)
+
+        monkeypatch.setattr(oracle, "_counts", counting)
+        monkeypatch.setattr(oracle, "_newton_sweep", newton_counting)
+        ham, e_max = _oscillator(-2.0, 0.5, 3000)
+        got = eigenvalues_below(ham, e_max)
+        replayed = sum(sweeps)
+        sweeps.clear()
+        assert reference_eigenvalues_below(ham, e_max) == got
+        assert sum(sweeps) == 186  # 1 + 37 passes of 5 shifts
+        assert replayed <= 0.6 * 186
