@@ -14,12 +14,20 @@ simplified form.  They are filled on first use and hold the same value
 whichever thread fills them; pickling and copying leave them out.
 Nodes are slotted, so they carry no instance dict.
 
-The simplifier is deliberately conservative: it flattens sums and
-products, folds constants, merges powers of structurally equal bases,
-collapses integer powers of powers, and cancels exp factors.  It never
-expands products over sums and never invents domain extensions, so
-``evaluate(simplify(e), x) == evaluate(e, x)`` wherever both sides are
-defined.
+Normal form is established once, by the constructors ``add``, ``mul``,
+``pow_``, ``exp_`` and ``fun_``: each returns a normalized tree when its
+arguments are normalized.  ``compose``, ``differentiate`` and ``parse``
+build only through them, so every tree they return is already in normal
+form and ``simplify`` returns an equal tree.  ``simplify`` is for trees
+assembled directly from the node classes; it rebuilds them bottom-up
+through the constructors.
+
+The normal form is deliberately conservative: sums and products are
+flattened, constants folded (unless the value would overflow), powers of
+structurally equal bases merged, integer powers of powers collapsed and
+exp factors combined.  Products are never expanded over sums and no
+domain is extended, so ``evaluate(simplify(e), x) == evaluate(e, x)``
+wherever both sides are defined.
 """
 
 from __future__ import annotations
@@ -390,8 +398,11 @@ def fun_(name, arg) -> Expr:
     if name not in _FUNCTIONS:
         raise KeyError(f"unknown function {name!r}")
     if isinstance(arg, Const):
-        return Const(float(_FUNCTIONS[name][0](arg.value)))
-    return Fun(name, arg)
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = float(_FUNCTIONS[name][0](arg.value))
+        if math.isfinite(value):
+            return Const(value)
+    return Fun(name, arg)  # keep an overflowing or NaN constant symbolic
 
 
 # --- core operations ----------------------------------------------------

@@ -118,6 +118,9 @@ class FamilySpec:
     def __post_init__(self):
         object.__setattr__(self, "alpha", float(self.alpha))
         object.__setattr__(self, "beta", float(self.beta))
+        for name, v in (("alpha", self.alpha), ("beta", self.beta)):
+            if not math.isfinite(v):
+                raise InvalidParameter(f"{name} must be finite, got {v:g}")
         ok, text = _CONSTRAINTS[self.sigma_case]
         if not ok(self.alpha, self.beta):
             raise FamilyConstraintError(

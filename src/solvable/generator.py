@@ -42,7 +42,7 @@ from .errors import (
 )
 from .expr import (
     VAR, Const, Expr, add, as_fraction, compose, differentiate, evaluate,
-    exp_, fun_, mul, pow_, power_terms, simplify,
+    exp_, fun_, mul, pow_, power_terms, print_expr, simplify,
 )
 from .families import FamilySpec, SigmaCase
 from .polynomials import hermite_poly
@@ -101,12 +101,14 @@ def eliminate_first_derivative(ode: SecondOrderODE,
     powers of r; for anything else the caller must supply the
     antiderivative or NonIntegrableGauge is raised.
     """
-    g = simplify(mul(ode.b, pow_(mul(2, ode.a), -1)))
+    g = mul(ode.b, pow_(mul(2, ode.a), -1))
     primitive = antiderivative if antiderivative is not None \
         else antiderivative_of_powers(g)
     if primitive is None:
         raise NonIntegrableGauge(
             "no closed-form antiderivative for B/(2A); supply one")
+    # A, B, C and the antiderivative are the caller's trees, which may be
+    # raw node trees; the stored gauge and Q are in normal form
     gauge = simplify(exp_(primitive))
     da = differentiate(ode.a)
     db = differentiate(ode.b)
@@ -139,9 +141,9 @@ class TermDecomposition:
 
     def reassemble(self, ell: int) -> Expr:
         """The potential-minus-eigenvalue this decomposition encodes."""
-        return simplify(add(mul(self.c_plus, self.i_plus),
-                            mul(self.c_minus, self.i_minus),
-                            self.c_zero(ell)))
+        return add(mul(self.c_plus, self.i_plus),
+                   mul(self.c_minus, self.i_minus),
+                   self.c_zero(ell))
 
 
 def decompose(family: FamilySpec, m: int) -> TermDecomposition:
@@ -178,7 +180,8 @@ def _solve_monomial_map(i_map: Expr) -> Expr:
     """Closed-form x(r) solving x' = 1/sqrt(i_map(x)) for i_map = x^p."""
     terms = power_terms(i_map)
     if terms is None:
-        raise MapNotClosedForm(f"cannot solve x' = 1/sqrt(I) for I = {i_map}")
+        raise MapNotClosedForm(
+            f"cannot solve x' = 1/sqrt(I) for I = {print_expr(i_map)}")
     live = {q: c for q, c in terms.items() if c != 0.0}
     if len(live) != 1:
         raise MapNotClosedForm("map-defining term must be a single monomial")
@@ -201,17 +204,16 @@ class SubstitutionResult:
         k = self.map.k
         c_keep, i_keep = dec.term(k)
         x_of_r = self.map.x_of_r
-        ix = simplify(compose(self.map.i_map, x_of_r))
-        ikx = simplify(compose(i_keep, x_of_r))
-        d1x = simplify(compose(differentiate(self.map.i_map), x_of_r))
-        d2x = simplify(compose(
-            differentiate(differentiate(self.map.i_map)), x_of_r))
-        return simplify(add(
+        ix = compose(self.map.i_map, x_of_r)
+        ikx = compose(i_keep, x_of_r)
+        d1x = compose(differentiate(self.map.i_map), x_of_r)
+        d2x = compose(differentiate(differentiate(self.map.i_map)), x_of_r)
+        return add(
             mul(c_keep, ikx, pow_(ix, -1)),
             mul(dec.c_zero(ell), pow_(ix, -1)),
             mul(Fraction(-5, 16), pow_(d1x, 2), pow_(ix, -3)),
             mul(Fraction(1, 4), d2x, pow_(ix, -2)),
-        ))
+        )
 
 
 def substitute(dec: TermDecomposition, k: int,
@@ -228,9 +230,10 @@ def substitute(dec: TermDecomposition, k: int,
     c_map, i_map = dec.term(-k)
     if x_of_r is None:
         x_of_r = _solve_monomial_map(i_map)
+    # a caller's x_of_r may be a raw node tree; compose passes it through
     smap = SubstitutionMap(k, simplify(x_of_r), (0.0, INF), (0.0, INF),
                            i_map)
-    gauge = simplify(pow_(compose(i_map, smap.x_of_r), Fraction(1, 4)))
+    gauge = pow_(compose(i_map, smap.x_of_r), Fraction(1, 4))
     return SubstitutionResult(smap, -c_map, gauge)
 
 
@@ -242,7 +245,7 @@ def transformed_system(family: FamilySpec, ell: int, m: int,
     sub = substitute(dec, k)
     w = sub.potential(dec, ell)
     psi_x = wavefunction(family, ell, m)
-    psi_r = simplify(mul(sub.gauge, compose(psi_x, sub.map.x_of_r)))
+    psi_r = mul(sub.gauge, compose(psi_x, sub.map.x_of_r))
     return SchrodingerSystem(
         w, (0.0, INF), ((sub.energy, psi_r),),
         Provenance(family.alpha, family.beta, gauge=sub.gauge))
@@ -256,18 +259,18 @@ def _hermite_expr(n: int, arg: Expr) -> Expr:
 
 def cuberoot_potential(c1: float, c2: float) -> Expr:
     """c1 (3r/2)^(2/3) + c2 (2/(3r))^(2/3) - 5/(36 r^2)."""
-    return simplify(add(
+    return add(
         mul(c1, pow_(mul(Fraction(3, 2), VAR), Fraction(2, 3))),
         mul(c2, pow_(mul(Fraction(3, 2), VAR), Fraction(-2, 3))),
-        mul(Fraction(-5, 36), pow_(VAR, -2))))
+        mul(Fraction(-5, 36), pow_(VAR, -2)))
 
 
 def inverse_sqrt_potential(c1: float, c2: float) -> Expr:
     """c1 / sqrt(2r) + c2 / (2r) - 3/(16 r^2)."""
-    return simplify(add(
+    return add(
         mul(c1, pow_(mul(2, VAR), Fraction(-1, 2))),
         mul(c2 / 2.0, pow_(VAR, -1)),
-        mul(Fraction(-3, 16), pow_(VAR, -2))))
+        mul(Fraction(-3, 16), pow_(VAR, -2)))
 
 
 def _branch_sign(branch) -> int:
@@ -307,11 +310,11 @@ def solve_params_quantsys(c1: float, c2: float, n: int,
     herm_q = (c1 ** 0.25) * (2.25 ** (1.0 / 3.0))
     herm_d = math.sqrt(rad) / (c1 ** 0.25)
     r23 = pow_(VAR, Fraction(2, 3))
-    psi = simplify(mul(
+    psi = mul(
         pow_(VAR, Fraction(1, 6)),
         exp_(add(mul(-amp_a, pow_(VAR, Fraction(4, 3))),
                  mul(sign * amp_b, r23))),
-        _hermite_expr(n, add(mul(herm_q, r23), -sign * herm_d))))
+        _hermite_expr(n, add(mul(herm_q, r23), -sign * herm_d)))
     return SchrodingerSystem(
         cuberoot_potential(c1, c2), (0.0, INF), ((energy, psi),),
         Provenance(alpha, beta, "+" if sign > 0 else "-"))
@@ -399,10 +402,10 @@ def solve_params_inverse_sqrt(c1: float, c2: float, n: int):
         sqr = pow_(VAR, Fraction(1, 2))
         arg = add(mul(math.sqrt(-alpha), sqr),
                   -beta / math.sqrt(-2.0 * alpha))
-        psi = simplify(mul(
+        psi = mul(
             pow_(VAR, Fraction(1, 4)),
             exp_(add(mul(alpha / 2.0, VAR), mul(beta / math.sqrt(2.0), sqr))),
-            _hermite_expr(n, arg)))
+            _hermite_expr(n, arg))
         pairs.append(SchrodingerSystem(
             v, (0.0, INF), ((energy, psi),),
             Provenance(alpha, beta, "+" if beta >= 0 else "-", degenerate)))
@@ -427,6 +430,9 @@ def reproduce_dw(theta: float, rho_coeff: float, lam: float, which: int,
     """
     if which not in (1, 2):
         raise InvalidParameter("which must be 1 or 2")
+    for name, v in (("theta", theta), ("rho", rho_coeff), ("lambda", lam)):
+        if not math.isfinite(v):
+            raise InvalidParameter(f"{name} must be finite, got {v:g}")
     k = -1 if which == 1 else 1
     i_plus, i_minus = pow_(VAR, 2), VAR
     if i_map is not None:

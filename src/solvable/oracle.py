@@ -38,7 +38,7 @@ from .errors import (
     DomainError, InvalidParameter, NonFiniteValue, QuadratureNoConverge,
     SingularPoint,
 )
-from .expr import Expr, differentiate, evaluate, simplify
+from .expr import Expr, differentiate, evaluate
 
 __all__ = [
     "QuadResult", "integrate", "FDHamiltonian", "fd_nodes", "fd_hamiltonian",
@@ -525,6 +525,8 @@ def eigenvalues_below(ham: FDHamiltonian, e_max: float,
     counts and Newton-located flip points (see ``_Replay``), so far fewer
     rows are swept, and the result is bit for bit the plain bisection's.
     """
+    if not math.isfinite(e_max):
+        raise InvalidParameter(f"e_max must be finite, got {e_max:g}")
     rows = _rows(ham)
     k = _counts(rows, [float(e_max)])[0]
     if k == 0:
@@ -590,7 +592,7 @@ def residual(potential: Expr, lam: float, psi: Expr, x):
     """-psi''(x) + V(x) psi(x) - lam psi(x) at a point or an array of
     points, with psi'' computed symbolically; raises SingularPoint where
     V or psi is undefined."""
-    psi2 = differentiate(simplify(differentiate(simplify(psi))))
+    psi2 = differentiate(differentiate(psi))
     try:
         pv = evaluate(psi, x)
         return -evaluate(psi2, x) + evaluate(potential, x) * pv - lam * pv

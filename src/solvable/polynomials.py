@@ -34,7 +34,7 @@ from .errors import (
     DegenerateRecursion, DegreeBeyondCutoff, InvalidParameter,
     UnsupportedCorrespondence,
 )
-from .expr import VAR, Expr, add, differentiate, evaluate, mul, pow_, simplify
+from .expr import VAR, Expr, add, differentiate, evaluate, mul, pow_
 from .families import FamilySpec, SigmaCase, cutoff, sample_window, weight
 
 __all__ = [
@@ -147,11 +147,11 @@ def phi_rodrigues(family: FamilySpec, ell: int) -> Poly:
     if ell >= cap.lambda_cap:
         raise DegreeBeyondCutoff(
             f"ell={ell} is beyond the cutoff Lambda={cap.lambda_cap:g}")
-    rho = simplify(weight(family))
-    work = simplify(mul(pow_(family.sigma_expr, ell), rho))
+    rho = weight(family)
+    work = mul(pow_(family.sigma_expr, ell), rho)
     for _ in range(ell):
-        work = simplify(differentiate(work))
-    quotient = simplify(mul(work, pow_(rho, -1)))
+        work = differentiate(work)
+    quotient = mul(work, pow_(rho, -1))
     lo, hi = sample_window(family)
     if ell == 0:
         return Poly((evaluate(quotient, (lo + hi) / 2.0),))

@@ -24,8 +24,7 @@ from fractions import Fraction
 
 from .errors import DegreeBeyondCutoff, InvalidParameter, OrderExceedsDegree
 from .expr import (
-    VAR, Expr, add, compose, differentiate, evaluate, exp_, fun_, mul,
-    pow_, simplify,
+    VAR, Expr, add, compose, differentiate, evaluate, exp_, fun_, mul, pow_,
 )
 from .families import FamilySpec, SigmaCase, cutoff, eigenvalue, weight
 from .specfun import multiplication_part, special_function
@@ -126,15 +125,14 @@ class SchrodingerSystem:
 def _potential_in_s(family: FamilySpec, m: int) -> Expr:
     sig, tau = family.sigma_expr, family.tau_expr
     eta = pow_(mul(family.kappa_expr, weight(family)), Fraction(-1, 2))
-    eta = simplify(eta)
-    d1 = simplify(differentiate(eta))
-    d2 = simplify(differentiate(d1))
+    d1 = differentiate(eta)
+    d2 = differentiate(d1)
     inv_eta = pow_(eta, -1)
-    return simplify(add(
+    return add(
         multiplication_part(family, m),
         mul(-1, sig, d2, inv_eta),
         mul(-1, tau, d1, inv_eta),
-    ))
+    )
 
 
 def potential(family: FamilySpec, m: int, attach_ells=()) -> SchrodingerSystem:
@@ -147,7 +145,7 @@ def potential(family: FamilySpec, m: int, attach_ells=()) -> SchrodingerSystem:
         raise DegreeBeyondCutoff(
             f"m={m} is beyond the cutoff Lambda={cap.lambda_cap:g}")
     vmap = variable_map(family)
-    v_x = simplify(compose(_potential_in_s(family, m), vmap.inverse))
+    v_x = compose(_potential_in_s(family, m), vmap.inverse)
     pairs = tuple(
         (eigenvalue(family, ell), wavefunction(family, ell, m))
         for ell in attach_ells)
@@ -164,7 +162,7 @@ def wavefunction(family: FamilySpec, ell: int, m: int) -> Expr:
     amp = mul(pow_(mul(family.kappa_expr, weight(family)), Fraction(1, 2)),
               pow_(family.sigma_expr, Fraction(m, 2)),
               sf.poly_part.to_expr())
-    return simplify(compose(simplify(amp), vmap.inverse))
+    return compose(amp, vmap.inverse)
 
 
 def oscillator_potential_value(family: FamilySpec, m: int, x) -> float:

@@ -28,7 +28,7 @@ import numpy as np
 from .errors import (
     DegreeBeyondCutoff, InvalidParameter, OrderExceedsDegree, SingularPoint,
 )
-from .expr import Expr, add, differentiate, evaluate, mul, pow_, simplify
+from .expr import Expr, add, differentiate, evaluate, mul, pow_
 from .families import FamilySpec, cutoff, eigenvalue, weight
 from .oracle import integrate
 from .polynomials import Poly, phi
@@ -54,9 +54,8 @@ class SpecialFunction:
 
     @cached_property
     def expr(self) -> Expr:
-        return simplify(mul(
-            pow_(self.family.sigma_expr, Fraction(self.m, 2)),
-            self.poly_part.to_expr()))
+        return mul(pow_(self.family.sigma_expr, Fraction(self.m, 2)),
+                   self.poly_part.to_expr())
 
     @property
     def eigenvalue(self) -> float:
@@ -78,14 +77,14 @@ def special_function(family: FamilySpec, ell: int, m: int) -> SpecialFunction:
 def multiplication_part(family: FamilySpec, m: int) -> Expr:
     """The zeroth-order coefficient of H_m; identically zero at m = 0."""
     sig = family.sigma_expr
-    dsig = simplify(sig.diff())
+    dsig = sig.diff()
     a = family.sigma_coeffs[0]
-    return simplify(add(
+    return add(
         mul(Fraction(m * (m - 2), 4), pow_(dsig, 2), pow_(sig, -1)),
         mul(Fraction(m, 2), family.tau_expr, dsig, pow_(sig, -1)),
         mul(-m * (m - 2), a),          # -(1/2) m (m-2) sigma'' with sigma''=2a
         mul(-m, family.alpha),         # -m tau'
-    ))
+    )
 
 
 @dataclass(frozen=True)
@@ -106,8 +105,8 @@ def _as_derivative_triple(f):
     if isinstance(f, SpecialFunction):
         f = f.expr
     if isinstance(f, Expr):
-        d1 = simplify(differentiate(f))
-        d2 = simplify(differentiate(d1))
+        d1 = differentiate(f)
+        d2 = differentiate(d1)
         return (lambda s: evaluate(f, s),
                 lambda s: evaluate(d1, s),
                 lambda s: evaluate(d2, s))

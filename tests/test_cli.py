@@ -279,6 +279,42 @@ class TestInvalidParameters:
         assert proc.stderr == (
             "error: nan in column V(x) of the row with x=-10\n")
 
+    @pytest.mark.parametrize("argv,constraint", [
+        (["potential", "--case", "one", "--alpha", "-1", "--beta", "nan",
+          "--m", "0"], "beta must be finite, got nan"),
+        (["potential", "--case", "one", "--alpha", "-1", "--beta", "inf",
+          "--m", "0"], "beta must be finite, got inf"),
+        (["reproduce-dw", "--theta", "nan", "--rho", "1", "--lambda", "1",
+          "--which", "2"], "theta must be finite, got nan"),
+        (["reproduce-dw", "--theta", "1", "--rho", "inf", "--lambda", "1",
+          "--which", "2"], "rho must be finite, got inf"),
+        (["verify", "spectrum", "--family", "one", "--alpha", "-2",
+          "--beta", "0.5", "--m", "0", "--emax", "nan"],
+         "e_max must be finite, got nan"),
+        # cosh(1000) overflows, so it stays symbolic without a warning
+        (["reproduce-dw", "--theta", "1", "--rho", "1", "--lambda", "1",
+          "--which", "1", "--Ik", "cosh(1000)*x^2"],
+         "cannot solve x' = 1/sqrt(I) for I = cosh(1000)*x^2"),
+    ])
+    def test_non_finite_input_prints_only_the_error_line(self, argv,
+                                                         constraint):
+        env = dict(os.environ, PYTHONPATH="src")
+        proc = subprocess.run(
+            [sys.executable, "-m", "solvable", *argv],
+            cwd=ROOT, env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == f"error: {constraint}\n"
+
+    def test_unsolvable_map_is_printed_in_the_grammar(self, capsys):
+        code, text = invoke(["reproduce-dw", "--theta", "1", "--rho", "1",
+                             "--lambda", "1", "--which", "1",
+                             "--Ik", "exp(800)*x^2"])
+        assert code == 1
+        assert text == ""
+        assert capsys.readouterr().err == (
+            "error: cannot solve x' = 1/sqrt(I) for I = x^2*exp(800)\n")
+
 
 class TestGridSize:
     @pytest.mark.parametrize("argv", [

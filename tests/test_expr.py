@@ -1,18 +1,19 @@
 import dataclasses
 import math
 import pickle
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from solvable.errors import DomainError, ExprSyntaxError, NonRationalExponent
 from solvable.expr import (
     VAR, Add, Const, Exp, Expr, Fun, Mul, Pow, Var,
-    add, compose, differentiate, evaluate, exp_, fun_, mul, parse, pow_,
-    power_terms, print_expr, simplify,
+    add, as_expr, compose, differentiate, evaluate, exp_, fun_, mul, parse,
+    pow_, power_terms, print_expr, simplify,
 )
 
 X = VAR
@@ -271,6 +272,110 @@ def test_simplify_is_fixed_point_on_pipeline_outputs():
               transformed_system(
                   FamilySpec(SigmaCase.ONE, -1.7, 0.9), 3, 1, -1).psi):
         assert simplify(e) == e
+
+
+# A constructor recipe is a nested tuple that ``construct`` builds only
+# through the normalizing constructors, ``compose`` and ``differentiate``:
+# the library's own way of making trees.
+_CONSTRUCTOR_LEAVES = st.one_of(
+    st.builds(lambda k: ("const", k), st.integers(-3, 3)),
+    st.just(("var",)),
+    st.builds(lambda n, v: ("fun", n, ("const", v)),
+              st.sampled_from(["sin", "cosh", "log", "arctan"]),
+              st.sampled_from([1, 4, 2000])))
+
+
+def _constructor_extend(children):
+    return st.one_of(
+        st.builds(lambda ts: ("add", tuple(ts)),
+                  st.lists(children, min_size=2, max_size=3)),
+        st.builds(lambda fs: ("mul", tuple(fs)),
+                  st.lists(children, min_size=2, max_size=3)),
+        st.builds(lambda b, p, q: ("pow", b, Fraction(p, q)),
+                  children, st.integers(-3, 3), st.integers(1, 3)),
+        st.builds(lambda a: ("exp", a), children),
+        st.builds(lambda n, a: ("fun", n, a),
+                  st.sampled_from(["sin", "log", "cosh"]), children),
+        # exp of a sum with a c*log(u) term, which exp_ turns into u^c
+        st.builds(lambda k, u, rest: ("explog", k, u, rest),
+                  st.integers(-4, 4), children, children),
+        st.builds(lambda o, i: ("compose", o, i), children, children),
+        st.builds(lambda a: ("diff", a), children))
+
+
+CONSTRUCTOR_RECIPES = st.recursive(
+    _CONSTRUCTOR_LEAVES, _constructor_extend, max_leaves=8)
+
+
+def construct(recipe):
+    kind, args = recipe[0], recipe[1:]
+    if kind == "const":
+        return as_expr(args[0] / 2)
+    if kind == "var":
+        return VAR
+    if kind == "add":
+        return add(*(construct(r) for r in args[0]))
+    if kind == "mul":
+        return mul(*(construct(r) for r in args[0]))
+    if kind == "pow":
+        return pow_(construct(args[0]), args[1])
+    if kind == "exp":
+        return exp_(construct(args[0]))
+    if kind == "fun":
+        return fun_(args[0], construct(args[1]))
+    if kind == "explog":
+        log_u = fun_("log", construct(args[1]))
+        return exp_(add(mul(Fraction(args[0], 2), log_u), construct(args[2])))
+    if kind == "compose":
+        return compose(construct(args[0]), construct(args[1]))
+    return differentiate(construct(args[0]))
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(CONSTRUCTOR_RECIPES)
+def test_simplify_is_fixed_point_on_constructor_trees(recipe):
+    # the library builds every tree this way and never re-simplifies it
+    try:
+        e = construct(recipe)
+    except DomainError:  # e.g. log of a negative constant
+        assume(False)
+    assert simplify(e) == e
+
+
+def test_pipeline_builds_without_simplify(monkeypatch):
+    # criterion-2 and criterion-5 parts on fresh parameters, so no memo
+    # holds an earlier result, with the simplifier switched off
+    from solvable.families import FamilySpec, SigmaCase, eigenvalue
+    from solvable.generator import solve_params_quantsys
+    from solvable.oracle import residual_norm
+    from solvable.schrodinger import potential
+    from solvable.specfun import apply_hm, hm_operator, special_function
+
+    def refuse(e):
+        raise AssertionError(f"simplify rebuilt {print_expr(e)}")
+
+    monkeypatch.setattr("solvable.expr._simplify", refuse)
+    fam = FamilySpec(SigmaCase.S, -1.13, 2.07)
+    system = potential(fam, 1, (1, 2))
+    op = hm_operator(fam, 1)
+    pts = np.linspace(0.2, 4.0, 100)
+    for ell, (lam, psi) in zip((1, 2), system.known_eigenpairs):
+        sf = special_function(fam, ell, 1)
+        assert lam == eigenvalue(fam, ell)
+        got = apply_hm(op, sf, pts)
+        want = lam * sf(pts)
+        assert np.max(np.abs(got - want) / (1.0 + np.abs(want))) <= 1e-8
+        assert residual_norm(system, (lam, psi)) <= 1e-8
+    assert residual_norm(solve_params_quantsys(1.37, 0.21, 2, "-")) <= 1e-8
+
+
+def test_fun_folds_only_finite_constants():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        big = parse("cosh(1000)")
+        assert big == Fun("cosh", Const(1000.0))
+        assert evaluate(big, 0.0) == math.inf
+        assert parse("cosh(2)") == Const(math.cosh(2.0))
 
 
 # --- write-once node caches ----------------------------------------------
