@@ -49,9 +49,10 @@ c1 = alpha * beta / 2.0
 c2 = beta ** 2 / 4.0 + alpha / 2.0 - alpha * m + alpha * ell
 print(f"  forward map: (alpha, beta, m, ell) = (-2, 1, 0, 3) "
       f"-> (c1, c2) = ({c1:g}, {c2:g})")
-for pair in solve_params_inverse_sqrt(c1, c2, n=ell - m):
-    print(f"  root: alpha = {pair.provenance.alpha:.12g}, E = -alpha^2/4 "
-          f"= {pair.energy:.12g}, residual {residual_norm(pair):.1e}")
+pair = solve_params_inverse_sqrt(c1, c2, n=ell - m)
+print(f"  the one negative root: alpha = {pair.provenance.alpha:.12g}, "
+      f"E = -alpha^2/4 = {pair.energy:.12g}, "
+      f"residual {residual_norm(pair):.1e}")
 print()
 
 pair = solve_params_quantsys(1.0, 0.0, 0, "+")

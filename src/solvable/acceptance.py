@@ -241,13 +241,12 @@ def criterion_8_cubic_round_trip(seed=42):
     alpha, beta, m, ell = -2.0, 1.0, 0, 3
     c1 = alpha * beta / 2.0
     c2 = beta ** 2 / 4.0 + alpha / 2.0 - alpha * m + alpha * ell
-    pairs = solve_params_inverse_sqrt(c1, c2, n=ell - m)
-    best = min(pairs, key=lambda p: abs(p.provenance.alpha + 2.0))
-    best_alpha = best.provenance.alpha
-    ok = (c1, c2) == (-1.0, -6.75) and abs(best_alpha + 2.0) <= 1e-10 \
-        and abs(best.energy + 1.0) <= 1e-12
-    return ok, (f"(c1, c2)=({c1:g}, {c2:g}), alpha={best_alpha:.12g}, "
-                f"E={best.energy:.12g}")
+    system = solve_params_inverse_sqrt(c1, c2, n=ell - m)
+    got = system.provenance.alpha
+    ok = (c1, c2) == (-1.0, -6.75) and abs(got + 2.0) <= 1e-10 \
+        and abs(system.energy + 1.0) <= 1e-12
+    return ok, (f"(c1, c2)=({c1:g}, {c2:g}), alpha={got:.12g}, "
+                f"E={system.energy:.12g}")
 
 
 # psi ~ r^(1/6) at r -> 0: gamma (gamma - 1) = -5/36 is the coefficient of

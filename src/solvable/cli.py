@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import (
     Inadmissible, InvalidParameter, NoAdmissibleRoot, NonFiniteValue,
-    SolvableError,
+    SolvableError, require_finite,
 )
 from .expr import evaluate, parse, power_terms, print_expr
 from .families import ALL_CASES, FamilySpec, SigmaCase, cutoff, sample_window
@@ -134,6 +134,7 @@ def cmd_families(args, out):
     for case in ALL_CASES:
         entry = {"case": case.value, "constraint": case.constraint}
         if args.alpha is not None and args.beta is not None:
+            require_finite(("alpha", args.alpha), ("beta", args.beta))
             entry["alpha"] = args.alpha
             entry["beta"] = args.beta
             try:
@@ -213,15 +214,14 @@ def cmd_eigenfunction(args, out):
 
 def _generated_pair(which, c1, c2, n, branch):
     """The generated system on the branch: the cube-root eigenpair, or the
-    lowest-energy inverse-sqrt root whose beta has the branch's sign;
-    raises Inadmissible or NoAdmissibleRoot when there is none."""
+    inverse-sqrt system when its beta has the branch's sign; raises
+    Inadmissible or NoAdmissibleRoot when there is none."""
     if which == "cuberoot":
         return solve_params_quantsys(c1, c2, n, branch)
-    matching = [p for p in solve_params_inverse_sqrt(c1, c2, n)
-                if p.provenance.branch == branch]
-    if not matching:
+    system = solve_params_inverse_sqrt(c1, c2, n)
+    if system.provenance.branch != branch:
         raise NoAdmissibleRoot(f"no root on branch {branch}")
-    return min(matching, key=lambda p: p.energy)
+    return system
 
 
 def cmd_generate(args, out):
@@ -255,12 +255,12 @@ def cmd_solve_params(args, out):
                                 "reason": str(exc)})
     else:
         try:
-            for p in solve_params_inverse_sqrt(args.c1, args.c2, args.n):
-                prov = p.provenance
-                entries.append({"alpha": prov.alpha, "beta": prov.beta,
-                                "energy": p.energy, "branch": prov.branch,
-                                "degenerate": prov.degenerate,
-                                "admissible": True})
+            p = solve_params_inverse_sqrt(args.c1, args.c2, args.n)
+            prov = p.provenance
+            entries.append({"alpha": prov.alpha, "beta": prov.beta,
+                            "energy": p.energy, "branch": prov.branch,
+                            "degenerate": prov.degenerate,
+                            "admissible": True})
         except NoAdmissibleRoot as exc:
             entries.append({"admissible": False, "reason": str(exc)})
     emit_json(entries, out)
@@ -497,11 +497,10 @@ def run(argv, out=None) -> int:
     out = out if out is not None else sys.stdout
     ap = build_parser()
     args = ap.parse_args(argv)
-    if getattr(args, "case", "sentinel") is None:
-        needs_family = args.command == "verify" and args.system == "family"
-        if needs_family:
-            ap.error("--case/--family, --alpha, --beta are required "
-                     "for --system family")
+    if args.command == "verify" and getattr(args, "system", None) == \
+            "family" and None in (args.case, args.alpha, args.beta):
+        ap.error("--case/--family, --alpha, --beta are required "
+                 "for --system family")
     try:
         return args.fn(args, out)
     except SolvableError as exc:

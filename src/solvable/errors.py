@@ -1,5 +1,7 @@
 """Exception hierarchy shared across the package."""
 
+import math
+
 
 class SolvableError(Exception):
     """Base class for all domain errors raised by this package."""
@@ -10,6 +12,13 @@ class InvalidParameter(SolvableError, ValueError):
     non-positive c1, too few finite-difference subintervals, ...); the
     message names the constraint.  Also a ValueError, so callers that
     catch ValueError keep working."""
+
+
+def require_finite(*named):
+    """Raise InvalidParameter for the first NaN or infinite (name, value)."""
+    for name, v in named:
+        if not math.isfinite(v):
+            raise InvalidParameter(f"{name} must be finite, got {v:g}")
 
 
 class ExprSyntaxError(SolvableError):

@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import (
     DegreeBeyondCutoff, FamilyConstraintError, InvalidParameter,
+    require_finite,
 )
 from .expr import VAR, Expr, add, as_fraction, exp_, fun_, mul, pow_
 
@@ -118,9 +119,7 @@ class FamilySpec:
     def __post_init__(self):
         object.__setattr__(self, "alpha", float(self.alpha))
         object.__setattr__(self, "beta", float(self.beta))
-        for name, v in (("alpha", self.alpha), ("beta", self.beta)):
-            if not math.isfinite(v):
-                raise InvalidParameter(f"{name} must be finite, got {v:g}")
+        require_finite(("alpha", self.alpha), ("beta", self.beta))
         ok, text = _CONSTRAINTS[self.sigma_case]
         if not ok(self.alpha, self.beta):
             raise FamilyConstraintError(

@@ -26,19 +26,21 @@ Pipeline, in order:
      c1 (3r/2)^(2/3) + c2 (2/(3r))^(2/3) - 5/(36 r^2)      (cube root)
      c1 / sqrt(2r)   + c2 / (2r)         - 3/(16 r^2)      (square root)
 
-   via explicit square roots (first case) or a real cubic in alpha
-   solved by Cardano with a Newton polish (second case, E = -alpha^2/4).
+   via explicit square roots (first case) or the one negative root of a
+   real cubic in alpha, found by a monotone Newton iteration (second
+   case, E = -alpha^2/4).
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
     Inadmissible, InvalidParameter, MapNotClosedForm, NoAdmissibleRoot,
-    NonIntegrableGauge, Unimplemented,
+    NonIntegrableGauge, Unimplemented, require_finite,
 )
 from .expr import (
     VAR, Const, Expr, add, as_fraction, compose, differentiate, evaluate,
@@ -273,14 +275,6 @@ def inverse_sqrt_potential(c1: float, c2: float) -> Expr:
         mul(Fraction(-3, 16), pow_(VAR, -2)))
 
 
-def _branch_sign(branch) -> int:
-    if branch in (1, +1, "+"):
-        return 1
-    if branch in (-1, "-"):
-        return -1
-    raise InvalidParameter("branch must be '+' or '-'")
-
-
 def solve_params_quantsys(c1: float, c2: float, n: int,
                           branch) -> SchrodingerSystem:
     """The cube-root system on (0, inf) with its closed-form eigenpair.
@@ -291,9 +285,12 @@ def solve_params_quantsys(c1: float, c2: float, n: int,
     """
     if not c1 > 0:
         raise InvalidParameter("c1 must be positive")
+    require_finite(("c1", c1), ("c2", c2))
     if n < 0:
         raise InvalidParameter("n must be a nonnegative integer")
-    sign = _branch_sign(branch)
+    if branch not in ("+", "-", 1, -1):
+        raise InvalidParameter("branch must be '+' or '-'")
+    sign = 1 if branch in ("+", 1) else -1
     rad = c2 + math.sqrt(c1) * (1 + 2 * n)
     if rad < 0:
         raise Inadmissible(
@@ -303,6 +300,7 @@ def solve_params_quantsys(c1: float, c2: float, n: int,
     beta = sign * 2.0 * math.sqrt(rad)
     # equals c1 * rad exactly; may round below zero at the boundary
     rad2 = max(c1 * c2 + c1 * math.sqrt(c1) * (1 + 2 * n), 0.0)
+    require_finite(("c1 c2 + c1^(3/2) (1+2n)", rad2))
     energy = sign * 2.0 * math.sqrt(rad2)
     # r^{1/6} exp(-A r^{4/3} + sign B r^{2/3}) H_n(q r^{2/3} - sign d)
     amp_a = 0.75 * (1.5 ** (1.0 / 3.0)) * math.sqrt(c1)
@@ -320,99 +318,67 @@ def solve_params_quantsys(c1: float, c2: float, n: int,
         Provenance(alpha, beta, "+" if sign > 0 else "-"))
 
 
-def _real_cubic_roots(a3: float, a2: float, a1: float, a0: float):
-    """Real roots of a3 x^3 + a2 x^2 + a1 x + a0 (a3 != 0) via the
-    trigonometric/hyperbolic Cardano branches, each polished by Newton."""
-    p_ = a2 / a3
-    q_ = a1 / a3
-    r_ = a0 / a3
-    big_p = q_ - p_ * p_ / 3.0
-    big_q = 2.0 * p_ ** 3 / 27.0 - p_ * q_ / 3.0 + r_
-    disc = -4.0 * big_p ** 3 - 27.0 * big_q ** 2
-    roots = []
-    if abs(big_q) < 1e-300 and abs(big_p) < 1e-300:
-        roots = [0.0]
-    elif big_p == 0.0:
-        roots = [-math.copysign(abs(big_q) ** (1.0 / 3.0), big_q)]
-    elif disc > 0:
-        # three distinct real roots
-        mag = 2.0 * math.sqrt(-big_p / 3.0)
-        arg = 3.0 * big_q / (big_p * mag)
-        arg = min(1.0, max(-1.0, arg))
-        theta = math.acos(arg)
-        roots = [mag * math.cos(theta / 3.0 - 2.0 * math.pi * j / 3.0)
-                 for j in range(3)]
-    elif big_p < 0:
-        mag = 2.0 * math.sqrt(-big_p / 3.0)
-        # u >= 1 but for rounding next to a double root
-        u = max(1.0, -3.0 * abs(big_q) / (big_p * mag))
-        t = -math.copysign(mag, big_q) * math.cosh(math.acosh(u) / 3.0)
-        roots = [t]
-    else:
-        mag = 2.0 * math.sqrt(big_p / 3.0)
-        u = 3.0 * big_q / (big_p * mag)
-        t = -mag * math.sinh(math.asinh(u) / 3.0)
-        roots = [t]
-
-    out = []
-    for t in roots:
-        x = t - p_ / 3.0
-        for _ in range(2):  # Newton polish on the original cubic
-            fx = ((a3 * x + a2) * x + a1) * x + a0
-            dfx = (3.0 * a3 * x + 2.0 * a2) * x + a1
-            if dfx != 0.0:
-                x -= fx / dfx
-        if not any(abs(x - y) <= 1e-9 * max(1.0, abs(y)) for y in out):
-            out.append(x)
-    return sorted(out)
+def _negative_root(c1: float, c2: float, a: float) -> float:
+    """The negative root -u of a alpha^3 - c2 alpha^2 + c1^2 (a > 0,
+    c1 != 0).  h(u) = a u^3 + c2 u^2 - c1^2 is increasing and convex from
+    its root on, so Newton's method decreases monotonically to it from a
+    start with h >= 0 and stops at the first step that no longer lowers
+    u.  For c2 > 0, h >= 0 at |c1|/sqrt(c2) and at (c1^2/a)^(1/3);
+    otherwise at -c2/a + (c1^2/a)^(1/3)."""
+    cube = (c1 * c1 / a) ** (1.0 / 3.0)
+    u = min(abs(c1) / math.sqrt(c2), cube) if c2 > 0 else cube - c2 / a
+    while True:
+        nxt = u - ((a * u + c2) * u * u - c1 * c1) / (
+            (3.0 * a * u + 2.0 * c2) * u)
+        if not nxt < u:
+            return -u
+        u = nxt
 
 
-def solve_params_inverse_sqrt(c1: float, c2: float, n: int):
-    """Closed-form eigenpairs of the inverse-square-root potential.
+def solve_params_inverse_sqrt(c1: float, c2: float,
+                              n: int) -> SchrodingerSystem:
+    """The inverse-square-root system with its closed-form eigenpair.
 
     Eliminating beta = 2 c1/alpha from {alpha beta/2 = c1,
     beta^2/4 + alpha/2 + alpha n = c2} gives the real cubic
 
-        (n + 1/2) alpha^3 - c2 alpha^2 + c1^2 = 0,
+        f(alpha) = (n + 1/2) alpha^3 - c2 alpha^2 + c1^2 = 0,
 
-    solved for all real roots; each root with alpha < 0 yields one system
-    on (0, inf) with the eigenpair E = -alpha^2/4.  c1 = 0 degenerates to
-    the pure beta = 0 branch (cubic factor alpha^2), flagged in each
-    system's provenance.
+    which has exactly one negative root for c1 != 0: f(0) = c1^2 > 0 and
+    f(-inf) = -inf; f increases on (-inf, min(a*, 0)], where
+    a* = 2 c2/(3n + 3/2) is its other critical point, and on
+    [min(a*, 0), 0) it falls to f(0) > 0 without a zero.  That root gives
+    the system on (0, inf) with the eigenpair E = -alpha^2/4.  c1 = 0
+    degenerates to the pure beta = 0 branch alpha = c2/(n + 1/2) (cubic
+    factor alpha^2), flagged in the provenance, which has no admissible
+    root for c2 >= 0.
     """
+    require_finite(("c1", c1), ("c2", c2))
     if n < 0:
         raise InvalidParameter("n must be a nonnegative integer")
     degenerate = c1 == 0.0
-    if degenerate:
-        roots = [c2 / (n + 0.5)]
-    else:
-        roots = _real_cubic_roots(n + 0.5, -c2, 0.0, c1 * c1)
-    v = inverse_sqrt_potential(c1, c2)
-    pairs = []
-    for alpha in roots:
-        if alpha >= 0.0:
-            continue
-        beta = 0.0 if degenerate else 2.0 * c1 / alpha
-        energy = -alpha * alpha / 4.0
-        if not all(map(math.isfinite, (alpha, beta, energy))):
-            raise InvalidParameter(
-                f"alpha, beta and E must be finite; the parameter cubic "
-                f"overflows for c1={c1:g}, c2={c2:g}, n={n}")
-        # r^{1/4} exp(alpha r/2 + (beta/sqrt 2) sqrt r) H_n(...)
-        sqr = pow_(VAR, Fraction(1, 2))
-        arg = add(mul(math.sqrt(-alpha), sqr),
-                  -beta / math.sqrt(-2.0 * alpha))
-        psi = mul(
-            pow_(VAR, Fraction(1, 4)),
-            exp_(add(mul(alpha / 2.0, VAR), mul(beta / math.sqrt(2.0), sqr))),
-            _hermite_expr(n, arg))
-        pairs.append(SchrodingerSystem(
-            v, (0.0, INF), ((energy, psi),),
-            Provenance(alpha, beta, "+" if beta >= 0 else "-", degenerate)))
-    if not pairs:
+    if not degenerate and c1 * c1 < sys.float_info.min:
+        raise InvalidParameter(f"c1^2 must not underflow, got c1={c1:g}")
+    alpha = c2 / (n + 0.5) if degenerate else _negative_root(c1, c2, n + 0.5)
+    if not alpha < 0.0:
         raise NoAdmissibleRoot(
             f"no real root with alpha < 0 for c1={c1:g}, c2={c2:g}, n={n}")
-    return pairs
+    beta = 0.0 if degenerate else 2.0 * c1 / alpha
+    energy = -alpha * alpha / 4.0
+    if c1 * c1 == INF or not all(map(math.isfinite, (alpha, beta, energy))):
+        raise InvalidParameter(
+            f"alpha, beta and E must be finite; the parameter cubic "
+            f"overflows for c1={c1:g}, c2={c2:g}, n={n}")
+    # r^{1/4} exp(alpha r/2 + (beta/sqrt 2) sqrt r) H_n(...)
+    sqr = pow_(VAR, Fraction(1, 2))
+    arg = add(mul(math.sqrt(-alpha), sqr), -beta / math.sqrt(-2.0 * alpha))
+    psi = mul(
+        pow_(VAR, Fraction(1, 4)),
+        exp_(add(mul(alpha / 2.0, VAR), mul(beta / math.sqrt(2.0), sqr))),
+        _hermite_expr(n, arg))
+    return SchrodingerSystem(
+        inverse_sqrt_potential(c1, c2), (0.0, INF), ((energy, psi),),
+        Provenance(alpha, beta, "+" if beta >= 0 else "-", degenerate))
 
 
 def reproduce_dw(theta: float, rho_coeff: float, lam: float, which: int,
@@ -430,9 +396,8 @@ def reproduce_dw(theta: float, rho_coeff: float, lam: float, which: int,
     """
     if which not in (1, 2):
         raise InvalidParameter("which must be 1 or 2")
-    for name, v in (("theta", theta), ("rho", rho_coeff), ("lambda", lam)):
-        if not math.isfinite(v):
-            raise InvalidParameter(f"{name} must be finite, got {v:g}")
+    require_finite(("theta", theta), ("rho", rho_coeff), ("lambda", lam),
+                   ("theta^2", theta * theta))
     k = -1 if which == 1 else 1
     i_plus, i_minus = pow_(VAR, 2), VAR
     if i_map is not None:

@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import (
     DomainError, InvalidParameter, NonFiniteValue, QuadratureNoConverge,
-    SingularPoint,
+    SingularPoint, require_finite,
 )
 from .expr import Expr, differentiate, evaluate
 
@@ -525,8 +525,7 @@ def eigenvalues_below(ham: FDHamiltonian, e_max: float,
     counts and Newton-located flip points (see ``_Replay``), so far fewer
     rows are swept, and the result is bit for bit the plain bisection's.
     """
-    if not math.isfinite(e_max):
-        raise InvalidParameter(f"e_max must be finite, got {e_max:g}")
+    require_finite(("e_max", e_max))
     rows = _rows(ham)
     k = _counts(rows, [float(e_max)])[0]
     if k == 0:

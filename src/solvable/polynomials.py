@@ -61,10 +61,6 @@ class Poly:
             return 0  # the zero polynomial, by convention
         return len(self.coeffs) - 1
 
-    @property
-    def is_zero(self) -> bool:
-        return self.coeffs == (0.0,)
-
     def __call__(self, s):
         acc = 0.0
         for c in reversed(self.coeffs):

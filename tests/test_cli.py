@@ -1,3 +1,4 @@
+import contextlib
 import io
 import json
 import math
@@ -7,6 +8,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from solvable.cli import run
 
@@ -82,9 +85,10 @@ class TestGenerate:
         assert obj["energy"] == pytest.approx(-1.0)
 
     def test_sqrt_route_without_a_root_on_the_branch(self, capsys):
-        # every root of the inverse-sqrt cubic has beta of the sign of -c1,
-        # so c1 = 1 has no root on branch +: generate reports it, and
-        # verify residual fails instead of checking the branch - root
+        # the one negative root of the inverse-sqrt cubic has beta of the
+        # sign of -c1, so c1 = 1 has no root on branch +: generate reports
+        # it, and verify residual fails instead of checking the branch -
+        # root
         args = ["--c1", "1", "--c2", "3", "--n", "0", "--branch", "+"]
         code, text = invoke(["generate", "--which", "sqrt"] + args)
         assert code == 0
@@ -110,9 +114,9 @@ class TestSolveParams:
     def test_invsqrt_roots_with_flags(self):
         code, text = invoke(["solve-params", "--mode", "invsqrt",
                              "--c1", "-1", "--c2", "-6.75", "--n", "3"])
-        entries = json.loads(text)
-        assert any(abs(e["alpha"] + 2.0) < 1e-9 for e in entries
-                   if e["admissible"])
+        (entry,) = json.loads(text)
+        assert entry["admissible"] is True
+        assert abs(entry["alpha"] + 2.0) < 1e-9
 
 
 class TestVerify:
@@ -259,6 +263,15 @@ class TestInvalidParameters:
         (["verify", "spectrum", "--case", "s", "--alpha", "-1",
           "--beta", "2", "--m", "0", "--xmin", "0"],
          "need the window [0, 30] strictly inside the x interval (0, inf)"),
+        # non-finite values reached print_expr or emit_json
+        (["generate", "--c1", "1", "--c2", "inf", "--n", "0"],
+         "c2 must be finite, got inf"),
+        (["reproduce-dw", "--theta", "1e200", "--rho", "1", "--lambda", "1",
+          "--which", "2"], "theta^2 must be finite, got inf"),
+        (["solve-params", "--mode", "quantsys", "--c1", "1", "--c2", "nan",
+          "--n", "0"], "c2 must be finite, got nan"),
+        (["families", "--alpha", "nan", "--beta", "1"],
+         "alpha must be finite, got nan"),
     ])
     def test_exit_1_names_constraint(self, argv, constraint, capsys):
         code, text = invoke(argv)
@@ -314,6 +327,60 @@ class TestInvalidParameters:
         assert text == ""
         assert capsys.readouterr().err == (
             "error: cannot solve x' = 1/sqrt(I) for I = x^2*exp(800)\n")
+
+
+class TestMissingFamilyFlags:
+    @pytest.mark.parametrize("argv", [
+        ["verify", "residual", "--case", "one", "--beta", "1"],
+        ["verify", "spectrum", "--case", "one", "--alpha", "-2"],
+        ["verify", "spectrum", "--alpha", "-2", "--beta", "1"],
+    ], ids=["no-alpha", "no-beta", "no-case"])
+    def test_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+        assert "--alpha, --beta are required" in capsys.readouterr().err
+
+
+_FUZZ_VALUES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from((math.nan, math.inf, -math.inf, 0.0, 1e300, 1e-300)))
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+class TestGeneratorFuzz:
+    """solve-params and generate on any float c1 and c2 (NaN, infinities,
+    0 and the extremes among them) end in exit 0, 1 or 2 without a
+    traceback, print valid JSON, and report one root for --mode invsqrt."""
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(st.sampled_from((["solve-params", "--mode", "quantsys"],
+                            ["solve-params", "--mode", "invsqrt"],
+                            ["generate", "--which", "cuberoot"],
+                            ["generate", "--which", "sqrt"])),
+           _FUZZ_VALUES, _FUZZ_VALUES, st.integers(0, 30),
+           st.sampled_from("+-"))
+    def test_exits_cleanly(self, command, c1, c2, n, branch):
+        argv = command + [f"--c1={c1!r}", f"--c2={c2!r}", f"--n={n}"]
+        if command[0] == "generate":
+            argv.append(f"--branch={branch}")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stderr(err):
+            try:
+                code = run(argv, out)
+            except SystemExit as exc:
+                code = exc.code
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+        if code != 0:
+            assert out.getvalue() == ""
+            return
+        obj = json.loads(out.getvalue(), parse_constant=_reject_constant)
+        if "invsqrt" in command:
+            assert isinstance(obj, list) and len(obj) == 1
 
 
 class TestGridSize:

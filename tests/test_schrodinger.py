@@ -32,9 +32,9 @@ CONSTRUCTORS = {
     "solve_params_quantsys": lambda: [
         solve_params_quantsys(1.0, 0.0, 1, "-")],
     "solve_params_inverse_sqrt": lambda: [
-        *solve_params_inverse_sqrt(-1.0, -6.75, 3),
-        *solve_params_inverse_sqrt(1.0, 3.0, 0),
-        *solve_params_inverse_sqrt(0.0, -2.0, 1)],
+        solve_params_inverse_sqrt(-1.0, -6.75, 3),
+        solve_params_inverse_sqrt(1.0, 3.0, 0),
+        solve_params_inverse_sqrt(0.0, -2.0, 1)],
 }
 
 
