@@ -14,6 +14,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -362,8 +363,21 @@ def cmd_acceptance(args, out):
     return 1 if failed else 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser that takes every negative float literal (-1e300,
+    -2e0, -inf, -nan) as an option's value, as argparse itself takes -1
+    and -0.5: no option of this CLI looks like a number.  Subcommand
+    parsers are made by the same class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$|^-(inf(inity)?|nan)$",
+            re.IGNORECASE)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="solvable",
         description="Exactly solvable Schrodinger-type systems: the six "
                     "hypergeometric-type weight families, their orthogonal "

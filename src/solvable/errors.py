@@ -76,6 +76,11 @@ class QuadratureNoConverge(SolvableError):
     """Adaptive quadrature failed to reach the requested tolerance."""
 
 
+class BisectionNoConverge(SolvableError):
+    """Sturm bisection failed to reach the requested tolerance within its
+    pass limit."""
+
+
 class UnsupportedCorrespondence(SolvableError):
     """No real-parameter classical counterpart for this family."""
 

@@ -448,45 +448,67 @@ def evaluate(e: Expr, value):
     """Evaluate at a scalar or numpy array; raises DomainError outside
     the mathematical domain.  Overflow, underflow and inf * 0 or inf - inf
     pass silently as inf, 0 and NaN; callers that report numbers check
-    that they are finite."""
+    that they are finite.
+
+    Each node is dispatched on its type through one table lookup.  A
+    fractional power checks its base with one minimum; the scans for a
+    negative and a zero entry, which name the violated domain, run only
+    when that minimum is not positive, so also on NaN and on an empty
+    array.
+    """
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         return _eval(e, value)
 
 
 def _eval(e, x):
-    if isinstance(e, Const):
-        return e.value
-    if isinstance(e, Var):
-        return x
-    if isinstance(e, Add):
-        total = _eval(e.terms[0], x)
-        for t in e.terms[1:]:
-            total = total + _eval(t, x)
-        return total
-    if isinstance(e, Mul):
-        total = _eval(e.factors[0], x)
-        for f in e.factors[1:]:
-            total = total * _eval(f, x)
-        return total
-    if isinstance(e, Pow):
-        b = _eval(e.base, x)
-        q = e.exponent
-        if q.denominator == 1:
-            n = int(q)
-            if n < 0 and np.any(np.asarray(b) == 0.0):
-                raise DomainError("pole: zero base with negative exponent")
-            return b ** n
-        ba = np.asarray(b)
+    try:
+        rule = _EVAL[type(e)]
+    except KeyError:
+        raise TypeError(f"cannot evaluate {e!r}") from None
+    return rule(e, x)
+
+
+def _eval_add(e, x):
+    total = _eval(e.terms[0], x)
+    for t in e.terms[1:]:
+        total = total + _eval(t, x)
+    return total
+
+
+def _eval_mul(e, x):
+    total = _eval(e.factors[0], x)
+    for f in e.factors[1:]:
+        total = total * _eval(f, x)
+    return total
+
+
+def _eval_pow(e, x):
+    b = _eval(e.base, x)
+    q = e.exponent
+    if q.denominator == 1:
+        n = q.numerator
+        if n < 0 and np.any(np.asarray(b) == 0.0):
+            raise DomainError("pole: zero base with negative exponent")
+        return b ** n
+    ba = np.asarray(b)
+    if not (ba.size and ba.min() > 0):
         if np.any(ba < 0):
             raise DomainError("negative base with fractional exponent")
         if q < 0 and np.any(ba == 0.0):
             raise DomainError("pole: zero base with negative exponent")
-        return b ** float(q)
-    if isinstance(e, Exp):
-        return np.exp(_eval(e.arg, x))
-    if isinstance(e, Fun):
-        return _FUNCTIONS[e.name][0](_eval(e.arg, x))
-    raise TypeError(f"cannot evaluate {e!r}")
+    # int / int is correctly rounded, so this is float(q)
+    return b ** (q.numerator / q.denominator)
+
+
+_EVAL = {
+    Const: lambda e, x: e.value,
+    Var: lambda e, x: x,
+    Add: _eval_add,
+    Mul: _eval_mul,
+    Pow: _eval_pow,
+    Exp: lambda e, x: np.exp(_eval(e.arg, x)),
+    Fun: lambda e, x: _FUNCTIONS[e.name][0](_eval(e.arg, x)),
+}
 
 
 def simplify(e: Expr) -> Expr:

@@ -7,9 +7,12 @@ serve as oracles for it:
   refinement and geometric truncation-window expansion for infinite
   endpoints (panel error from the embedded 8-point rule, tail error from
   the measured geometric decay of successive window blocks); the
-  integrand is called once per set of panels the algorithm evaluates
-  together, with the nodes of all of them in one array, so it must act
-  elementwise;
+  integrand gets the nodes of many panels in one array, so it must act
+  elementwise: the core panels share a call with the first blocks of
+  each infinite side, and each refinement round evaluates in one call
+  the halves of every panel the stop rules already commit the loop to
+  split, then replays the splits one at a time, so every sum and count
+  is the one-panel-at-a-time algorithm's, bit for bit;
 
 * a three-point finite-difference Hamiltonian -d^2/dx^2 + V(x) with
   Dirichlet (or ratio-matched) boundaries on a uniform mesh, or on a mesh
@@ -31,12 +34,13 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate, zip_longest
 
 import numpy as np
 
 from .errors import (
-    DomainError, InvalidParameter, NonFiniteValue, QuadratureNoConverge,
-    SingularPoint, require_finite,
+    BisectionNoConverge, DomainError, InvalidParameter, NonFiniteValue,
+    QuadratureNoConverge, SingularPoint, require_finite,
 )
 from .expr import Expr, differentiate, evaluate
 
@@ -88,12 +92,19 @@ class QuadResult:
 
 
 class _PanelHeap:
-    """Max-heap on panel error with deterministic tie-breaking."""
+    """Max-heap on panel error with deterministic tie-breaking.
+
+    The halves of a panel may be evaluated before it is popped; they wait
+    in ``_halves`` under the panel's counter until ``refine_worst`` pops
+    it.  A heap entry is (-error, counter, a, b, value).
+    """
 
     def __init__(self, f):
         self._f = f
         self._heap = []
         self._counter = 0
+        self._halves = {}
+        self._merge = True  # False once a call joining several sets raised
         self.value = 0.0
         self.abs_value = 0.0
         self.error = 0.0
@@ -105,6 +116,24 @@ class _PanelHeap:
         self.calls += 1
         return _panels(self._f, bounds)
 
+    def evaluate_sets(self, sets):
+        """(value, error) lists of a prefix of ``sets`` (lists of panel
+        bounds), from one call of f: of every set, or, once a call joining
+        several sets has raised, of the first set alone.  The sets are
+        those a set-by-set evaluation would pass to f one call each, the
+        first of them next, so only the exception of that call can
+        surface."""
+        if self._merge and len(sets) > 1:
+            try:
+                out = iter(self.evaluate([p for s in sets for p in s]))
+            except Exception:
+                # whatever f raised, the set-by-set calls from here on
+                # raise it again where that evaluation meets it
+                self._merge = False
+            else:
+                return [[next(out) for _ in s] for s in sets]
+        return [self.evaluate(sets[0])]
+
     def add(self, a, b, v, e):
         self.value += v
         self.abs_value += abs(v)
@@ -113,20 +142,67 @@ class _PanelHeap:
         heapq.heappush(self._heap, (-e, self._counter, a, b, v))
         self._counter += 1
 
-    def push(self, bounds):
-        for (a, b), (v, e) in zip(bounds, self.evaluate(bounds)):
-            self.add(a, b, v, e)
-
     def worst_error(self):
         return -self._heap[0][0] if self._heap else 0.0
 
-    def refine_worst(self):
-        neg_e, _, a, b, v = heapq.heappop(self._heap)
+    def certain_splits(self, tail_error, half_target, max_nodes):
+        """The panels the loop of ``integrate`` is certain to split while
+        its sums stand as they do (``tail_error`` and half the target are
+        the loop's), worst first in the heap's own order.
+
+        While panel i of that order is in the heap, every panel popped
+        before it has an error of at least e_i, so the loop goes on to
+        split it if the errors from i on still exceed half the target,
+        the i splits before it stay below ``max_nodes``, and e_i is above
+        the double-precision floor.  A panel of infinite error is split
+        only at the top: taking it out turns the error sum into NaN,
+        which ends the loop.
+        """
+        if not (self._merge and math.isfinite(self._heap[0][0])):
+            return [self._heap[0]]
+        ranked = sorted(self._heap)
+        errors = [-item[0] for item in ranked]
+        rest = list(accumulate(reversed(errors)))[::-1]
+        floor = 6e-17 * self.abs_value
+        for i in range(1, len(ranked)):
+            if not (tail_error + rest[i] > half_target
+                    and self.nodes + 48 * i < max_nodes
+                    and errors[i] > floor):
+                return ranked[:i]
+        return ranked
+
+    def refine_worst(self, tail_error, half_target, max_nodes):
+        """Split the worst panel.  Unless its halves are known, evaluate
+        them in one call with those of every other panel in
+        ``certain_splits`` whose halves are not known either."""
+        if self._heap[0][1] not in self._halves:
+            ranked = [item for item in self.certain_splits(
+                tail_error, half_target, max_nodes)
+                if item[1] not in self._halves]
+            sets = [((a, 0.5 * (a + b)), (0.5 * (a + b), b))
+                    for _, _, a, b, _ in ranked]
+            for item, halves in zip(ranked, self.evaluate_sets(sets)):
+                self._halves[item[1]] = halves
+        neg_e, counter, a, b, v = heapq.heappop(self._heap)
         self.value -= v
         self.abs_value -= abs(v)
         self.error += neg_e  # neg_e == -e
         mid = 0.5 * (a + b)
-        self.push(((a, mid), (mid, b)))
+        (v1, e1), (v2, e2) = self._halves.pop(counter)
+        self.add(a, mid, v1, e1)
+        self.add(mid, b, v2, e2)
+
+
+def _march_blocks(edge, width, side):
+    """The 70 geometrically growing blocks a march from ``edge`` toward
+    side +1 (hi) or -1 (lo) may visit, the first ``width`` wide."""
+    blocks = []
+    for _ in range(70):
+        a, b = (edge, edge + width) if side > 0 else (edge - width, edge)
+        blocks.append((a, b))
+        edge = b if side > 0 else a
+        width *= 2.0
+    return blocks
 
 
 def integrate(f, interval, tol: float = 1e-10, rtol: float | None = None,
@@ -135,9 +211,16 @@ def integrate(f, interval, tol: float = 1e-10, rtol: float | None = None,
 
     f is an Expr or a vectorized callable: each call gets the nodes of
     one or more whole panels in one array, all strictly inside the
-    interval, so f must act elementwise.  The 4 core panels share one
-    call, as do the two halves of a refined panel and the march blocks
-    the stop rule is certain to need; ``QuadResult.calls`` counts them.
+    interval, so f must act elementwise.  The first call holds the 4
+    core panels and the first 3 blocks of each infinite side's march;
+    each later call holds a march batch the stop rule is certain to need,
+    or the halves of the worst panel together with those of every panel
+    the refinement loop is then certain to split.  No panel is evaluated
+    ahead of that certainty, and the splits are replayed one at a time,
+    so value, error, nodes and window are those of evaluating one panel
+    set per call; ``QuadResult.calls`` counts the calls.  Should a call
+    joining several sets raise, the sets are evaluated one call each from
+    then on, so the exception is the one that evaluation raises.
     Convergence target is max(tol, rtol * |integral|) with rtol
     defaulting to tol, so large-magnitude integrals are held to relative
     accuracy.  Finite endpoints are used as given; infinite sides are
@@ -162,7 +245,16 @@ def integrate(f, interval, tol: float = 1e-10, rtol: float | None = None,
         core = (lo, hi)
     span = core[1] - core[0]
     starts = [core[0] + span * k / 4.0 for k in range(4)]
-    heap.push([(a, a + span / 4.0) for a in starts])
+    panels = [(a, a + span / 4.0) for a in starts]
+    # a march starts at its own end of the core (march(+1) never moves
+    # window[0]) and always evaluates its first 3 blocks, so they are
+    # known before anything is evaluated and share the core's call
+    sides = [side for side, end in ((+1, hi), (-1, lo)) if math.isinf(end)]
+    plans = [_march_blocks(core[1] if side > 0 else core[0], span, side)
+             for side in sides]
+    first = heap.evaluate_sets([panels] + [p[:3] for p in plans])
+    for (a, b), (v, e) in zip(panels, first[0]):
+        heap.add(a, b, v, e)
 
     tail_error = 0.0
     window = list(core)
@@ -170,16 +262,10 @@ def integrate(f, interval, tol: float = 1e-10, rtol: float | None = None,
     def target():
         return max(tol, rtol * abs(heap.value))
 
-    def march(side):  # side = +1 (toward hi) or -1 (toward lo)
+    def march(side, blocks, results):
+        # side = +1 (toward hi) or -1 (toward lo); results are those of
+        # the first batch if it is already evaluated, else None
         nonlocal tail_error
-        width = span
-        edge = window[1] if side > 0 else window[0]
-        blocks = []
-        for _ in range(70):
-            a, b = (edge, edge + width) if side > 0 else (edge - width, edge)
-            blocks.append((a, b))
-            edge = b if side > 0 else a
-            width *= 2.0
         prev = None
         quiet = 0
         done = 0
@@ -187,7 +273,9 @@ def integrate(f, interval, tol: float = 1e-10, rtol: float | None = None,
             # the march stops only after three quiet blocks in a row, so
             # the next 3 - quiet blocks are evaluated whatever they hold
             batch = blocks[done:done + 3 - quiet]
-            for (a, b), (v, e) in zip(batch, heap.evaluate(batch)):
+            if results is None:
+                results = heap.evaluate(batch)
+            for (a, b), (v, e) in zip(batch, results):
                 heap.add(a, b, v, e)
                 done += 1
                 # stop once three consecutive blocks are negligible and the
@@ -208,6 +296,7 @@ def integrate(f, interval, tol: float = 1e-10, rtol: float | None = None,
                     quiet = 0
                 if abs(v) > 0:
                     prev = abs(v)
+            results = None
         if quiet < 3:
             tail_error = math.inf
         a, b = blocks[done - 1]
@@ -216,15 +305,13 @@ def integrate(f, interval, tol: float = 1e-10, rtol: float | None = None,
         else:
             window[0] = a
 
-    if math.isinf(hi):
-        march(+1)
-    if math.isinf(lo):
-        march(-1)
+    for side, blocks, results in zip_longest(sides, plans, first[1:]):
+        march(side, blocks, results)
 
     while heap.error + tail_error > target() / 2.0 and heap.nodes < max_nodes:
         if heap.worst_error() <= 6e-17 * heap.abs_value:
             break  # refinement is below the double-precision floor
-        heap.refine_worst()
+        heap.refine_worst(tail_error, target() / 2.0, max_nodes)
 
     err = heap.error + tail_error
     if not math.isfinite(err) or err > max(target(),
@@ -519,7 +606,9 @@ class _Replay:
 def eigenvalues_below(ham: FDHamiltonian, e_max: float,
                       rtol: float = 1e-10) -> list:
     """All eigenvalues below e_max, each bracketed by Sturm counts and
-    polished by bisection to rtol * max(1, |E|).
+    polished by bisection to rtol * max(1, |E|); the bracket's top is
+    e_max or, if lower, the Gershgorin upper bound.  Raises
+    BisectionNoConverge if 200 passes do not reach that tolerance.
 
     The bisection's below/above decisions are replayed from monotone
     counts and Newton-located flip points (see ``_Replay``), so far fewer
@@ -531,25 +620,33 @@ def eigenvalues_below(ham: FDHamiltonian, e_max: float,
     if k == 0:
         return []
     if np.ndim(ham.off) == 0:
-        # Gershgorin bound, whatever the sign of the off-diagonal
+        # Gershgorin bounds, whatever the sign of the off-diagonal
         lo0 = float(np.min(ham.diag)) - 2.0 * abs(ham.off)
+        top = float(np.max(ham.diag)) + 2.0 * abs(ham.off)
     else:
-        # row-wise Gershgorin bound: on a graded mesh min(diag) + 2 min(off)
+        # row-wise Gershgorin bounds: on a graded mesh min(diag) + 2 min(off)
         # would sit near -1/h_0^2 and cost dozens of extra passes
         a = np.abs(ham.off)
         lo0 = float(np.min(ham.diag - np.append(0.0, a)
                            - np.append(a, 0.0)))
+        top = float(np.max(ham.diag + np.append(0.0, a)
+                           + np.append(a, 0.0)))
+    # no eigenvalue lies above the upper bound, so a larger e_max would
+    # only add passes (at 1e300, more than the 200 allowed)
+    top = min(float(e_max), top)
     lo = np.full(k, lo0)
-    hi = np.full(k, float(e_max))
-    replay = _Replay(rows, k, float(e_max), rtol)
+    hi = np.full(k, top)
+    replay = _Replay(rows, k, top, rtol)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         below = replay.below(mid)
         hi = np.where(below, mid, hi)
         lo = np.where(below, lo, mid)
         if np.all(hi - lo <= rtol * np.maximum(1.0, np.abs(mid))):
-            break
-    return [float(v) for v in 0.5 * (lo + hi)]
+            return [float(v) for v in 0.5 * (lo + hi)]
+    raise BisectionNoConverge(
+        f"bisection of {k} eigenvalues in [{lo0:.6g}, {top:.6g}] not "
+        f"within rtol {rtol:g} after 200 passes")
 
 
 def richardson_eigenvalues(potential, x_lo, x_hi, n, e_max,

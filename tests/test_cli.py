@@ -329,6 +329,65 @@ class TestInvalidParameters:
             "error: cannot solve x' = 1/sqrt(I) for I = x^2*exp(800)\n")
 
 
+class TestNegativeOptionValues:
+    """A negative number in exponent form or an infinity is an option's
+    value, as -1 and -0.5 are: ``--c2 -1e300`` does what ``--c2=-1e300``
+    does, byte for byte and exit code for exit code."""
+
+    @staticmethod
+    def outcome(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stderr(err):
+            try:
+                code = run(argv, out)
+            except SystemExit as exc:
+                code = exc.code
+        return code, out.getvalue(), err.getvalue()
+
+    @pytest.mark.parametrize("value", ["-1e300", "-2e0", "-inf", "-2E-1"])
+    @pytest.mark.parametrize("argv,option", [
+        (["solve-params", "--mode", "invsqrt", "--c1", "1", "--n", "0"],
+         "--c2"),
+        (["generate", "--which", "sqrt", "--c2", "1", "--n", "0"], "--c1"),
+        (["families", "--beta", "1"], "--alpha"),
+        (["potential", "--case", "one", "--alpha", "-2", "--m", "0",
+          "--grid", "3"], "--beta"),
+        (["specfun", "eval", "--case", "one", "--beta", "0", "--ell", "1",
+          "--m", "0", "--grid", "3"], "--alpha"),
+        (["verify", "spectrum", "--family", "one", "--alpha", "-2",
+          "--beta", "0.5", "--grid", "100"], "--emax"),
+        (["reproduce-dw", "--theta", "1", "--rho", "1", "--which", "2"],
+         "--lambda"),
+        (["poly", "--case", "one", "--alpha", "-2", "--beta", "0"],
+         "--ell"),
+    ])
+    def test_space_form_is_the_equals_form(self, argv, option, value):
+        spaced = self.outcome(argv + [option, value])
+        assert spaced == self.outcome(argv + [f"{option}={value}"])
+        assert "expected one argument" not in spaced[2]
+
+    def test_invsqrt_overflow_is_a_domain_error(self):
+        code, out, err = self.outcome(
+            ["solve-params", "--mode", "invsqrt", "--c1", "1", "--c2",
+             "-1e300", "--n", "0"])
+        assert (code, out) == (1, "")
+        assert err.startswith("error: alpha, beta and E must be finite")
+
+
+class TestHugeEmax:
+    def test_emax_above_the_spectrum_prints_the_levels(self):
+        # 200 bisection passes from 1e300 stop far from every level, and
+        # each row read 3.11150763893e+239
+        code, text = invoke(["verify", "spectrum", "--family", "one",
+                             "--alpha", "-2", "--beta", "0.5", "--m", "0",
+                             "--emax", "1e300", "--grid", "100"])
+        assert code == 0
+        rows = [line.split(",") for line in text.splitlines()[1:]]
+        assert len(rows) == 99
+        assert [round(float(r[1])) for r in rows[:5]] == [0, 2, 4, 6, 8]
+        assert max(float(r[1]) for r in rows) < 1e4
+
+
 class TestMissingFamilyFlags:
     @pytest.mark.parametrize("argv", [
         ["verify", "residual", "--case", "one", "--beta", "1"],

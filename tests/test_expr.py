@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from solvable.errors import DomainError, ExprSyntaxError, NonRationalExponent
 from solvable.expr import (
-    VAR, Add, Const, Exp, Expr, Fun, Mul, Pow, Var,
+    _FUNCTIONS, VAR, Add, Const, Exp, Expr, Fun, Mul, Pow, Var,
     add, as_expr, compose, differentiate, evaluate, exp_, fun_, mul, parse,
     pow_, power_terms, print_expr, simplify,
 )
@@ -476,3 +476,97 @@ def test_non_expr_arguments_still_raise_type_error():
         differentiate(2.0)
     with pytest.raises(TypeError):
         simplify("x")
+
+
+# --- evaluation against the isinstance-chain evaluator --------------------
+
+def _reference_eval(e, x):
+    """The evaluator that checks every node kind in turn and scans every
+    fractional power's base for negative and zero entries, verbatim: the
+    reference of the dispatch table in ``expr._eval``."""
+    if isinstance(e, Const):
+        return e.value
+    if isinstance(e, Var):
+        return x
+    if isinstance(e, Add):
+        total = _reference_eval(e.terms[0], x)
+        for t in e.terms[1:]:
+            total = total + _reference_eval(t, x)
+        return total
+    if isinstance(e, Mul):
+        total = _reference_eval(e.factors[0], x)
+        for f in e.factors[1:]:
+            total = total * _reference_eval(f, x)
+        return total
+    if isinstance(e, Pow):
+        b = _reference_eval(e.base, x)
+        q = e.exponent
+        if q.denominator == 1:
+            n = int(q)
+            if n < 0 and np.any(np.asarray(b) == 0.0):
+                raise DomainError("pole: zero base with negative exponent")
+            return b ** n
+        ba = np.asarray(b)
+        if np.any(ba < 0):
+            raise DomainError("negative base with fractional exponent")
+        if q < 0 and np.any(ba == 0.0):
+            raise DomainError("pole: zero base with negative exponent")
+        return b ** float(q)
+    if isinstance(e, Exp):
+        return np.exp(_reference_eval(e.arg, x))
+    if isinstance(e, Fun):
+        return _FUNCTIONS[e.name][0](_reference_eval(e.arg, x))
+    raise TypeError(f"cannot evaluate {e!r}")
+
+
+_POINT_VALUES = (0.0, -0.0, 0.5, -0.5, -2.0, math.nan, math.inf, -math.inf)
+
+# raw trees over the seven node kinds and every registered function, with
+# constants and exponents that reach each domain check
+_EVAL_TREES = st.recursive(
+    st.one_of(st.just(VAR),
+              st.sampled_from((0.0, 0.5, -0.5, 2.0, -3.0, 1e200)).map(Const)),
+    lambda children: st.one_of(
+        st.lists(children, min_size=1, max_size=3).map(
+            lambda ts: Add(tuple(ts))),
+        st.lists(children, min_size=1, max_size=3).map(
+            lambda fs: Mul(tuple(fs))),
+        st.builds(Pow, children, st.sampled_from(tuple(
+            Fraction(p, q) for p in (-3, -1, 0, 1, 2, 3) for q in (1, 2, 3)))),
+        st.builds(Exp, children),
+        st.builds(Fun, st.sampled_from(sorted(_FUNCTIONS)), children)),
+    max_leaves=8)
+
+# Python scalars, 0-d arrays, the empty array and 1-d arrays
+_EVAL_POINTS = st.one_of(
+    st.sampled_from(_POINT_VALUES),
+    st.sampled_from(_POINT_VALUES).map(np.array),
+    st.just(np.array([])),
+    st.lists(st.sampled_from(_POINT_VALUES), min_size=1, max_size=6).map(
+        np.array))
+
+
+def _outcome(evaluator, e, x):
+    """What evaluating gives: the result's type, dtype, shape and bytes,
+    or the exception's type and message."""
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        try:
+            got = evaluator(e, x)
+        except Exception as exc:
+            return type(exc), str(exc)
+    a = np.asarray(got)
+    return type(got), a.dtype, a.shape, a.tobytes()
+
+
+@settings(max_examples=600, derandomize=True, database=None, deadline=None)
+@given(_EVAL_TREES, _EVAL_POINTS)
+def test_evaluate_matches_isinstance_chain(e, x):
+    got = _outcome(evaluate, e, x)
+    assert got == _outcome(_reference_eval, e, x)
+    if len(got) == 2:
+        assert got[0] in (DomainError, OverflowError)
+
+
+def test_evaluate_unknown_node_raises_type_error():
+    with pytest.raises(TypeError, match="cannot evaluate"):
+        evaluate(Expr(), 1.0)

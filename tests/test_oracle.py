@@ -8,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal
 
-from solvable import FamilySpec, SigmaCase, acceptance
+from solvable import FamilySpec, SigmaCase, acceptance, specfun
 from solvable.errors import (
-    DomainError, NonFiniteValue, QuadratureNoConverge, SingularPoint,
+    BisectionNoConverge, DomainError, NonFiniteValue, QuadratureNoConverge,
+    SingularPoint,
 )
 from solvable.expr import evaluate, parse
 from solvable.schrodinger import potential, variable_map, wavefunction
@@ -135,9 +136,12 @@ class TestIntegratePinned:
             "error estimate nan exceeds target 1e-09 after 1944 nodes")
 
     def test_calls_batch_panels(self):
-        # one call for the 4 core panels, one per march batch and one per
-        # refinement (its two children); the march blocks of a Gaussian
-        # on R are [1, 3], [3, 7], ... on each side, of 24 nodes each
+        # the first call holds the 4 core panels and the first 3 march
+        # blocks of each side (24 nodes a panel); the march blocks of a
+        # Gaussian on R are [1, 3], [3, 7], ... on each side, the third of
+        # them the first quiet one, so each side then needs one more
+        # batch of the 3 - 1 blocks that end it; every refinement call
+        # holds the two halves of one or more panels
         sizes = []
 
         def f(s):
@@ -146,20 +150,114 @@ class TestIntegratePinned:
 
         res = integrate(f, (-math.inf, math.inf), 1e-10)
         assert res.calls == len(sizes)
-        assert all(n > 0 and n % 24 == 0 for n in sizes)
         assert sum(sizes) == res.nodes
-        blocks = 2 * round(math.log2((res.window[1] - 1.0) / 2.0 + 1.0))
-        march = np.cumsum(sizes[1:])
-        march_calls = int(np.searchsorted(march, 24 * blocks)) + 1
-        assert march[march_calls - 1] == 24 * blocks
-        refinements = (res.nodes - 96 - 24 * blocks) // 48
-        assert sizes[0] == 96
-        # per side 3 blocks, the last of them ([7, 15]) the first quiet
-        # one, then the 3 - 1 blocks that end the march
-        assert sizes[1:march_calls + 1] == [72, 48, 72, 48]
-        assert sizes[march_calls + 1:] == [48] * refinements
-        assert res.calls == 1 + march_calls + refinements
-        assert res.calls < res.nodes / 24
+        assert sizes[0] == 96 + 2 * 72
+        assert sizes[1:3] == [48, 48]
+        assert all(n > 0 and n % 48 == 0 for n in sizes[3:])
+        # one panel set per call takes 7 calls here, [96, 72, 48, 72, 48,
+        # 48, 48]: core, two batches a side, two refinements
+        assert res.calls < 7
+
+    def test_points_are_the_nodes(self):
+        # no panel is evaluated that the result does not count: the points
+        # f gets sum to the node count, or to the count in the message
+        with np.errstate(over="ignore", invalid="ignore"):
+            for f, interval, tol in PINNED_INTEGRALS:
+                points = []
+                try:
+                    nodes = integrate(lambda s: points.append(s.size)
+                                      or f(s), interval, tol).nodes
+                except QuadratureNoConverge as exc:
+                    nodes = int(str(exc).split()[-2])
+                assert sum(points) == nodes
+
+    def test_infinite_error_panel_is_split_alone(self):
+        # inf at a node of the 8-point rule alone: the panel's value is
+        # finite and its error infinite, and taking that error out of the
+        # sum leaves NaN, which ends refinement after this one split
+        node = 0.125 + 0.125 * np.polynomial.legendre.leggauss(8)[0][0]
+        sizes = []
+
+        def f(s):
+            sizes.append(s.size)
+            return np.where(s == node, np.inf, np.cos(200.0 * s))
+
+        with pytest.raises(QuadratureNoConverge) as info:
+            integrate(f, (0.0, 1.0), 1e-10)
+        assert str(info.value) == (
+            "error estimate nan exceeds target 1e-10 after 144 nodes")
+        assert sizes == [96, 48]
+
+    @pytest.mark.parametrize("interval,w,beyond,sizes_want", [
+        # core + first march batch, then core, then the batch that raises
+        ((0.0, math.inf), 20.0, 5.0, [96 + 72, 96, 72]),
+        # a refinement round of 4 panels' halves, then one panel a call
+        ((0.0, 1.0), 200.0, 0.75, [96, 4 * 48, 48, 48, 48, 48]),
+    ])
+    def test_failed_joint_call_falls_back(self, interval, w, beyond,
+                                          sizes_want):
+        # f raises on any call but the core's that holds a point beyond
+        # ``beyond``; once a call joining several panel sets raises, the
+        # sets go one call each, as one set per call evaluates them
+        # ([96, 72] and [96, 48, 48, 48, 48]), so the exception is the
+        # one that evaluation raises
+        sizes = []
+
+        def f(s):
+            sizes.append(s.size)
+            if s.size != 96 and np.any(s > beyond):
+                raise ValueError(f"{s.size} points")
+            return np.cos(w * s) * np.exp(-s)
+
+        with pytest.raises(ValueError) as info:
+            integrate(f, interval, 1e-10)
+        assert str(info.value) == f"{sizes_want[-1]} points"
+        assert sizes == sizes_want
+
+
+def _recording_integrate(records):
+    """``integrate`` that appends (result, points f got) to ``records``."""
+    def wrapped(f, interval, tol=1e-10, **kwargs):
+        f = oracle._as_array_function(f)
+        points = [0]
+
+        def counted(s):
+            points[0] += s.size
+            return f(s)
+
+        res = integrate(counted, interval, tol, **kwargs)
+        records.append((res, points[0]))
+        return res
+    return wrapped
+
+
+@pytest.fixture(scope="class")
+def criterion_4_integrals():
+    """(result, points) of every integral criterion 4 makes."""
+    records = []
+    with pytest.MonkeyPatch.context() as mp:
+        recording = _recording_integrate(records)
+        mp.setattr(acceptance, "integrate", recording)
+        mp.setattr(specfun, "integrate", recording)
+        ok, _ = acceptance.criterion_4_orthogonality()
+    assert ok
+    return records
+
+
+class TestCriterion4Calls:
+    """The integrand calls of criterion 4's ladders (six families, every
+    m it checks, 175,488 nodes in all)."""
+
+    def test_points_are_the_nodes(self, criterion_4_integrals):
+        assert len(criterion_4_integrals) == 452
+        for res, points in criterion_4_integrals:
+            assert points == res.nodes
+
+    def test_calls_at_most_seventy_percent(self, criterion_4_integrals):
+        # one panel set per call (core, each march batch, each refined
+        # panel's halves) makes 2811 calls over these ladders
+        calls = sum(res.calls for res, _ in criterion_4_integrals)
+        assert calls <= 0.7 * 2811
 
 
 class TestFDHamiltonian:
@@ -420,18 +518,23 @@ class TestSturmCountProperty:
 
 def reference_eigenvalues_below(ham, e_max, rtol=1e-10):
     """Plain Sturm bisection, every midpoint counted: the loop that
-    ``eigenvalues_below`` replays, kept here as its reference."""
+    ``eigenvalues_below`` replays, kept here as its reference.  Its
+    bracket runs from the Gershgorin lower bound to e_max or, if lower,
+    the Gershgorin upper bound."""
     k = int(sturm_count(ham, e_max)[0])
     if k == 0:
         return []
     if np.ndim(ham.off) == 0:
         lo0 = float(np.min(ham.diag)) - 2.0 * abs(ham.off)
+        top = float(np.max(ham.diag)) + 2.0 * abs(ham.off)
     else:
         a = np.abs(ham.off)
         lo0 = float(np.min(ham.diag - np.append(0.0, a)
                            - np.append(a, 0.0)))
+        top = float(np.max(ham.diag + np.append(0.0, a)
+                           + np.append(a, 0.0)))
     lo = np.full(k, lo0)
-    hi = np.full(k, float(e_max))
+    hi = np.full(k, min(float(e_max), top))
     idx = np.arange(k)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
@@ -460,6 +563,27 @@ PINNED_OSCILLATORS = ((-1.5, 1.2, 2000), (-2.0, 0.5, 3000),
 # captured with plain bisection, every midpoint counted
 PINNED_EIGENVALUES_DIGEST = (
     "acf23191cad0f3dcc4670491c9a8b789eac65ba6ab2b1fb1e6f01044c6058fda")
+
+
+class TestBisectionLimit:
+    def test_unconverged_bisection_raises(self):
+        # 200 halvings of a 1e100-wide bracket leave about 1e40, far above
+        # the 1e-10 the level at 0 needs
+        ham = _tridiagonal([-1e100, 0.0, 1e100], 0.0)
+        with pytest.raises(BisectionNoConverge, match="after 200 passes"):
+            eigenvalues_below(ham, 1.0)
+
+    def test_emax_above_gershgorin_bound(self):
+        # the bracket's top is the bound, so the result does not depend on
+        # how far above it e_max lies
+        ham = _tridiagonal([3.0, -1.0, 0.5, 2.0], -1.5)
+        got = eigenvalues_below(ham, 6.0)
+        assert len(got) == 4
+        assert eigenvalues_below(ham, 1e300) == got
+        want = np.linalg.eigvalsh(np.diag([3.0, -1.0, 0.5, 2.0])
+                                  + np.diag([-1.5] * 3, 1)
+                                  + np.diag([-1.5] * 3, -1))
+        assert got == pytest.approx(want.tolist(), abs=1e-9)
 
 
 class TestEigenvaluesPinned:
