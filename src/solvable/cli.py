@@ -16,6 +16,7 @@ import math
 import os
 import re
 import sys
+import threading
 
 import numpy as np
 
@@ -168,11 +169,18 @@ def cmd_poly(args, out):
     return 0
 
 
+def _require_finite_options(args, *names):
+    """Raise InvalidParameter naming the first of the given window
+    options that is NaN or infinite, before a grid is built from it."""
+    require_finite(*((name, getattr(args, name)) for name in names
+                     if getattr(args, name) is not None))
+
+
 def cmd_specfun(args, out):
     fam = _family_from(args)
     sf = special_function(fam, args.ell, args.m)
-    lo = args.smin if args.smin is not None else None
-    hi = args.smax if args.smax is not None else None
+    _require_finite_options(args, "smin", "smax")
+    lo, hi = args.smin, args.smax
     if lo is None or hi is None:
         wlo, whi = sample_window(fam)
         lo = wlo if lo is None else lo
@@ -183,6 +191,7 @@ def cmd_specfun(args, out):
 
 
 def _x_window(args, interval):
+    _require_finite_options(args, "xmin", "xmax")
     lo = args.xmin
     hi = args.xmax
     if lo is None or hi is None:
@@ -293,6 +302,7 @@ def cmd_verify_spectrum(args, out):
         # the E_n^+ are not the spectrum of one self-adjoint extension, so
         # each level is solved under its own matched wall (criterion 9);
         # index is the level n
+        _require_finite_options(args, "xmin", "xmax")
         lo = args.xmin if args.xmin is not None else 1e-3
         hi = args.xmax if args.xmax is not None else 40.0
         admissible = []
@@ -352,7 +362,8 @@ def cmd_reproduce_dw(args, out):
 
 def cmd_acceptance(args, out):
     only = set(int(t) for t in args.only.split(",")) if args.only else None
-    results = acceptance_mod.run_all(seed=args.seed, only=only)
+    seed = args.seed if args.seed is not None else _default_seed()
+    results = acceptance_mod.run_all(seed=seed, only=only)
     failed = 0
     for r in results:
         status = "PASS" if r.passed else "FAIL"
@@ -499,7 +510,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_reproduce_dw)
 
     p = sub.add_parser("acceptance", help="run every acceptance criterion")
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int, default=None,
+                   help="default: $SOLVABLE_SEED, else 42")
     p.add_argument("--only", type=str, default=None,
                    help="comma-separated criterion indices")
     p.set_defaults(fn=cmd_acceptance)
@@ -507,9 +519,24 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+_parser = None
+_parser_lock = threading.Lock()
+
+
+def _shared_parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on first use: building takes
+    longer than most commands' parsing, and parsing leaves the parser as
+    it was, so calls, threads among them, can share it."""
+    global _parser
+    with _parser_lock:
+        if _parser is None:
+            _parser = build_parser()
+        return _parser
+
+
 def run(argv, out=None) -> int:
     out = out if out is not None else sys.stdout
-    ap = build_parser()
+    ap = _shared_parser()
     args = ap.parse_args(argv)
     if args.command == "verify" and getattr(args, "system", None) == \
             "family" and None in (args.case, args.alpha, args.beta):

@@ -18,10 +18,15 @@ serve as oracles for it:
   Dirichlet (or ratio-matched) boundaries on a uniform mesh, or on a mesh
   graded toward a singular endpoint at x = 0, whose eigenvalues are
   located by Sturm-sequence counting plus bisection, so the count of
-  eigenvalues below any shift is exact; the bisection's below/above
-  decisions are replayed from monotone counts and Newton-located flip
-  points, so about half the row sweeps give the plain bisection's result
-  bit for bit.
+  eigenvalues below any shift is exact; a count stops at the first row
+  past which every row is diagonally dominant at the shift and whose
+  incoming pivot is at least its coupling, since no later pivot can then
+  be negative (about two thirds of an oscillator's rows are swept), and a
+  shift that meets an exact zero pivot is swept again with the pivot
+  taken as a tiny positive number; the bisection's below/above decisions
+  are replayed from monotone counts and Newton-located flip points, so
+  about half the row sweeps give the plain bisection's result bit for
+  bit.
 
 A uniform mesh cannot resolve an r^gamma cusp at a regular-singular
 endpoint (for the cube-root potential, gamma = 1/6): its error stalls near
@@ -33,8 +38,10 @@ from __future__ import annotations
 
 import heapq
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import accumulate, zip_longest
+from typing import NamedTuple
+from itertools import accumulate, islice, zip_longest
 
 import numpy as np
 
@@ -194,15 +201,14 @@ class _PanelHeap:
 
 
 def _march_blocks(edge, width, side):
-    """The 70 geometrically growing blocks a march from ``edge`` toward
-    side +1 (hi) or -1 (lo) may visit, the first ``width`` wide."""
-    blocks = []
+    """The geometrically growing blocks, at most 70, of a march from
+    ``edge`` toward side +1 (hi) or -1 (lo), the first ``width`` wide,
+    each made when the march takes it."""
     for _ in range(70):
         a, b = (edge, edge + width) if side > 0 else (edge - width, edge)
-        blocks.append((a, b))
+        yield a, b
         edge = b if side > 0 else a
         width *= 2.0
-    return blocks
 
 
 def integrate(f, interval, tol: float = 1e-10, rtol: float | None = None,
@@ -252,7 +258,8 @@ def integrate(f, interval, tol: float = 1e-10, rtol: float | None = None,
     sides = [side for side, end in ((+1, hi), (-1, lo)) if math.isinf(end)]
     plans = [_march_blocks(core[1] if side > 0 else core[0], span, side)
              for side in sides]
-    first = heap.evaluate_sets([panels] + [p[:3] for p in plans])
+    batches = [list(islice(blocks, 3)) for blocks in plans]
+    first = heap.evaluate_sets([panels] + batches)
     for (a, b), (v, e) in zip(panels, first[0]):
         heap.add(a, b, v, e)
 
@@ -262,22 +269,18 @@ def integrate(f, interval, tol: float = 1e-10, rtol: float | None = None,
     def target():
         return max(tol, rtol * abs(heap.value))
 
-    def march(side, blocks, results):
-        # side = +1 (toward hi) or -1 (toward lo); results are those of
-        # the first batch if it is already evaluated, else None
+    def march(side, blocks, batch, results):
+        # side = +1 (toward hi) or -1 (toward lo); batch is the first 3
+        # blocks, taken from the iterator blocks, and results are theirs
+        # if they are already evaluated, else None
         nonlocal tail_error
         prev = None
         quiet = 0
-        done = 0
-        while quiet < 3 and done < len(blocks):
-            # the march stops only after three quiet blocks in a row, so
-            # the next 3 - quiet blocks are evaluated whatever they hold
-            batch = blocks[done:done + 3 - quiet]
+        while batch:
             if results is None:
                 results = heap.evaluate(batch)
             for (a, b), (v, e) in zip(batch, results):
                 heap.add(a, b, v, e)
-                done += 1
                 # stop once three consecutive blocks are negligible and the
                 # measured block-to-block decay bounds the remaining tail
                 # (a single small block may just straddle a sign change)
@@ -296,17 +299,22 @@ def integrate(f, interval, tol: float = 1e-10, rtol: float | None = None,
                     quiet = 0
                 if abs(v) > 0:
                     prev = abs(v)
-            results = None
-        if quiet < 3:
-            tail_error = math.inf
-        a, b = blocks[done - 1]
+            if quiet >= 3:
+                break
+            # the march stops only after three quiet blocks in a row, so
+            # the next 3 - quiet blocks are evaluated whatever they hold
+            batch, results = list(islice(blocks, 3 - quiet)), None
+        else:
+            tail_error = math.inf  # the 70 blocks ran out
+        # (a, b) is the last block added
         if side > 0:
             window[1] = b
         else:
             window[0] = a
 
-    for side, blocks, results in zip_longest(sides, plans, first[1:]):
-        march(side, blocks, results)
+    for side, blocks, batch, results in zip_longest(sides, plans, batches,
+                                                    first[1:]):
+        march(side, blocks, batch, results)
 
     while heap.error + tail_error > target() / 2.0 and heap.nodes < max_nodes:
         if heap.worst_error() <= 6e-17 * heap.abs_value:
@@ -444,6 +452,13 @@ def _nonuniform_stencil(nodes, v, left_ratio):
 # a zero pivot is not counted, so it goes on as the pivot at a shift just
 # below s, which is positive: every pivot falls as s grows
 _TINY = 1e-290
+# row i is dominant at s when d_i - s exceeds |o_(i-1)| + |o_i| by this
+# share of |d_i| + |o_(i-1)| + |o_i|, 16 units of rounding: more than the
+# rounding of that bound and of one pivot step can take
+_MARGIN = 8.0 * np.finfo(float).eps
+# a nonzero off-diagonal outside this range may square to a subnormal or
+# to inf, which the margin does not cover, so its rows are never dominant
+_SAFE_OFF = (2.0 ** -500, 2.0 ** 500)
 # an index goes to Newton once counts j and j + 1 bracket its flip point
 # within this share of max(1, |midpoint|)
 _ISOLATED = 0.1
@@ -456,15 +471,97 @@ _PROBE = 0.125
 _NEWTON_STEPS = 12
 
 
+class _Rows(NamedTuple):
+    """The sweeps' view of an FDHamiltonian, as Python floats so that a
+    zero pivot raises ZeroDivisionError.
+
+    floor[r] is the least row-wise Gershgorin lower bound
+    d_i - |o_(i-1)| - |o_i|, less the margin, over the rows i >= r: every
+    row from r on is dominant at a shift s <= floor[r].
+    """
+
+    d0: float
+    rest: list          # d_1, ..., d_(n-1)
+    o2: float | None    # the one squared off-diagonal of a uniform mesh
+    off2: list          # o_i^2, i < n - 1
+    abs_off: list       # |o_i|, i < n - 1
+    floor: list
+
+
 def _rows(ham):
-    """d_0, the other diagonal entries and the squared off-diagonals, as
-    Python floats for the sweeps."""
-    rest = ham.diag[1:].tolist()
-    if np.ndim(ham.off) == 0:
-        off2 = [ham.off * ham.off] * len(rest)
+    diag = np.asarray(ham.diag, dtype=float)
+    off = np.asarray(ham.off, dtype=float)
+    a = np.broadcast_to(np.abs(off), diag.size - 1)
+    if off.ndim == 0:
+        o2 = float(off) * float(off)
+        off2 = [o2] * a.size
     else:
-        off2 = (ham.off * ham.off).tolist()
-    return float(ham.diag[0]), rest, off2
+        o2 = None
+        off2 = (off * off).tolist()
+    a_in, a_out = np.append(0.0, a), np.append(a, 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound = (diag - a_in - a_out
+                 - _MARGIN * (np.abs(diag) + a_in + a_out))
+    safe = (a == 0.0) | ((a >= _SAFE_OFF[0]) & (a <= _SAFE_OFF[1]))
+    bound[~(np.isfinite(bound) & np.append(True, safe)
+            & np.append(safe, True))] = -math.inf
+    floor = np.minimum.accumulate(bound[::-1])[::-1].tolist()
+    return _Rows(float(diag[0]), diag[1:].tolist(), o2, off2, a.tolist(),
+                 floor)
+
+
+def _tiny_count(rows, s):
+    """The Sturm count at s over every row, a zero pivot taken as _TINY."""
+    d0, rest, _, off2, _, _ = rows
+    q = d0 - s
+    count = int(q < 0.0)
+    for d, o2 in zip(rest, off2):
+        if q == 0.0:
+            q = _TINY
+        q = (d - s) - o2 / q
+        if q < 0.0:
+            count += 1
+    return count
+
+
+def _sweep(rows, s):
+    """The Sturm count at the float s, and the number of rows swept.
+
+    The sweep stops at the first row r >= bisect_left(floor, s) whose
+    incoming pivot has q_(r-1) >= |o_(r-1)|.  Every row i >= r is
+    dominant at s, so q_i >= (d_i - s) - |o_(i-1)| >= |o_i| by induction,
+    and no later pivot is negative: the count is the full sweep's.  A zero
+    pivot raises ZeroDivisionError, and the shift is swept again with the
+    _TINY rule.
+    """
+    d0, rest, o2, off2, abs_off, floor = rows
+    stop = bisect_left(floor, s)
+    if stop == 0:
+        return 0, 0  # every pivot is at least its row's |o_i|
+    q = d0 - s
+    count = int(q < 0.0)
+    try:
+        if o2 is not None:
+            for d in rest[:stop - 1]:
+                q = (d - s) - o2 / q
+                if q < 0.0:
+                    count += 1
+        else:
+            for d, t in zip(rest[:stop - 1], off2[:stop - 1]):
+                q = (d - s) - t / q
+                if q < 0.0:
+                    count += 1
+        for i in range(stop - 1, len(rest)):  # rest[i] is row i + 1
+            if q >= abs_off[i]:
+                break
+            q = (rest[i] - s) - off2[i] / q
+            if q < 0.0:
+                count += 1
+        else:
+            i = len(rest)
+    except ZeroDivisionError:
+        return _tiny_count(rows, s), len(rest) + 1
+    return count, i + 1
 
 
 def _counts(rows, shifts):
@@ -472,45 +569,45 @@ def _counts(rows, shifts):
 
     The recurrence is sequential in the rows, so each shift is swept on
     its own; for the few shifts a bisection pass sends, that is cheaper
-    than one numpy call per row on a short array.
+    than one numpy call per row on a short array.  A numpy scalar shift
+    would divide by a zero pivot without raising, so each is a float.
     """
-    d0, rest, off2 = rows
-    counts = []
-    for s in shifts:
-        q = d0 - s
-        count = int(q < 0.0)
-        for d, o2 in zip(rest, off2):
-            if q == 0.0:
-                q = _TINY
-            q = (d - s) - o2 / q
-            if q < 0.0:
-                count += 1
-        counts.append(count)
-    return counts
+    return [_sweep(rows, float(s))[0] for s in shifts]
 
 
 def _newton_sweep(rows, s):
     """The Sturm count at s and d/ds log|det(T - s)|, the sum of q_i'/q_i
     over the count's pivots with q_i' = -1 + o_i^2 q_(i-1)'/q_(i-1)^2, in
-    one sweep; None where a pivot is zero.  Without a zero pivot the
-    pivots are the count's own, so the count is too."""
-    d0, rest, off2 = rows
+    one sweep of every row, since the slope is the whole matrix's; None
+    where a pivot is zero.  Without a zero pivot the pivots are the
+    count's own, so the count is too."""
+    d0, rest, o2, off2, _, _ = rows
+    s = float(s)
     q, dq = d0 - s, -1.0
     count = 0
     total = 0.0
-    for d, o2 in zip(rest, off2):
-        if q == 0.0:
-            return None
-        if q < 0.0:
-            count += 1
-        u = dq / q
-        total += u
-        t = o2 / q
-        q = (d - s) - t
-        dq = -1.0 + t * u
-    if q == 0.0:
+    try:
+        if o2 is not None:
+            for d in rest:
+                if q < 0.0:
+                    count += 1
+                u = dq / q
+                total += u
+                t = o2 / q
+                q = (d - s) - t
+                dq = -1.0 + t * u
+        else:
+            for d, o2 in zip(rest, off2):
+                if q < 0.0:
+                    count += 1
+                u = dq / q
+                total += u
+                t = o2 / q
+                q = (d - s) - t
+                dq = -1.0 + t * u
+        return count + int(q < 0.0), total + dq / q
+    except ZeroDivisionError:
         return None
-    return count + int(q < 0.0), total + dq / q
 
 
 def sturm_count(ham: FDHamiltonian, shifts):

@@ -5,12 +5,15 @@ import math
 import os
 import subprocess
 import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from solvable import cli
 from solvable.cli import run
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -327,6 +330,92 @@ class TestInvalidParameters:
         assert text == ""
         assert capsys.readouterr().err == (
             "error: cannot solve x' = 1/sqrt(I) for I = x^2*exp(800)\n")
+
+
+def run_fresh(argv):
+    """(exit code, stdout, stderr) of the CLI in a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH="src")
+    proc = subprocess.run([sys.executable, "-m", "solvable", *argv],
+                          cwd=ROOT, env=env, capture_output=True, text=True,
+                          timeout=60)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+_SPECFUN = ["specfun", "eval", "--case", "s", "--alpha", "-1", "--beta", "2",
+            "--ell", "2", "--m", "1"]
+_POTENTIAL = ["potential", "--case", "one", "--alpha", "-2", "--beta", "0",
+              "--m", "0"]
+
+
+class TestNonFiniteWindow:
+    """A NaN or infinite window bound exits 1 naming the option before a
+    grid is built from it; numpy's linspace warned on stderr, and the
+    command then failed on a NaN row."""
+
+    @pytest.mark.parametrize("argv,constraint", [
+        (_SPECFUN + ["--smin=-inf"], "smin must be finite, got -inf"),
+        (_SPECFUN + ["--smax", "nan"], "smax must be finite, got nan"),
+        (_POTENTIAL + ["--xmin=-inf"], "xmin must be finite, got -inf"),
+        (["eigenfunction", "--case", "one", "--alpha", "-2", "--beta", "0",
+          "--ell", "1", "--m", "0", "--xmax", "inf"],
+         "xmax must be finite, got inf"),
+        (["verify", "spectrum", "--system", "cuberoot", "--xmax", "inf",
+          "--grid", "100"], "xmax must be finite, got inf"),
+    ], ids=["smin", "smax", "xmin", "xmax", "cuberoot-xmax"])
+    def test_exit_1_names_the_option(self, argv, constraint):
+        assert run_fresh(argv) == (1, "", f"error: {constraint}\n")
+
+
+class TestSharedParser:
+    """``run`` parses with one parser per process; a call leaves it as it
+    found it, whatever the call's outcome or thread."""
+
+    SPECTRUM = ["verify", "spectrum", "--family", "one", "--alpha", "-2",
+                "--beta", "0.5", "--m", "0", "--grid", "200"]
+
+    def test_errors_leave_the_parser_as_it_was(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(_POTENTIAL + ["--grid", "0"])
+        assert exc.value.code == 2
+        assert invoke(["generate", "--c1", "0", "--c2", "0",
+                       "--n", "0"]) == (1, "")
+        code, text = invoke(self.SPECTRUM)
+        assert (code, text, "") == run_fresh(self.SPECTRUM)
+
+    def test_threads_print_what_they_print_one_after_the_other(self):
+        argvs = [self.SPECTRUM, _SPECFUN + ["--grid", "41"]]
+        sequential = [invoke(argv) for argv in argvs]
+        start = threading.Barrier(len(argvs))
+
+        def work(argv):
+            start.wait()
+            return invoke(argv)
+
+        with ThreadPoolExecutor(max_workers=len(argvs)) as pool:
+            for _ in range(4):
+                assert list(pool.map(work, argvs)) == sequential
+
+    def test_built_once(self, monkeypatch):
+        built = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "_parser", None)
+        monkeypatch.setattr(cli, "build_parser",
+                            lambda: built.append(1) or build())
+        for argv in (["families"], _POTENTIAL + ["--grid", "3"],
+                     ["families", "--alpha", "-7", "--beta", "1"]):
+            assert invoke(argv)[0] == 0
+        assert built == [1]
+
+    def test_default_seed_is_read_at_each_call(self, monkeypatch):
+        seeds = []
+        monkeypatch.setattr(
+            cli.acceptance_mod, "run_all",
+            lambda seed, only: seeds.append(seed) or [])
+        for value in ("7", "8"):
+            monkeypatch.setenv("SOLVABLE_SEED", value)
+            invoke(["acceptance", "--only", "6"])
+        invoke(["acceptance", "--seed", "3"])
+        assert seeds == [7, 8, 3]
 
 
 class TestNegativeOptionValues:

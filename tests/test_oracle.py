@@ -516,12 +516,43 @@ class TestSturmCountProperty:
         self.check(diag, off, data.draw(st.lists(_entries, max_size=8)))
 
 
+def full_row_counts(ham, shifts):
+    """Sturm count at each shift from the recurrence over every row, a
+    zero pivot taken as 1e-290 (so it goes on as the positive pivot of a
+    shift just below): the count ``sturm_count`` must give, written out
+    here apart from the library's sweeps."""
+    diag = [float(d) for d in ham.diag]
+    off2 = [float(o) * float(o)
+            for o in np.broadcast_to(ham.off, len(diag) - 1)]
+    counts = []
+    for s in np.atleast_1d(shifts).tolist():
+        q = diag[0] - s
+        count = int(q < 0.0)
+        for d, o2 in zip(diag[1:], off2):
+            if q == 0.0:
+                q = 1e-290
+            q = (d - s) - o2 / q
+            if q < 0.0:
+                count += 1
+        counts.append(count)
+    return counts
+
+
+def reference_counts(ham, shifts):
+    """``full_row_counts``, checked against ``sturm_count`` on the way,
+    so a count the library gets wrong fails here instead of being shared
+    by the reference."""
+    counts = full_row_counts(ham, shifts)
+    assert sturm_count(ham, shifts).tolist() == counts
+    return np.array(counts)
+
+
 def reference_eigenvalues_below(ham, e_max, rtol=1e-10):
-    """Plain Sturm bisection, every midpoint counted: the loop that
-    ``eigenvalues_below`` replays, kept here as its reference.  Its
-    bracket runs from the Gershgorin lower bound to e_max or, if lower,
-    the Gershgorin upper bound."""
-    k = int(sturm_count(ham, e_max)[0])
+    """Plain Sturm bisection, every midpoint counted by
+    ``reference_counts``: the loop that ``eigenvalues_below`` replays,
+    kept here as its reference.  Its bracket runs from the Gershgorin
+    lower bound to e_max or, if lower, the Gershgorin upper bound."""
+    k = int(reference_counts(ham, e_max)[0])
     if k == 0:
         return []
     if np.ndim(ham.off) == 0:
@@ -538,7 +569,7 @@ def reference_eigenvalues_below(ham, e_max, rtol=1e-10):
     idx = np.arange(k)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        below = sturm_count(ham, mid) >= idx + 1
+        below = reference_counts(ham, mid) >= idx + 1
         hi = np.where(below, mid, hi)
         lo = np.where(below, lo, mid)
         if np.all(hi - lo <= rtol * np.maximum(1.0, np.abs(mid))):
@@ -645,6 +676,68 @@ def _tridiagonals(draw):
     return [float(d) for d in diag], off, e_max, rtol
 
 
+class TestSturmCountExact:
+    """``sturm_count`` gives the full recurrence's count at every shift,
+    where its sweep stops at a dominant tail and where a zero pivot sends
+    it to the 1e-290 rule: at each diagonal entry, at and one ulp either
+    side of each row-wise Gershgorin lower bound (where rows turn
+    dominant), and at the infinities and NaN."""
+
+    @staticmethod
+    def check(diag, off, fractions=()):
+        """Counts at the shifts above and at each of ``fractions`` of the
+        way across the Gershgorin bounds."""
+        ham = _tridiagonal(diag, off)
+        a = np.abs(np.broadcast_to(off, len(diag) - 1))
+        lower = (np.array(diag) - np.append(0.0, a)
+                 - np.append(a, 0.0)).tolist()
+        upper = (np.array(diag) + np.append(0.0, a)
+                 + np.append(a, 0.0)).tolist()
+        shifts = [*diag, *lower, math.inf, -math.inf, math.nan]
+        shifts += [math.nextafter(b, t) for b in lower
+                   for t in (math.inf, -math.inf)]
+        lo, hi = min(lower), max(upper)
+        shifts += [lo + (hi - lo) * t for t in fractions]
+        assert sturm_count(ham, shifts).tolist() == full_row_counts(
+            ham, shifts)
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(_tridiagonals())
+    def test_same_count_as_every_row(self, case):
+        diag, off, _, _ = case
+        self.check(diag, off)
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(_tridiagonals(), st.sampled_from((1e150, 1e-160)),
+           st.one_of(st.floats(150.0, 160.0), st.floats(-320.0, -150.0)),
+           st.lists(st.floats(-0.1, 1.1), max_size=8))
+    def test_off_diagonals_whose_squares_overflow_or_underflow(
+            self, case, scale, decades, fractions):
+        # o^2 is inf above about 1.3e154 and subnormal below about
+        # 1.5e-154, beyond what a margin of a few ulps covers
+        diag, off, _, _ = case
+        with np.errstate(over="ignore", under="ignore"):
+            self.check([scale * d for d in diag], off * 10.0 ** decades,
+                       fractions)
+
+    def test_zero_pivot_takes_the_fallback(self, monkeypatch):
+        # the discrete Laplacian's pivots at a dyadic shift are exact, so
+        # some are exactly 0 (at s = 1, q_0 = 1 and q_1 = 1 - 1/1)
+        ham = _tridiagonal(np.full(12, 2.0), -1.0)
+        fallback = []
+        tiny_count = oracle._tiny_count
+
+        def recording(rows, s):
+            fallback.append(s)
+            return tiny_count(rows, s)
+
+        monkeypatch.setattr(oracle, "_tiny_count", recording)
+        shifts = [k / 8.0 for k in range(-8, 40)]
+        assert sturm_count(ham, shifts).tolist() == full_row_counts(
+            ham, shifts)
+        assert {1.0, 2.0, 3.0} <= set(fallback)
+
+
 class TestEigenvaluesReplayProperty:
     """``eigenvalues_below`` returns exactly the floats of plain bisection
     on small tridiagonals of every shape that stresses the count."""
@@ -691,3 +784,24 @@ class TestReplaySweeps:
         assert reference_eigenvalues_below(ham, e_max) == got
         assert sum(sweeps) == 186  # 1 + 37 passes of 5 shifts
         assert replayed <= 0.6 * 186
+
+
+class TestTailStopRows:
+    """The rows the count sweeps visit, on ``TestReplaySweeps``'s
+    oscillator."""
+
+    def test_count_sweeps_stop_at_the_dominant_tail(self, monkeypatch):
+        # past the right turning point every row is dominant, so a count
+        # sweep stops soon after it: about two thirds of the rows
+        swept = []
+        sweep = oracle._sweep
+
+        def recording(rows, s):
+            count, rows_swept = sweep(rows, s)
+            swept.append(rows_swept)
+            return count, rows_swept
+
+        monkeypatch.setattr(oracle, "_sweep", recording)
+        ham, e_max = _oscillator(-2.0, 0.5, 3000)
+        eigenvalues_below(ham, e_max)
+        assert sum(swept) <= 0.75 * len(swept) * ham.diag.size
