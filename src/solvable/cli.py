@@ -120,15 +120,12 @@ def _grid_size(text) -> int:
     return n
 
 
-def _add_family_flags(p, beta_default=None):
+def _add_family_flags(p):
     p.add_argument("--case", "--family", dest="case",
                    choices=sorted(_CASE_NAMES), required=True,
                    help="sigma case (one, s, 1-s^2, s^2-1, s^2, s^2+1)")
     p.add_argument("--alpha", type=float, required=True)
-    if beta_default is None:
-        p.add_argument("--beta", type=float, required=True)
-    else:
-        p.add_argument("--beta", type=float, default=beta_default)
+    p.add_argument("--beta", type=float, required=True)
 
 
 def cmd_families(args, out):
@@ -201,24 +198,26 @@ def _x_window(args, interval):
     return lo, hi
 
 
-def cmd_potential(args, out):
-    fam = _family_from(args)
-    system = potential(fam, args.m)
-    lo, hi = _x_window(args, system.interval)
+def _tabulate(e, args, interval):
+    """(x, e(x)) rows on the --grid points of the x window; an e that
+    folded to a constant gives one number, repeated on every row."""
+    lo, hi = _x_window(args, interval)
     grid = np.linspace(lo, hi, args.grid)
-    vals = evaluate(system.potential, grid)
-    emit_csv(("x", "V(x)"), zip(grid, np.broadcast_to(vals, grid.shape)),
-             out)
+    return zip(grid, np.broadcast_to(evaluate(e, grid), grid.shape))
+
+
+def cmd_potential(args, out):
+    system = potential(_family_from(args), args.m)
+    emit_csv(("x", "V(x)"), _tabulate(system.potential, args,
+                                      system.interval), out)
     return 0
 
 
 def cmd_eigenfunction(args, out):
     fam = _family_from(args)
     psi = wavefunction(fam, args.ell, args.m)
-    system = potential(fam, args.m)
-    lo, hi = _x_window(args, system.interval)
-    grid = np.linspace(lo, hi, args.grid)
-    emit_csv(("x", "psi(x)"), zip(grid, evaluate(psi, grid)), out)
+    emit_csv(("x", "psi(x)"), _tabulate(psi, args, variable_map(fam).image),
+             out)
     return 0
 
 

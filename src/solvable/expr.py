@@ -9,10 +9,10 @@ evaluation on scalars or numpy arrays.
 
 Nodes never change after construction, so each one carries write-once
 caches of values that depend only on its structure: its hash (equal to
-the frozen-dataclass hash over its fields), its derivative and its
-simplified form.  They are filled on first use and hold the same value
-whichever thread fills them; pickling and copying leave them out.
-Nodes are slotted, so they carry no instance dict.
+the frozen-dataclass hash over its fields) and its derivative.  They are
+filled on first use and hold the same value whichever thread fills them;
+pickling and copying leave them out.  Nodes are slotted, so they carry
+no instance dict.
 
 Normal form is established once, by the constructors ``add``, ``mul``,
 ``pow_``, ``exp_`` and ``fun_``: each returns a normalized tree when its
@@ -20,14 +20,15 @@ arguments are normalized.  ``compose``, ``differentiate`` and ``parse``
 build only through them, so every tree they return is already in normal
 form and ``simplify`` returns an equal tree.  ``simplify`` is for trees
 assembled directly from the node classes; it rebuilds them bottom-up
-through the constructors.
+through the constructors, as composing with the variable does.
 
 The normal form is deliberately conservative: sums and products are
-flattened, constants folded (unless the value would overflow), powers of
-structurally equal bases merged, integer powers of powers collapsed and
-exp factors combined.  Products are never expanded over sums and no
-domain is extended, so ``evaluate(simplify(e), x) == evaluate(e, x)``
-wherever both sides are defined.
+flattened, constants folded (unless the value would overflow, or a power
+underflow to zero), powers of structurally equal bases merged, integer
+powers of powers collapsed and exp factors combined.  Products are never
+expanded over sums and no domain is extended, so
+``evaluate(simplify(e), x) == evaluate(e, x)`` wherever both sides are
+defined.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ __all__ = [
     "VAR", "ZERO", "ONE",
     "as_expr", "as_fraction", "add", "mul", "pow_", "exp_", "fun_",
     "differentiate", "evaluate", "simplify", "compose",
-    "parse", "print_expr", "power_terms", "expand", "register_function",
+    "parse", "print_expr", "power_terms", "expand",
 ]
 
 
@@ -67,10 +68,10 @@ def as_fraction(q) -> Fraction:
 
 class Expr:
     """Base node; subclasses are slotted frozen dataclasses made by
-    ``_node``.  The three slots here are the write-once caches; each stays
+    ``_node``.  The two slots here are the write-once caches; each stays
     unset until first filled."""
 
-    __slots__ = ("_hash", "_derivative", "_simplified")
+    __slots__ = ("_hash", "_derivative")
 
     def __add__(self, other):
         return add(self, other)
@@ -100,20 +101,10 @@ class Expr:
     def __neg__(self):
         return mul(-1, self)
 
-    def __call__(self, value):
-        return evaluate(self, value)
-
-    def diff(self, order: int = 1) -> "Expr":
-        e = self
-        for _ in range(order):
-            e = differentiate(e)
-        return e
-
 
 # the frozen dataclasses' __setattr__ refuses every write, the caches too
 _set_hash = Expr._hash.__set__
 _set_derivative = Expr._derivative.__set__
-_set_simplified = Expr._simplified.__set__
 
 
 def _node(cls):
@@ -203,25 +194,16 @@ def _safe_arcsin(u):
 
 
 # name -> (numeric evaluator, derivative builder d f(u)/du as Expr in u)
-_FUNCTIONS = {}
-
-
-def register_function(name, evaluator, derivative_builder):
-    """Register a named unary function usable as a Fun node."""
-    _FUNCTIONS[name] = (evaluator, derivative_builder)
-
-
-register_function("sin", np.sin, lambda u: fun_("cos", u))
-register_function("cos", np.cos, lambda u: mul(-1, fun_("sin", u)))
-register_function("sinh", np.sinh, lambda u: fun_("cosh", u))
-register_function("cosh", np.cosh, lambda u: fun_("sinh", u))
-register_function("log", _safe_log, lambda u: pow_(u, -1))
-register_function(
-    "arcsin", _safe_arcsin,
-    lambda u: pow_(add(1, mul(-1, pow_(u, 2))), Fraction(-1, 2)))
-register_function(
-    "arctan", np.arctan,
-    lambda u: pow_(add(1, pow_(u, 2)), -1))
+_FUNCTIONS = {
+    "sin": (np.sin, lambda u: fun_("cos", u)),
+    "cos": (np.cos, lambda u: mul(-1, fun_("sin", u))),
+    "sinh": (np.sinh, lambda u: fun_("cosh", u)),
+    "cosh": (np.cosh, lambda u: fun_("sinh", u)),
+    "log": (_safe_log, lambda u: pow_(u, -1)),
+    "arcsin": (_safe_arcsin,
+               lambda u: pow_(add(1, mul(-1, pow_(u, 2))), Fraction(-1, 2))),
+    "arctan": (np.arctan, lambda u: pow_(add(1, pow_(u, 2)), -1)),
+}
 
 
 # --- normalizing constructors ------------------------------------------
@@ -338,9 +320,12 @@ def pow_(base, exponent) -> Expr:
         c = base.value
         if c > 0 or (c != 0 and q.denominator == 1):
             try:
-                return Const(c ** float(q) if q.denominator > 1 else c ** int(q))
+                v = c ** float(q) if q.denominator > 1 else c ** int(q)
             except OverflowError:
                 return Pow(base, q)
+            # a power that underflows stays symbolic too: folded to 0 it
+            # would zero every product it is a factor of
+            return Const(v) if v != 0.0 else Pow(base, q)
         if c == 0:
             if q > 0:
                 return ZERO
@@ -486,18 +471,22 @@ def _eval_pow(e, x):
     b = _eval(e.base, x)
     q = e.exponent
     if q.denominator == 1:
-        n = q.numerator
-        if n < 0 and np.any(np.asarray(b) == 0.0):
+        p = q.numerator
+        if p < 0 and np.any(np.asarray(b) == 0.0):
             raise DomainError("pole: zero base with negative exponent")
-        return b ** n
-    ba = np.asarray(b)
-    if not (ba.size and ba.min() > 0):
-        if np.any(ba < 0):
-            raise DomainError("negative base with fractional exponent")
-        if q < 0 and np.any(ba == 0.0):
-            raise DomainError("pole: zero base with negative exponent")
-    # int / int is correctly rounded, so this is float(q)
-    return b ** (q.numerator / q.denominator)
+    else:
+        ba = np.asarray(b)
+        if not (ba.size and ba.min() > 0):
+            if np.any(ba < 0):
+                raise DomainError("negative base with fractional exponent")
+            if q < 0 and np.any(ba == 0.0):
+                raise DomainError("pole: zero base with negative exponent")
+        # int / int is correctly rounded, so this is float(q)
+        p = q.numerator / q.denominator
+    try:
+        return b ** p
+    except OverflowError:  # of a Python float: +-inf, as numpy gives
+        return float(np.power(b, p))
 
 
 _EVAL = {
@@ -509,34 +498,6 @@ _EVAL = {
     Exp: lambda e, x: np.exp(_eval(e.arg, x)),
     Fun: lambda e, x: _FUNCTIONS[e.name][0](_eval(e.arg, x)),
 }
-
-
-def simplify(e: Expr) -> Expr:
-    """Bottom-up rebuild through the normalizing constructors; computed
-    once per node."""
-    if isinstance(e, (Const, Var)):
-        return e
-    try:
-        return e._simplified
-    except AttributeError:
-        s = _simplify(e)
-        if s is not e:  # a node never holds itself
-            _set_simplified(e, s)
-        return s
-
-
-def _simplify(e: Expr) -> Expr:
-    if isinstance(e, Add):
-        return add(*(simplify(t) for t in e.terms))
-    if isinstance(e, Mul):
-        return mul(*(simplify(f) for f in e.factors))
-    if isinstance(e, Pow):
-        return pow_(simplify(e.base), e.exponent)
-    if isinstance(e, Exp):
-        return exp_(simplify(e.arg))
-    if isinstance(e, Fun):
-        return fun_(e.name, simplify(e.arg))
-    raise TypeError(f"cannot simplify {e!r}")
 
 
 def compose(outer: Expr, inner) -> Expr:
@@ -559,33 +520,46 @@ def compose(outer: Expr, inner) -> Expr:
     raise TypeError(f"cannot compose {outer!r}")
 
 
+def simplify(e: Expr) -> Expr:
+    """Bottom-up rebuild through the normalizing constructors."""
+    return compose(e, VAR)
+
+
 def expand(e: Expr) -> Expr:
     """Distribute products over sums (and small positive integer powers
     of sums); value-preserving, used where a sum-of-terms shape is
     needed rather than for general simplification."""
-    e = simplify(e)
+    return _expand(simplify(e))
+
+
+def _expand(e: Expr) -> Expr:
+    # e and every tree built here come from the constructors, so each is
+    # in normal form already
     if isinstance(e, Add):
-        return add(*(expand(t) for t in e.terms))
+        return add(*(_expand(t) for t in e.terms))
     if isinstance(e, Mul):
-        factors = [expand(f) for f in e.factors]
+        factors = [_expand(f) for f in e.factors]
         for i, f in enumerate(factors):
             if isinstance(f, Add):
                 rest = factors[:i] + factors[i + 1:]
-                return add(*(expand(mul(*rest, t)) for t in f.terms))
+                return add(*(_expand(mul(*rest, t)) for t in f.terms))
         return mul(*factors)
     if isinstance(e, Pow):
-        base = expand(e.base)
+        base = _expand(e.base)
         q = e.exponent
         if isinstance(base, Add) and q.denominator == 1 and 1 < q <= 6:
             out = base
             for _ in range(int(q) - 1):
-                out = expand(mul(out, base))
+                # term by term: mul(out, base) folds back into a power
+                terms = out.terms if isinstance(out, Add) else (out,)
+                out = add(*(_expand(mul(t, u)) for t in terms
+                            for u in base.terms))
             return out
         return pow_(base, q)
     if isinstance(e, Exp):
-        return exp_(expand(e.arg))
+        return exp_(_expand(e.arg))
     if isinstance(e, Fun):
-        return fun_(e.name, expand(e.arg))
+        return fun_(e.name, _expand(e.arg))
     return e
 
 

@@ -38,6 +38,8 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import (
     Inadmissible, InvalidParameter, MapNotClosedForm, NoAdmissibleRoot,
     NonIntegrableGauge, Unimplemented, require_finite,
@@ -130,9 +132,6 @@ class TermDecomposition:
     c_plus: float           # C_{+1}(alpha, beta, m)
     c_minus: float          # C_{-1}(alpha, beta, m)
     c_zero: object          # ell -> C_0(alpha, beta, m, ell)
-    alpha: float | None = None
-    beta: float | None = None
-    m: int | None = None
 
     def term(self, k: int):
         if k == 1:
@@ -163,8 +162,7 @@ def decompose(family: FamilySpec, m: int) -> TermDecomposition:
         i_minus=VAR,
         c_plus=al * al / 4.0,
         c_minus=al * be / 2.0,
-        c_zero=lambda ell: be * be / 4.0 + al / 2.0 - al * m + al * ell,
-        alpha=al, beta=be, m=m)
+        c_zero=lambda ell: be * be / 4.0 + al / 2.0 - al * m + al * ell)
 
 
 @dataclass(frozen=True)
@@ -173,8 +171,6 @@ class SubstitutionMap:
 
     k: int                  # index of the SURVIVING term
     x_of_r: Expr
-    source: tuple
-    target: tuple
     i_map: Expr             # I_{-k}, the map-defining term
 
 
@@ -233,8 +229,7 @@ def substitute(dec: TermDecomposition, k: int,
     if x_of_r is None:
         x_of_r = _solve_monomial_map(i_map)
     # a caller's x_of_r may be a raw node tree; compose passes it through
-    smap = SubstitutionMap(k, simplify(x_of_r), (0.0, INF), (0.0, INF),
-                           i_map)
+    smap = SubstitutionMap(k, simplify(x_of_r), i_map)
     gauge = pow_(compose(i_map, smap.x_of_r), Fraction(1, 4))
     return SubstitutionResult(smap, -c_map, gauge)
 
@@ -417,5 +412,8 @@ def reproduce_dw(theta: float, rho_coeff: float, lam: float, which: int,
 
 def boundary_ratio(pair, r0: float, r1: float) -> float:
     """psi(r0)/psi(r1) for matching a finite-difference wall to the known
-    near-origin behavior of a closed-form eigenfunction."""
-    return float(evaluate(pair.psi, r0) / evaluate(pair.psi, r1))
+    near-origin behavior of a closed-form eigenfunction; NaN or +-inf,
+    without a warning, where psi overflows or vanishes at r1."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return float(np.divide(evaluate(pair.psi, r0),
+                               evaluate(pair.psi, r1)))

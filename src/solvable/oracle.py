@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import sys
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -60,6 +61,8 @@ __all__ = [
 _GL16 = np.polynomial.legendre.leggauss(16)
 _GL8 = np.polynomial.legendre.leggauss(8)
 _NODES = np.concatenate([_GL16[0], _GL8[0]])  # of one panel on [-1, 1]
+# refinement stops once the panels hold this many nodes
+_MAX_NODES = 1 << 20
 
 
 def _as_array_function(f):
@@ -93,9 +96,6 @@ class QuadResult:
     nodes: int
     window: tuple = (0.0, 0.0)
     calls: int = 0  # calls of the integrand
-
-    def __iter__(self):  # allow value, err = integrate(...)
-        return iter((self.value, self.error_estimate))
 
 
 class _PanelHeap:
@@ -152,7 +152,7 @@ class _PanelHeap:
     def worst_error(self):
         return -self._heap[0][0] if self._heap else 0.0
 
-    def certain_splits(self, tail_error, half_target, max_nodes):
+    def certain_splits(self, tail_error, half_target):
         """The panels the loop of ``integrate`` is certain to split while
         its sums stand as they do (``tail_error`` and half the target are
         the loop's), worst first in the heap's own order.
@@ -160,7 +160,7 @@ class _PanelHeap:
         While panel i of that order is in the heap, every panel popped
         before it has an error of at least e_i, so the loop goes on to
         split it if the errors from i on still exceed half the target,
-        the i splits before it stay below ``max_nodes``, and e_i is above
+        the i splits before it stay below ``_MAX_NODES``, and e_i is above
         the double-precision floor.  A panel of infinite error is split
         only at the top: taking it out turns the error sum into NaN,
         which ends the loop.
@@ -173,19 +173,18 @@ class _PanelHeap:
         floor = 6e-17 * self.abs_value
         for i in range(1, len(ranked)):
             if not (tail_error + rest[i] > half_target
-                    and self.nodes + 48 * i < max_nodes
+                    and self.nodes + 48 * i < _MAX_NODES
                     and errors[i] > floor):
                 return ranked[:i]
         return ranked
 
-    def refine_worst(self, tail_error, half_target, max_nodes):
+    def refine_worst(self, tail_error, half_target):
         """Split the worst panel.  Unless its halves are known, evaluate
         them in one call with those of every other panel in
         ``certain_splits`` whose halves are not known either."""
         if self._heap[0][1] not in self._halves:
             ranked = [item for item in self.certain_splits(
-                tail_error, half_target, max_nodes)
-                if item[1] not in self._halves]
+                tail_error, half_target) if item[1] not in self._halves]
             sets = [((a, 0.5 * (a + b)), (0.5 * (a + b), b))
                     for _, _, a, b, _ in ranked]
             for item, halves in zip(ranked, self.evaluate_sets(sets)):
@@ -211,8 +210,7 @@ def _march_blocks(edge, width, side):
         width *= 2.0
 
 
-def integrate(f, interval, tol: float = 1e-10, rtol: float | None = None,
-              max_nodes: int = 1 << 20) -> QuadResult:
+def integrate(f, interval, tol: float = 1e-10) -> QuadResult:
     """Integrate f over the (possibly infinite) interval.
 
     f is an Expr or a vectorized callable: each call gets the nodes of
@@ -227,18 +225,16 @@ def integrate(f, interval, tol: float = 1e-10, rtol: float | None = None,
     set per call; ``QuadResult.calls`` counts the calls.  Should a call
     joining several sets raise, the sets are evaluated one call each from
     then on, so the exception is the one that evaluation raises.
-    Convergence target is max(tol, rtol * |integral|) with rtol
-    defaulting to tol, so large-magnitude integrals are held to relative
-    accuracy.  Finite endpoints are used as given; infinite sides are
-    truncated by marching geometrically growing blocks until their
-    contribution is negligible and decaying.  Raises QuadratureNoConverge
-    when the error estimate still exceeds the target at the refinement
-    cap.  Gauss nodes are strictly interior, so integrable endpoint
-    singularities are allowed.
+    Convergence target is max(tol, tol * |integral|), so large-magnitude
+    integrals are held to relative accuracy.  Finite endpoints are used
+    as given; infinite sides are truncated by marching geometrically
+    growing blocks until their contribution is negligible and decaying.
+    Raises QuadratureNoConverge when the error estimate still exceeds the
+    target at the refinement cap of ``_MAX_NODES`` nodes.  Gauss nodes
+    are strictly interior, so integrable endpoint singularities are
+    allowed.
     """
     lo, hi = float(interval[0]), float(interval[1])
-    if rtol is None:
-        rtol = tol
     heap = _PanelHeap(_as_array_function(f))
 
     if math.isinf(lo) and math.isinf(hi):
@@ -267,7 +263,7 @@ def integrate(f, interval, tol: float = 1e-10, rtol: float | None = None,
     window = list(core)
 
     def target():
-        return max(tol, rtol * abs(heap.value))
+        return max(tol, tol * abs(heap.value))
 
     def march(side, blocks, batch, results):
         # side = +1 (toward hi) or -1 (toward lo); batch is the first 3
@@ -316,10 +312,11 @@ def integrate(f, interval, tol: float = 1e-10, rtol: float | None = None,
                                                     first[1:]):
         march(side, blocks, batch, results)
 
-    while heap.error + tail_error > target() / 2.0 and heap.nodes < max_nodes:
+    while (heap.error + tail_error > target() / 2.0
+           and heap.nodes < _MAX_NODES):
         if heap.worst_error() <= 6e-17 * heap.abs_value:
             break  # refinement is below the double-precision floor
-        heap.refine_worst(tail_error, target() / 2.0, max_nodes)
+        heap.refine_worst(tail_error, target() / 2.0)
 
     err = heap.error + tail_error
     if not math.isfinite(err) or err > max(target(),
@@ -416,10 +413,16 @@ def fd_hamiltonian(potential, x_lo: float, x_hi: float, n: int,
     """FD Hamiltonian on the ``fd_nodes(x_lo, x_hi, n, grading)`` mesh;
     the potential is an Expr or a vectorized callable, and must be finite
     at every interior node (NonFiniteValue names the first that is not):
-    the Sturm count would read a NaN pivot as "not below"."""
+    the Sturm count would read a NaN pivot as "not below".  Every mesh
+    spacing h needs a normal h^2, so that 1/h^2 is finite."""
     if n < 16:
         raise InvalidParameter("need at least 16 subintervals")
     nodes = fd_nodes(x_lo, x_hi, n, grading)
+    h_min = (x_hi - x_lo) / n if grading == 1.0 else float(
+        np.min(np.diff(nodes)))
+    if not h_min * h_min >= sys.float_info.min:
+        raise InvalidParameter(
+            f"mesh spacing {h_min:g} is too small: its square underflows")
     grid = nodes[1:-1]
     v = np.broadcast_to(np.asarray(_as_array_function(potential)(grid),
                                    dtype=float), grid.shape)
@@ -459,11 +462,13 @@ _MARGIN = 8.0 * np.finfo(float).eps
 # a nonzero off-diagonal outside this range may square to a subnormal or
 # to inf, which the margin does not cover, so its rows are never dominant
 _SAFE_OFF = (2.0 ** -500, 2.0 ** 500)
+# bisection stops once every bracket is within this share of max(1, |E|)
+_RTOL = 1e-10
 # an index goes to Newton once counts j and j + 1 bracket its flip point
 # within this share of max(1, |midpoint|)
 _ISOLATED = 0.1
 # Newton stops at a step of this share of the bisection's final width
-# w = rtol * max(1, |E|), and probes this share of w either side of its
+# w = _RTOL * max(1, |E|), and probes this share of w either side of its
 # root; it gives up after _NEWTON_STEPS sweeps, under half the passes a
 # bisection from the isolating bracket down to w makes
 _NEWTON_STOP = 0.125
@@ -497,7 +502,8 @@ def _rows(ham):
         off2 = [o2] * a.size
     else:
         o2 = None
-        off2 = (off * off).tolist()
+        with np.errstate(over="ignore"):  # as the float product above
+            off2 = (off * off).tolist()
     a_in, a_out = np.append(0.0, a), np.append(a, 0.0)
     with np.errstate(over="ignore", invalid="ignore"):
         bound = (diag - a_in - a_out
@@ -633,9 +639,8 @@ class _Replay:
     every decision rests on a count.
     """
 
-    def __init__(self, rows, k, e_max, rtol):
+    def __init__(self, rows, k, e_max):
         self.rows = rows
-        self.rtol = rtol
         self.idx = np.arange(k)
         self.low = np.full(k, -math.inf)
         self.low_count = np.full(k, -1)
@@ -685,14 +690,14 @@ class _Replay:
                 count, slope = swept
                 self.record(s, count)
                 a, b = float(self.low[j]), float(self.high[j])
-                if b - a <= 2.0 * _PROBE * self.rtol * max(1.0, abs(s)):
+                if b - a <= 2.0 * _PROBE * _RTOL * max(1.0, abs(s)):
                     break  # the counts alone pin the flip point
                 step = 1.0 / slope if slope != 0.0 else math.inf
                 if not a < s - step < b:
                     s = 0.5 * (a + b)
                     continue
                 s -= step
-                w = self.rtol * max(1.0, abs(s))
+                w = _RTOL * max(1.0, abs(s))
                 if abs(step) <= _NEWTON_STOP * w:
                     self.probes += [p for p in (s - _PROBE * w,
                                                 s + _PROBE * w)
@@ -700,10 +705,9 @@ class _Replay:
                     break
 
 
-def eigenvalues_below(ham: FDHamiltonian, e_max: float,
-                      rtol: float = 1e-10) -> list:
+def eigenvalues_below(ham: FDHamiltonian, e_max: float) -> list:
     """All eigenvalues below e_max, each bracketed by Sturm counts and
-    polished by bisection to rtol * max(1, |E|); the bracket's top is
+    polished by bisection to 1e-10 max(1, |E|); the bracket's top is
     e_max or, if lower, the Gershgorin upper bound.  Raises
     BisectionNoConverge if 200 passes do not reach that tolerance.
 
@@ -733,27 +737,25 @@ def eigenvalues_below(ham: FDHamiltonian, e_max: float,
     top = min(float(e_max), top)
     lo = np.full(k, lo0)
     hi = np.full(k, top)
-    replay = _Replay(rows, k, top, rtol)
+    replay = _Replay(rows, k, top)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         below = replay.below(mid)
         hi = np.where(below, mid, hi)
         lo = np.where(below, lo, mid)
-        if np.all(hi - lo <= rtol * np.maximum(1.0, np.abs(mid))):
+        if np.all(hi - lo <= _RTOL * np.maximum(1.0, np.abs(mid))):
             return [float(v) for v in 0.5 * (lo + hi)]
     raise BisectionNoConverge(
         f"bisection of {k} eigenvalues in [{lo0:.6g}, {top:.6g}] not "
-        f"within rtol {rtol:g} after 200 passes")
+        f"within rtol {_RTOL:g} after 200 passes")
 
 
-def richardson_eigenvalues(potential, x_lo, x_hi, n, e_max,
-                           left_ratio=0.0):
+def richardson_eigenvalues(potential, x_lo, x_hi, n, e_max):
     """Raw eigenvalues at n and n/2 plus their h^2 Richardson combination
     (4 E_n - E_{n/2}) / 3, reported for the common low-lying states."""
-    fine = eigenvalues_below(
-        fd_hamiltonian(potential, x_lo, x_hi, n, left_ratio), e_max)
+    fine = eigenvalues_below(fd_hamiltonian(potential, x_lo, x_hi, n), e_max)
     coarse = eigenvalues_below(
-        fd_hamiltonian(potential, x_lo, x_hi, n // 2, left_ratio), e_max)
+        fd_hamiltonian(potential, x_lo, x_hi, n // 2), e_max)
     m = min(len(fine), len(coarse))
     extrap = [(4.0 * fine[i] - coarse[i]) / 3.0 for i in range(m)]
     return fine[:m], coarse[:m], extrap
@@ -761,18 +763,18 @@ def richardson_eigenvalues(potential, x_lo, x_hi, n, e_max,
 
 # --- residual of candidate eigenpairs -------------------------------------
 
-def residual_grid(interval, n: int = 400, clamp: float = 1e-3):
+def residual_grid(interval, n: int = 400):
     """Evaluation grid clamped strictly inside the interval.
 
     Infinite ends default to |x| <= 10 (or 30 on half lines); a left
-    endpoint at 0 is clamped to ``clamp`` because generated systems carry
+    endpoint at 0 is clamped to 1e-3 because generated systems carry
     genuine 1/r^2 terms there.
     """
     lo, hi = interval
     if math.isinf(lo) and math.isinf(hi):
         return np.linspace(-10.0, 10.0, n)
     if math.isinf(hi):
-        lo_c = lo + clamp if lo == 0.0 else lo + 1e-6 * max(1.0, abs(lo))
+        lo_c = lo + 1e-3 if lo == 0.0 else lo + 1e-6 * max(1.0, abs(lo))
         return np.linspace(lo_c, lo + 30.0, n)
     if math.isinf(lo):
         hi_c = hi - 1e-6 * max(1.0, abs(hi))
@@ -784,13 +786,16 @@ def residual_grid(interval, n: int = 400, clamp: float = 1e-3):
 def residual(potential: Expr, lam: float, psi: Expr, x):
     """-psi''(x) + V(x) psi(x) - lam psi(x) at a point or an array of
     points, with psi'' computed symbolically; raises SingularPoint where
-    V or psi is undefined."""
+    V or psi is undefined.  Like ``evaluate``, it lets inf * 0 pass as
+    NaN without a warning."""
     psi2 = differentiate(differentiate(psi))
     try:
         pv = evaluate(psi, x)
-        return -evaluate(psi2, x) + evaluate(potential, x) * pv - lam * pv
+        d2, v = evaluate(psi2, x), evaluate(potential, x)
     except DomainError as exc:
         raise SingularPoint(str(exc)) from exc
+    with np.errstate(over="ignore", invalid="ignore"):
+        return -d2 + v * pv - lam * pv
 
 
 def residual_norm(system, pair=None, n: int = 400) -> float:

@@ -30,7 +30,7 @@ from .errors import (
 )
 from .expr import Expr, add, differentiate, evaluate, mul, pow_
 from .families import FamilySpec, cutoff, eigenvalue, weight
-from .oracle import integrate
+from .oracle import _as_array_function, integrate
 from .polynomials import Poly, phi
 
 __all__ = [
@@ -77,7 +77,7 @@ def special_function(family: FamilySpec, ell: int, m: int) -> SpecialFunction:
 def multiplication_part(family: FamilySpec, m: int) -> Expr:
     """The zeroth-order coefficient of H_m; identically zero at m = 0."""
     sig = family.sigma_expr
-    dsig = sig.diff()
+    dsig = differentiate(sig)
     a = family.sigma_coeffs[0]
     return add(
         mul(Fraction(m * (m - 2), 4), pow_(dsig, 2), pow_(sig, -1)),
@@ -100,50 +100,31 @@ def hm_operator(family: FamilySpec, m: int) -> HmOperator:
     return HmOperator(family, m, multiplication_part(family, m))
 
 
-def _as_derivative_triple(f):
-    """(f, f', f'') evaluators from an Expr, SpecialFunction, or triple."""
-    if isinstance(f, SpecialFunction):
-        f = f.expr
-    if isinstance(f, Expr):
-        d1 = differentiate(f)
-        d2 = differentiate(d1)
-        return (lambda s: evaluate(f, s),
-                lambda s: evaluate(d1, s),
-                lambda s: evaluate(d2, s))
-    f0, f1, f2 = f
-    return f0, f1, f2
-
-
 def apply_hm(op: HmOperator, f, s):
     """Evaluate (H_m f)(s); derivatives of f are analytic, never finite
-    differences.  f may be an Expr, a SpecialFunction, or a triple of
-    callables (f, f', f''); s may be a scalar or an array."""
+    differences.  f may be an Expr or a SpecialFunction; s may be a
+    scalar or an array."""
     if np.any(np.asarray(op.family.sigma(s)) == 0.0):
         raise SingularPoint(f"sigma vanishes at s={s}")
-    f0, f1, f2 = _as_derivative_triple(f)
+    if isinstance(f, SpecialFunction):
+        f = f.expr
+    d1 = differentiate(f)
+    d2 = differentiate(d1)
     mult = evaluate(op.mult, s) if op.m else 0.0
-    return (-op.family.sigma(s) * f2(s) - op.family.tau(s) * f1(s)
-            + mult * f0(s))
+    return (-op.family.sigma(s) * evaluate(d2, s)
+            - op.family.tau(s) * evaluate(d1, s) + mult * evaluate(f, s))
 
 
-def scalar_product(family: FamilySpec, f, g, tol: float = 1e-9):
+def scalar_product(family: FamilySpec, f, g):
     """<f, g> = integral of f g rho over the family interval.
 
     f and g may be Exprs or vectorized callables (SpecialFunctions are
     both): each is called with the nodes of one or more quadrature
     panels in one array, so it must act elementwise.  Raises
     QuadratureNoConverge when the adaptive error estimate cannot be
-    brought below tol.
+    brought below 1e-9.
     """
     rho = weight(family)
-
-    def as_callable(u):
-        if isinstance(u, SpecialFunction):
-            return u
-        if isinstance(u, Expr):
-            return lambda s: evaluate(u, s)
-        return u
-
-    fc, gc = as_callable(f), as_callable(g)
+    fc, gc = _as_array_function(f), _as_array_function(g)
     integrand = lambda s: fc(s) * gc(s) * evaluate(rho, s)
-    return integrate(integrand, family.interval, tol).value
+    return integrate(integrand, family.interval, 1e-9).value

@@ -215,6 +215,15 @@ class TestReproduceDW:
         assert text == ""
         assert "at position 5" in capsys.readouterr().err
 
+    def test_power_of_a_sum_is_not_a_monomial(self, capsys):
+        code, text = invoke(["reproduce-dw", "--theta", "1", "--rho", "1",
+                             "--lambda", "1", "--which", "1",
+                             "--Ik", "(1+x)^2"])
+        assert code == 1
+        assert text == ""
+        assert capsys.readouterr().err == (
+            "error: map-defining term must be a single monomial\n")
+
     def test_family_flag_alias(self):
         code, text = invoke(["verify", "spectrum", "--family", "one",
                              "--alpha", "-2", "--beta", "0", "--m", "0",
@@ -529,6 +538,134 @@ class TestGeneratorFuzz:
         obj = json.loads(out.getvalue(), parse_constant=_reject_constant)
         if "invsqrt" in command:
             assert isinstance(obj, list) and len(obj) == 1
+
+
+# the extremes, and ordinary values with which one option can be extreme
+# while the others get past the parameter checks
+_OPTION_VALUES = st.sampled_from(("0", "1e300", "-1e300", "1e-300", "inf",
+                                  "-inf", "nan", "-2", "0.5", "1"))
+
+
+@st.composite
+def _commands(draw):
+    """argv of potential, eigenfunction, specfun eval, poly, families,
+    reproduce-dw or verify residual|spectrum|orthogonality, every float
+    option drawn from ``_OPTION_VALUES`` and every grid small."""
+    def values(*names):
+        return [f"--{name}={draw(_OPTION_VALUES)}" for name in names]
+
+    def optional(*names):
+        return [arg for arg in values(*names) if draw(st.booleans())]
+
+    def family():
+        return [f"--case={draw(st.sampled_from(sorted(cli._CASE_NAMES)))}",
+                *values("alpha", "beta")]
+
+    def ell_m():
+        return [f"--ell={draw(st.integers(0, 3))}",
+                f"--m={draw(st.integers(0, 2))}"]
+
+    m = f"--m={draw(st.integers(0, 2))}"
+    kind = draw(st.sampled_from((
+        "potential", "eigenfunction", "specfun", "poly", "families",
+        "reproduce-dw", "residual", "spectrum", "orthogonality")))
+    if kind == "potential":
+        return ["potential", *family(), m, "--grid=5",
+                *optional("xmin", "xmax")]
+    if kind == "eigenfunction":
+        return ["eigenfunction", *family(), *ell_m(), "--grid=5",
+                *optional("xmin", "xmax")]
+    if kind == "specfun":
+        return ["specfun", "eval", *family(), *ell_m(), "--grid=5",
+                *optional("smin", "smax")]
+    if kind == "poly":
+        return ["poly", *family(), f"--ell={draw(st.integers(0, 3))}"]
+    if kind == "families":
+        return ["families", *values("alpha", "beta")]
+    if kind == "reproduce-dw":
+        return ["reproduce-dw", *values("theta", "rho", "lambda"),
+                f"--which={draw(st.sampled_from('12'))}"]
+    if kind == "orthogonality":
+        return ["verify", "orthogonality", *family(),
+                f"--m={draw(st.integers(0, 1))}", "--lmax=2"]
+    system = draw(st.sampled_from(("family", "cuberoot") if kind ==
+                                  "spectrum" else ("family", "cuberoot",
+                                                   "sqrt")))
+    if system == "family":
+        argv = ["verify", kind, "--system=family", *family()]
+        argv += ell_m() if kind == "residual" else [m]
+    else:
+        argv = ["verify", kind, f"--system={system}", *values("c1", "c2")]
+    if kind == "residual":
+        if system != "family":
+            argv += [f"--n={draw(st.integers(0, 3))}",
+                     f"--branch={draw(st.sampled_from('+-'))}"]
+        return argv + ["--grid=5"]
+    return argv + ["--grid=32", *optional("emax", "xmin", "xmax")]
+
+
+# each ended in a traceback: an OverflowError from a Python float power,
+# a ZeroDivisionError from an underflowing h^2, or a TypeError from
+# iterating over one number
+_TRACEBACK_SEEDS = (
+    (["eigenfunction", "--case", "s", "--alpha", "-7", "--beta", "1e300",
+      "--ell", "1", "--m", "0", "--grid", "5"],
+     "nan in column psi(x) of the row with x=7.50075"),
+    (["verify", "residual", "--system", "family", "--case", "one",
+      "--alpha", "-7", "--beta", "1e300", "--grid", "5"],
+     "nan in column residual of the row with x=-10"),
+    (["verify", "spectrum", "--system", "cuberoot", "--c1", "1e-300",
+      "--c2", "1e300", "--grid", "100"],
+     "nan in column E_numeric of the row with index=0"),
+    (["verify", "spectrum", "--family", "one", "--alpha", "-2", "--beta",
+      "0", "--grid", "100", "--xmin", "0", "--xmax", "1e-300"],
+     "mesh spacing 1e-302 is too small: its square underflows"),
+)
+
+
+class TestCommandFuzz:
+    """Every other subcommand on extreme option values ends in exit 0, 1
+    or 2 without a traceback, and exit 0 prints valid JSON or a CSV table
+    of finite numbers; the commands that ended in a traceback exit 1
+    naming the value."""
+
+    @settings(derandomize=True, max_examples=600, deadline=None)
+    @given(_commands())
+    def test_exits_cleanly(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stderr(err):
+            try:
+                code = run(argv, out)
+            except SystemExit as exc:
+                code = exc.code
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+        if code != 0:
+            assert out.getvalue() == ""
+            return
+        text = out.getvalue()
+        if argv[0] in ("families", "reproduce-dw"):
+            json.loads(text, parse_constant=_reject_constant)
+            return
+        header, *rows = text.splitlines()
+        for row in rows:
+            cells = row.split(",")
+            assert len(cells) == len(header.split(","))
+            assert all(math.isfinite(float(cell)) for cell in cells)
+
+    @pytest.mark.parametrize("argv,message", _TRACEBACK_SEEDS,
+                             ids=["eigenfunction", "residual", "cuberoot",
+                                  "mesh"])
+    def test_seed_exits_1_naming_the_value(self, argv, message):
+        # in a fresh interpreter, so a numpy RuntimeWarning would reach
+        # stderr ahead of the error line
+        env = dict(os.environ, PYTHONPATH="src")
+        proc = subprocess.run(
+            [sys.executable, "-m", "solvable", *argv],
+            cwd=ROOT, env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == f"error: {message}\n"
 
 
 class TestGridSize:

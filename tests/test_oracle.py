@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,8 +11,8 @@ from scipy.linalg import eigh_tridiagonal
 
 from solvable import FamilySpec, SigmaCase, acceptance, specfun
 from solvable.errors import (
-    BisectionNoConverge, DomainError, NonFiniteValue, QuadratureNoConverge,
-    SingularPoint,
+    BisectionNoConverge, DomainError, InvalidParameter, NonFiniteValue,
+    QuadratureNoConverge, SingularPoint,
 )
 from solvable.expr import evaluate, parse
 from solvable.schrodinger import potential, variable_map, wavefunction
@@ -334,6 +335,16 @@ def _cuberoot_graded(n_sub, ratio=0.0):
     return fd_hamiltonian(cuberoot_potential(1.0, 0.0), 1e-3, 40.0, n_sub,
                           left_ratio=ratio,
                           grading=indicial_grading(1.0 / 6.0))
+
+
+class TestMeshSpacing:
+    @pytest.mark.parametrize("grading", [1.0, 2.0],
+                             ids=["uniform", "graded"])
+    def test_spacing_whose_square_underflows_is_named(self, grading):
+        # 1/h^2 would be a division by zero or inf
+        with pytest.raises(InvalidParameter,
+                           match="mesh spacing .* its square underflows"):
+            fd_hamiltonian(parse("x"), 0.0, 1e-300, 32, grading=grading)
 
 
 class TestConstantPotential:
@@ -720,6 +731,14 @@ class TestSturmCountExact:
             self.check([scale * d for d in diag], off * 10.0 ** decades,
                        fractions)
 
+    def test_per_row_off_diagonal_squares_overflow_silently(self):
+        # as a uniform mesh's off-diagonal, squared as a Python float, does
+        ham = _tridiagonal([1.0, 2.0, 3.0], np.array([1e155, -2e155]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            counts = sturm_count(ham, [-1e300, 0.0, 1e300]).tolist()
+        assert counts == full_row_counts(ham, [-1e300, 0.0, 1e300])
+
     def test_zero_pivot_takes_the_fallback(self, monkeypatch):
         # the discrete Laplacian's pivots at a dyadic shift are exact, so
         # some are exactly 0 (at s = 1, q_0 = 1 and q_1 = 1 - 1/1)
@@ -747,8 +766,10 @@ class TestEigenvaluesReplayProperty:
     def test_same_floats_as_bisection(self, case):
         diag, off, e_max, rtol = case
         ham = _tridiagonal(diag, off)
-        assert (eigenvalues_below(ham, e_max, rtol)
-                == reference_eigenvalues_below(ham, e_max, rtol))
+        with pytest.MonkeyPatch.context() as mp:  # the bisection tolerance
+            mp.setattr(oracle, "_RTOL", rtol)
+            got = eigenvalues_below(ham, e_max)
+        assert got == reference_eigenvalues_below(ham, e_max, rtol)
 
     def test_sign_of_scalar_off_diagonal_is_irrelevant(self):
         # the spectrum depends on off^2 only, so the Gershgorin start of

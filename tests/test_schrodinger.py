@@ -241,7 +241,7 @@ class TestNormsAgreeAcrossCoordinates:
             norm_s = scalar_product(fam, f, f)
             psi = wavefunction(fam, ell, m)
             norm_x = integrate(lambda x: evaluate(psi, x) ** 2,
-                               vm.image, 1e-9, rtol=1e-9).value
+                               vm.image, 1e-9).value
             assert norm_x == pytest.approx(norm_s, rel=1e-8)
 
 

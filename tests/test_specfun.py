@@ -6,7 +6,7 @@ import pytest
 from solvable.errors import (
     DegreeBeyondCutoff, OrderExceedsDegree, SingularPoint,
 )
-from solvable.expr import Const
+from solvable.expr import ZERO, Const
 from solvable.families import (
     ALL_CASES, FamilySpec, SigmaCase, cutoff, eigenvalue, sample_points,
 )
@@ -75,8 +75,7 @@ class TestHmOperator:
     def test_zero_function(self):
         fam = make(SigmaCase.S)
         op = hm_operator(fam, 1)
-        z = (lambda s: 0.0, lambda s: 0.0, lambda s: 0.0)
-        assert apply_hm(op, z, 0.5) == 0.0
+        assert apply_hm(op, ZERO, 0.5) == 0.0
 
     def test_singular_point(self):
         fam = make(SigmaCase.S)
@@ -118,7 +117,7 @@ class TestHmOperator:
 class TestScalarProduct:
     def test_gaussian_normalization(self):
         fam = FamilySpec(SigmaCase.ONE, -2.0, 0.0)
-        val = scalar_product(fam, lambda s: 1.0, lambda s: 1.0, tol=1e-10)
+        val = scalar_product(fam, lambda s: 1.0, lambda s: 1.0)
         assert val == pytest.approx(math.sqrt(math.pi), abs=1e-9)
 
     def test_odd_integrand_vanishes(self):
