@@ -1,11 +1,11 @@
 """Acceptance suite: one callable per criterion, shared by the CLI
 ``acceptance`` subcommand and the pytest acceptance module.
 
-Each criterion returns a CriterionResult; run_all executes all ten in
-order and reports pass/fail lines.  Criterion 2 runs the finite
-s^2 - 1 family at beta = 10 (its listed companion beta = 1 violates the
--beta < alpha < 0 admissibility constraint and is rejected by
-construction, see the family tests).
+Each criterion returns (passed, detail); run_all runs all ten in order
+and wraps each outcome, with its elapsed seconds, in a CriterionResult.
+Criterion 2 runs the finite s^2 - 1 family at beta = 10 (its listed
+companion beta = 1 violates the -beta < alpha < 0 admissibility
+constraint and is rejected by construction, see the family tests).
 """
 
 from __future__ import annotations
@@ -17,7 +17,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DegreeBeyondCutoff, Inadmissible, InvalidParameter
+from .errors import (
+    DegreeBeyondCutoff, Inadmissible, InvalidParameter, NonFiniteValue,
+)
 from .expr import evaluate, power_terms, mul, pow_, exp_, VAR
 from .families import FamilySpec, SigmaCase, cutoff, eigenvalue, sample_points
 from .generator import (
@@ -73,12 +75,8 @@ def family_spectrum(fam, m, lo, hi, n_sub, e_max=None):
             f"need the window [{lo:g}, {hi:g}] strictly inside the x "
             f"interval ({a:g}, {b:g})")
     ham = fd_hamiltonian(system.potential, lo, hi, n_sub)
-    cap = cutoff(fam)
-    analytic = []
-    ell = 0
-    while ell < cap.lambda_cap and len(analytic) < 16:
-        analytic.append(eigenvalue(fam, ell))
-        ell += 1
+    analytic = [eigenvalue(fam, ell)
+                for ell in range(cutoff(fam).top_degree(15) + 1)]
     if e_max is None:
         e_max = analytic[min(5, len(analytic) - 1)] + 0.5
     rows = []
@@ -122,8 +120,7 @@ def criterion_2_operator_residuals(seed=42):
     t0 = time.time()
     worst = 0.0
     for fam in _families():
-        cap = cutoff(fam)
-        top = min(cap.max_degree if cap.max_degree is not None else 8, 8)
+        top = cutoff(fam).top_degree(8)
         worst = max(worst, _hm_worst(fam, top))
     elapsed = time.time() - t0
     ok = worst <= 1e-8 and elapsed < 10.0
@@ -135,8 +132,7 @@ def criterion_3_rodrigues(seed=42):
     """Recursion and Rodrigues constructions proportional to 1e-9."""
     worst = 0.0
     for fam in _families():
-        cap = cutoff(fam)
-        top = min(cap.max_degree if cap.max_degree is not None else 5, 5)
+        top = cutoff(fam).top_degree(5)
         xs = sample_points(fam, 50)
         for ell in range(top + 1):
             p = phi(fam, ell)(xs)
@@ -161,6 +157,10 @@ def orthogonality_rows(fam, m, top):
     for ell in ells:
         for k in range(ell + 1, top + 1):
             scale = norms[ell] * norms[k]
+            if not 0.0 < scale < math.inf:
+                raise NonFiniteValue(
+                    f"the norms of F_({ell},{m}) and F_({k},{m}) multiply "
+                    f"to {scale:g}, so no inner product can be normalized")
             f, g = fns[ell], fns[k]
             inner_s = scalar_product(fam, lambda s: f(s) / scale, g)
             pe, pk = psis[ell], psis[k]
@@ -177,8 +177,7 @@ def criterion_4_orthogonality(seed=42):
     worst_inner = 0.0
     worst_gap = 0.0
     for fam in _families():
-        cap = cutoff(fam)
-        top = min(cap.max_degree if cap.max_degree is not None else 6, 6)
+        top = cutoff(fam).top_degree(6)
         for m in range(min(3, top) + 1):
             for _, _, inner_s, inner_x in orthogonality_rows(fam, m, top):
                 worst_inner = max(worst_inner, abs(inner_s), abs(inner_x))

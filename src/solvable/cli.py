@@ -25,7 +25,9 @@ from .errors import (
     SolvableError, require_finite,
 )
 from .expr import evaluate, parse, power_terms, print_expr
-from .families import ALL_CASES, FamilySpec, SigmaCase, cutoff, sample_window
+from .families import (
+    ALL_CASES, FamilySpec, SigmaCase, check_degree, cutoff, sample_window,
+)
 from .generator import (
     reproduce_dw, solve_params_inverse_sqrt, solve_params_quantsys,
 )
@@ -120,6 +122,16 @@ def _grid_size(text) -> int:
     return n
 
 
+def _criterion_indices(text) -> set:
+    """argparse type of --only: comma-separated criterion indices 1-10."""
+    known = {str(index) for index, _name, _fn in acceptance_mod.CRITERIA}
+    for token in text.split(","):
+        if token not in known:
+            raise argparse.ArgumentTypeError(
+                f"{token!r} is not a criterion index 1-10")
+    return {int(token) for token in text.split(",")}
+
+
 def _add_family_flags(p):
     p.add_argument("--case", "--family", dest="case",
                    choices=sorted(_CASE_NAMES), required=True,
@@ -157,6 +169,7 @@ def cmd_families(args, out):
 
 def cmd_poly(args, out):
     fam = _family_from(args)
+    check_degree(fam, args.ell)
     rows = []
     for ell in range(args.ell + 1):
         p = phi(fam, ell)
@@ -183,7 +196,10 @@ def cmd_specfun(args, out):
         lo = wlo if lo is None else lo
         hi = whi if hi is None else hi
     grid = np.linspace(lo, hi, args.grid)
-    emit_csv(("s", "value"), [(s, sf(s)) for s in grid], out)
+    # emit_csv names a value that overflowed or turned NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = [(s, sf(s)) for s in grid]
+    emit_csv(("s", "value"), rows, out)
     return 0
 
 
@@ -328,9 +344,7 @@ def cmd_verify_spectrum(args, out):
 
 def cmd_verify_orthogonality(args, out):
     fam = _family_from(args)
-    cap = cutoff(fam)
-    top = min(args.lmax, (cap.max_degree
-                          if cap.max_degree is not None else args.lmax))
+    top = cutoff(fam).top_degree(args.lmax)
     if not args.m < top:
         raise InvalidParameter(
             f"need m < min(lmax, L) for a pair m <= ell < k, got m={args.m}, "
@@ -360,9 +374,8 @@ def cmd_reproduce_dw(args, out):
 
 
 def cmd_acceptance(args, out):
-    only = set(int(t) for t in args.only.split(",")) if args.only else None
     seed = args.seed if args.seed is not None else _default_seed()
-    results = acceptance_mod.run_all(seed=seed, only=only)
+    results = acceptance_mod.run_all(seed=seed, only=args.only)
     failed = 0
     for r in results:
         status = "PASS" if r.passed else "FAIL"
@@ -511,8 +524,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("acceptance", help="run every acceptance criterion")
     p.add_argument("--seed", type=int, default=None,
                    help="default: $SOLVABLE_SEED, else 42")
-    p.add_argument("--only", type=str, default=None,
-                   help="comma-separated criterion indices")
+    p.add_argument("--only", type=_criterion_indices, default=None,
+                   help="comma-separated criterion indices 1-10")
     p.set_defaults(fn=cmd_acceptance)
 
     return ap

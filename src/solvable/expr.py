@@ -73,34 +73,6 @@ class Expr:
 
     __slots__ = ("_hash", "_derivative")
 
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return add(self, mul(-1, other))
-
-    def __rsub__(self, other):
-        return add(other, mul(-1, self))
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return mul(self, pow_(other, -1))
-
-    def __rtruediv__(self, other):
-        return mul(other, pow_(self, -1))
-
-    def __pow__(self, q):
-        return pow_(self, q)
-
-    def __neg__(self):
-        return mul(-1, self)
-
 
 # the frozen dataclasses' __setattr__ refuses every write, the caches too
 _set_hash = Expr._hash.__set__

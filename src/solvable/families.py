@@ -27,7 +27,7 @@ from .expr import VAR, Expr, add, as_fraction, exp_, fun_, mul, pow_
 
 __all__ = [
     "SigmaCase", "FamilySpec", "FamilyCutoff",
-    "eigenvalue", "weight", "cutoff", "ALL_CASES",
+    "eigenvalue", "weight", "cutoff", "check_degree", "ALL_CASES",
 ]
 
 INF = math.inf
@@ -167,15 +167,16 @@ class FamilyCutoff:
     def unbounded(self) -> bool:
         return math.isinf(self.lambda_cap)
 
+    def top_degree(self, limit: int) -> int:
+        """The largest admissible ell that is at most ``limit``."""
+        if self.max_degree is None:
+            return limit
+        return min(self.max_degree, limit)
+
 
 def eigenvalue(family: FamilySpec, ell: int) -> float:
     """lambda_ell = -(sigma''/2) ell (ell-1) - alpha ell."""
-    if ell < 0:
-        raise InvalidParameter("ell must be a nonnegative integer")
-    cap = cutoff(family)
-    if ell >= cap.lambda_cap:
-        raise DegreeBeyondCutoff(
-            f"ell={ell} is beyond the cutoff Lambda={cap.lambda_cap:g}")
+    check_degree(family, ell)
     a = family.sigma_coeffs[0]
     return -a * ell * (ell - 1) - family.alpha * ell
 
@@ -218,6 +219,17 @@ def cutoff(family: FamilySpec) -> FamilyCutoff:
     cap = (1.0 - family.alpha) / 2.0
     max_degree = math.ceil(cap) - 1  # largest integer strictly below cap
     return FamilyCutoff(cap, max_degree)
+
+
+def check_degree(family: FamilySpec, degree: int, name: str = "ell") -> None:
+    """Raise InvalidParameter for a negative degree and DegreeBeyondCutoff
+    for one at or past the cutoff Lambda; ``name`` names the degree."""
+    if degree < 0:
+        raise InvalidParameter(f"{name} must be a nonnegative integer")
+    cap = cutoff(family).lambda_cap
+    if degree >= cap:
+        raise DegreeBeyondCutoff(
+            f"{name}={degree} is beyond the cutoff Lambda={cap:g}")
 
 
 _SAMPLE_WINDOWS = {

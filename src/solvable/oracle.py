@@ -42,7 +42,7 @@ import sys
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import NamedTuple
-from itertools import accumulate, islice, zip_longest
+from itertools import accumulate, islice
 
 import numpy as np
 
@@ -101,16 +101,16 @@ class QuadResult:
 class _PanelHeap:
     """Max-heap on panel error with deterministic tie-breaking.
 
-    The halves of a panel may be evaluated before it is popped; they wait
-    in ``_halves`` under the panel's counter until ``refine_worst`` pops
-    it.  A heap entry is (-error, counter, a, b, value).
+    Panels evaluated ahead of their turn wait in ``_ahead``, keyed by
+    their bounds, until ``evaluate`` is asked for them.  A heap entry is
+    (-error, counter, a, b, value).
     """
 
     def __init__(self, f):
         self._f = f
         self._heap = []
         self._counter = 0
-        self._halves = {}
+        self._ahead = {}  # (a, b) -> (value, error)
         self._merge = True  # False once a call joining several sets raised
         self.value = 0.0
         self.abs_value = 0.0
@@ -119,27 +119,29 @@ class _PanelHeap:
         self.calls = 0
 
     def evaluate(self, bounds):
-        """(value, error) of each panel in ``bounds``, in one call of f."""
+        """(value, error) of each panel in ``bounds``: the results
+        evaluated ahead, or those of one call of f."""
+        if bounds[0] in self._ahead:
+            return [self._ahead.pop(p) for p in bounds]
         self.calls += 1
         return _panels(self._f, bounds)
 
-    def evaluate_sets(self, sets):
-        """(value, error) lists of a prefix of ``sets`` (lists of panel
-        bounds), from one call of f: of every set, or, once a call joining
-        several sets has raised, of the first set alone.  The sets are
+    def evaluate_ahead(self, sets):
+        """Evaluate two or more ``sets`` (lists of panel bounds) in one
+        call of f and keep the results for ``evaluate``.  The sets are
         those a set-by-set evaluation would pass to f one call each, the
-        first of them next, so only the exception of that call can
-        surface."""
-        if self._merge and len(sets) > 1:
-            try:
-                out = iter(self.evaluate([p for s in sets for p in s]))
-            except Exception:
-                # whatever f raised, the set-by-set calls from here on
-                # raise it again where that evaluation meets it
-                self._merge = False
-            else:
-                return [[next(out) for _ in s] for s in sets]
-        return [self.evaluate(sets[0])]
+        first of them next.  With one set, or once a joint call has
+        raised, nothing is evaluated, so each set is evaluated when its
+        turn comes and only the exception of that call can surface."""
+        if not (self._merge and len(sets) > 1):
+            return
+        bounds = [p for s in sets for p in s]
+        try:
+            self._ahead.update(zip(bounds, self.evaluate(bounds)))
+        except Exception:
+            # whatever f raised, the set-by-set calls from here on
+            # raise it again where that evaluation meets it
+            self._merge = False
 
     def add(self, a, b, v, e):
         self.value += v
@@ -165,7 +167,7 @@ class _PanelHeap:
         only at the top: taking it out turns the error sum into NaN,
         which ends the loop.
         """
-        if not (self._merge and math.isfinite(self._heap[0][0])):
+        if not math.isfinite(self._heap[0][0]):
             return [self._heap[0]]
         ranked = sorted(self._heap)
         errors = [-item[0] for item in ranked]
@@ -179,30 +181,32 @@ class _PanelHeap:
         return ranked
 
     def refine_worst(self, tail_error, half_target):
-        """Split the worst panel.  Unless its halves are known, evaluate
-        them in one call with those of every other panel in
-        ``certain_splits`` whose halves are not known either."""
-        if self._heap[0][1] not in self._halves:
-            ranked = [item for item in self.certain_splits(
-                tail_error, half_target) if item[1] not in self._halves]
-            sets = [((a, 0.5 * (a + b)), (0.5 * (a + b), b))
-                    for _, _, a, b, _ in ranked]
-            for item, halves in zip(ranked, self.evaluate_sets(sets)):
-                self._halves[item[1]] = halves
-        neg_e, counter, a, b, v = heapq.heappop(self._heap)
+        """Split the worst panel.  Unless its halves were evaluated ahead,
+        evaluate them in one call with those of every other panel in
+        ``certain_splits`` whose halves were not."""
+        halves = _split(self._heap[0])
+        if halves[0] not in self._ahead:
+            sets = map(_split, self.certain_splits(tail_error, half_target))
+            self.evaluate_ahead([s for s in sets if s[0] not in self._ahead])
+        neg_e, _, _, _, v = heapq.heappop(self._heap)
         self.value -= v
         self.abs_value -= abs(v)
         self.error += neg_e  # neg_e == -e
-        mid = 0.5 * (a + b)
-        (v1, e1), (v2, e2) = self._halves.pop(counter)
-        self.add(a, mid, v1, e1)
-        self.add(mid, b, v2, e2)
+        for (a, b), (v, e) in zip(halves, self.evaluate(halves)):
+            self.add(a, b, v, e)
 
 
-def _march_blocks(edge, width, side):
-    """The geometrically growing blocks, at most 70, of a march from
-    ``edge`` toward side +1 (hi) or -1 (lo), the first ``width`` wide,
-    each made when the march takes it."""
+def _split(item):
+    """The bounds of the two halves of the panel in heap entry ``item``."""
+    mid = 0.5 * (item[2] + item[3])
+    return (item[2], mid), (mid, item[3])
+
+
+def _march_blocks(core, side):
+    """The geometrically growing blocks, at most 70, of a march from its
+    own end of ``core`` toward side +1 (hi) or -1 (lo), the first as wide
+    as the core, each made when the march takes it."""
+    edge, width = core[1 if side > 0 else 0], core[1] - core[0]
     for _ in range(70):
         a, b = (edge, edge + width) if side > 0 else (edge - width, edge)
         yield a, b
@@ -220,9 +224,10 @@ def integrate(f, interval, tol: float = 1e-10) -> QuadResult:
     each later call holds a march batch the stop rule is certain to need,
     or the halves of the worst panel together with those of every panel
     the refinement loop is then certain to split.  No panel is evaluated
-    ahead of that certainty, and the splits are replayed one at a time,
-    so value, error, nodes and window are those of evaluating one panel
-    set per call; ``QuadResult.calls`` counts the calls.  Should a call
+    ahead of that certainty, and the march or split that needs a panel
+    set takes it from the heap's one store of panels evaluated ahead, so
+    value, error, nodes and window are those of evaluating one panel set
+    per call; ``QuadResult.calls`` counts the calls.  Should a call
     joining several sets raise, the sets are evaluated one call each from
     then on, so the exception is the one that evaluation raises.
     Convergence target is max(tol, tol * |integral|), so large-magnitude
@@ -248,15 +253,13 @@ def integrate(f, interval, tol: float = 1e-10) -> QuadResult:
     span = core[1] - core[0]
     starts = [core[0] + span * k / 4.0 for k in range(4)]
     panels = [(a, a + span / 4.0) for a in starts]
-    # a march starts at its own end of the core (march(+1) never moves
-    # window[0]) and always evaluates its first 3 blocks, so they are
-    # known before anything is evaluated and share the core's call
     sides = [side for side, end in ((+1, hi), (-1, lo)) if math.isinf(end)]
-    plans = [_march_blocks(core[1] if side > 0 else core[0], span, side)
-             for side in sides]
-    batches = [list(islice(blocks, 3)) for blocks in plans]
-    first = heap.evaluate_sets([panels] + batches)
-    for (a, b), (v, e) in zip(panels, first[0]):
+    # a march always evaluates its first 3 blocks, so they are known
+    # before anything is evaluated and share the core's call
+    heap.evaluate_ahead(
+        [panels] + [list(islice(_march_blocks(core, side), 3))
+                    for side in sides])
+    for (a, b), (v, e) in zip(panels, heap.evaluate(panels)):
         heap.add(a, b, v, e)
 
     tail_error = 0.0
@@ -265,17 +268,15 @@ def integrate(f, interval, tol: float = 1e-10) -> QuadResult:
     def target():
         return max(tol, tol * abs(heap.value))
 
-    def march(side, blocks, batch, results):
-        # side = +1 (toward hi) or -1 (toward lo); batch is the first 3
-        # blocks, taken from the iterator blocks, and results are theirs
-        # if they are already evaluated, else None
+    def march(side):
+        # side = +1 (toward hi) or -1 (toward lo)
         nonlocal tail_error
+        todo = _march_blocks(core, side)
+        batch = list(islice(todo, 3))
         prev = None
         quiet = 0
         while batch:
-            if results is None:
-                results = heap.evaluate(batch)
-            for (a, b), (v, e) in zip(batch, results):
+            for (a, b), (v, e) in zip(batch, heap.evaluate(batch)):
                 heap.add(a, b, v, e)
                 # stop once three consecutive blocks are negligible and the
                 # measured block-to-block decay bounds the remaining tail
@@ -299,7 +300,7 @@ def integrate(f, interval, tol: float = 1e-10) -> QuadResult:
                 break
             # the march stops only after three quiet blocks in a row, so
             # the next 3 - quiet blocks are evaluated whatever they hold
-            batch, results = list(islice(blocks, 3 - quiet)), None
+            batch = list(islice(todo, 3 - quiet))
         else:
             tail_error = math.inf  # the 70 blocks ran out
         # (a, b) is the last block added
@@ -308,9 +309,8 @@ def integrate(f, interval, tol: float = 1e-10) -> QuadResult:
         else:
             window[0] = a
 
-    for side, blocks, batch, results in zip_longest(sides, plans, batches,
-                                                    first[1:]):
-        march(side, blocks, batch, results)
+    for side in sides:
+        march(side)
 
     while (heap.error + tail_error > target() / 2.0
            and heap.nodes < _MAX_NODES):
@@ -341,9 +341,6 @@ class FDHamiltonian:
     ``off`` the n-2 off-diagonals, one per pair of neighbouring rows: the
     non-uniform three-point stencil symmetrized by the node weights
     w_i = (h_(i-1) + h_i)/2, which keeps its eigenvalues.
-
-    left_ratio r imposes u_0 = r * u_1 instead of u_0 = 0, which matches
-    a known power-law behavior at a singular left endpoint.
 
     The arrays are held as read-only views, so a shared instance cannot
     be changed by any of its readers.
@@ -414,15 +411,22 @@ def fd_hamiltonian(potential, x_lo: float, x_hi: float, n: int,
     the potential is an Expr or a vectorized callable, and must be finite
     at every interior node (NonFiniteValue names the first that is not):
     the Sturm count would read a NaN pivot as "not below".  Every mesh
-    spacing h needs a normal h^2, so that 1/h^2 is finite."""
+    spacing h needs a normal, finite h^2, so that 1/h^2 is finite and
+    the stencil's products of spacings do not overflow.
+
+    left_ratio r imposes u_0 = r * u_1 instead of u_0 = 0, which matches
+    a known power-law behavior at a singular left endpoint."""
     if n < 16:
         raise InvalidParameter("need at least 16 subintervals")
     nodes = fd_nodes(x_lo, x_hi, n, grading)
-    h_min = (x_hi - x_lo) / n if grading == 1.0 else float(
-        np.min(np.diff(nodes)))
+    h = (x_hi - x_lo) / n if grading == 1.0 else np.diff(nodes)
+    h_min, h_max = float(np.min(h)), float(np.max(h))
     if not h_min * h_min >= sys.float_info.min:
         raise InvalidParameter(
             f"mesh spacing {h_min:g} is too small: its square underflows")
+    if not h_max * h_max < math.inf:
+        raise InvalidParameter(
+            f"mesh spacing {h_max:g} is too large: its square overflows")
     grid = nodes[1:-1]
     v = np.broadcast_to(np.asarray(_as_array_function(potential)(grid),
                                    dtype=float), grid.shape)
@@ -431,7 +435,6 @@ def fd_hamiltonian(potential, x_lo: float, x_hi: float, n: int,
         i = int(np.argmin(finite))
         raise NonFiniteValue(f"potential is {v[i]:g} at x={grid[i]:g}")
     if grading == 1.0:
-        h = (x_hi - x_lo) / n
         diag = 2.0 / h ** 2 + v
         diag[0] -= left_ratio / h ** 2
         return FDHamiltonian(x_lo, x_hi, n, grid, h, diag, -1.0 / h ** 2)
@@ -487,7 +490,13 @@ class _Rows(NamedTuple):
 
     d0: float
     rest: list          # d_1, ..., d_(n-1)
-    o2: float | None    # the one squared off-diagonal of a uniform mesh
+    # the one squared off-diagonal of a uniform mesh.  _sweep and
+    # _newton_sweep keep a loop of their own for it: one loop over the
+    # (d_i, o_(i-1)^2) pairs of every mesh gives the same counts but lost
+    # all 6 alternating pairs of spectrum benchmark runs on a 2-vCPU host
+    # (tasks_per_s median 44.2 against 50.0, task_p50_ms 21.9 against
+    # 19.4), so keep the fork
+    o2: float | None
     off2: list          # o_i^2, i < n - 1
     abs_off: list       # |o_i|, i < n - 1
     floor: list

@@ -30,12 +30,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expr
-from .errors import (
-    DegenerateRecursion, DegreeBeyondCutoff, InvalidParameter,
-    UnsupportedCorrespondence,
-)
+from .errors import DegenerateRecursion, UnsupportedCorrespondence
 from .expr import VAR, Expr, add, differentiate, evaluate, mul, pow_
-from .families import FamilySpec, SigmaCase, cutoff, sample_window, weight
+from .families import (
+    FamilySpec, SigmaCase, check_degree, sample_window, weight,
+)
 
 __all__ = [
     "Poly", "phi", "phi_rodrigues", "classical_match", "MatchReport",
@@ -108,14 +107,8 @@ class Poly:
 
 def phi(family: FamilySpec, ell: int) -> Poly:
     """Monic degree-ell polynomial solution of the family equation."""
-    if ell < 0:
-        raise InvalidParameter("ell must be a nonnegative integer")
-    cap = cutoff(family)
-    if ell >= cap.lambda_cap:
-        raise DegreeBeyondCutoff(
-            f"ell={ell} is beyond the cutoff Lambda={cap.lambda_cap:g}")
-    a, b, _c = family.sigma_coeffs
-    c = _c
+    check_degree(family, ell)
+    a, b, c = family.sigma_coeffs
     alpha, beta = family.alpha, family.beta
     cs = [0.0] * (ell + 1)
     cs[ell] = 1.0
@@ -139,10 +132,7 @@ def phi_rodrigues(family: FamilySpec, ell: int) -> Poly:
     family's sample window.  Unnormalized: proportional to phi() with a
     nonzero constant whenever deg phi = ell.
     """
-    cap = cutoff(family)
-    if ell >= cap.lambda_cap:
-        raise DegreeBeyondCutoff(
-            f"ell={ell} is beyond the cutoff Lambda={cap.lambda_cap:g}")
+    check_degree(family, ell)
     rho = weight(family)
     work = mul(pow_(family.sigma_expr, ell), rho)
     for _ in range(ell):

@@ -22,11 +22,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DegreeBeyondCutoff, InvalidParameter, OrderExceedsDegree
-from .expr import (
-    VAR, Expr, add, compose, differentiate, evaluate, exp_, fun_, mul, pow_,
-)
-from .families import FamilySpec, SigmaCase, cutoff, eigenvalue, weight
+from .errors import InvalidParameter
+from .expr import VAR, Expr, add, compose, differentiate, exp_, fun_, mul, pow_
+from .families import FamilySpec, SigmaCase, check_degree, eigenvalue, weight
 from .specfun import multiplication_part, special_function
 
 __all__ = [
@@ -45,12 +43,6 @@ class VariableMap:
     forward: Expr       # x(s), expression in s
     inverse: Expr       # s(x), expression in x
     image: tuple        # (a', b')
-
-    def to_x(self, s):
-        return evaluate(self.forward, s)
-
-    def to_s(self, x):
-        return evaluate(self.inverse, x)
 
 
 def variable_map(family: FamilySpec) -> VariableMap:
@@ -138,12 +130,7 @@ def _potential_in_s(family: FamilySpec, m: int) -> Expr:
 def potential(family: FamilySpec, m: int, attach_ells=()) -> SchrodingerSystem:
     """The m-th potential as an expression in x, with eigenpairs
     (lambda_ell, Psi_{ell,m}) attached for the requested ell values."""
-    if m < 0:
-        raise InvalidParameter("m must be a nonnegative integer")
-    cap = cutoff(family)
-    if m >= cap.lambda_cap:
-        raise DegreeBeyondCutoff(
-            f"m={m} is beyond the cutoff Lambda={cap.lambda_cap:g}")
+    check_degree(family, m, "m")
     vmap = variable_map(family)
     v_x = compose(_potential_in_s(family, m), vmap.inverse)
     pairs = tuple(
@@ -155,9 +142,7 @@ def potential(family: FamilySpec, m: int, attach_ells=()) -> SchrodingerSystem:
 def wavefunction(family: FamilySpec, ell: int, m: int) -> Expr:
     """Psi_{ell,m}(x) = sqrt(kappa rho) F_{ell,m} at s = s(x); square
     integrable on the image interval for ell below the cutoff."""
-    if m > ell:
-        raise OrderExceedsDegree(f"m={m} exceeds ell={ell}")
-    sf = special_function(family, ell, m)  # validates the cutoff
+    sf = special_function(family, ell, m)  # validates ell and m
     vmap = variable_map(family)
     amp = mul(pow_(mul(family.kappa_expr, weight(family)), Fraction(1, 2)),
               pow_(family.sigma_expr, Fraction(m, 2)),

@@ -25,11 +25,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    DegreeBeyondCutoff, InvalidParameter, OrderExceedsDegree, SingularPoint,
-)
+from .errors import InvalidParameter, OrderExceedsDegree, SingularPoint
 from .expr import Expr, add, differentiate, evaluate, mul, pow_
-from .families import FamilySpec, cutoff, eigenvalue, weight
+from .families import FamilySpec, weight
 from .oracle import _as_array_function, integrate
 from .polynomials import Poly, phi
 
@@ -57,20 +55,12 @@ class SpecialFunction:
         return mul(pow_(self.family.sigma_expr, Fraction(self.m, 2)),
                    self.poly_part.to_expr())
 
-    @property
-    def eigenvalue(self) -> float:
-        return eigenvalue(self.family, self.ell)
-
 
 def special_function(family: FamilySpec, ell: int, m: int) -> SpecialFunction:
     if not 0 <= m:
         raise InvalidParameter("m must be a nonnegative integer")
     if m > ell:
         raise OrderExceedsDegree(f"m={m} exceeds ell={ell}")
-    cap = cutoff(family)
-    if ell >= cap.lambda_cap:
-        raise DegreeBeyondCutoff(
-            f"ell={ell} is beyond the cutoff Lambda={cap.lambda_cap:g}")
     return SpecialFunction(family, ell, m, phi(family, ell).deriv(m))
 
 

@@ -60,6 +60,27 @@ class TestPoly:
                           "--beta", "1", "--ell", "1"])
         assert code == 1
 
+    def test_negative_degree_exits_1(self, capsys):
+        # an empty range of degrees printed the header alone, exit 0
+        code, text = invoke(["poly", "--case", "one", "--alpha", "-2",
+                             "--beta", "0", "--ell", "-1"])
+        assert (code, text) == (1, "")
+        assert capsys.readouterr().err == (
+            "error: ell must be a nonnegative integer\n")
+
+
+class TestAcceptanceOnly:
+    # "x" ended in a ValueError traceback; "0" and "99" ran no criterion
+    # and printed "0/0 criteria passed", exit 0
+    @pytest.mark.parametrize("value,bad", [
+        ("x", "x"), ("0", "0"), ("99", "99"), ("3,x", "x")])
+    def test_non_index_is_a_usage_error(self, value, bad, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["acceptance", "--only", value])
+        assert exc.value.code == 2
+        assert (f"argument --only: {bad!r} is not a criterion index 1-10"
+                in capsys.readouterr().err)
+
 
 class TestGenerate:
     def test_ground_state_energy_two(self):
@@ -419,12 +440,12 @@ class TestSharedParser:
         seeds = []
         monkeypatch.setattr(
             cli.acceptance_mod, "run_all",
-            lambda seed, only: seeds.append(seed) or [])
+            lambda seed, only: seeds.append((seed, only)) or [])
         for value in ("7", "8"):
             monkeypatch.setenv("SOLVABLE_SEED", value)
-            invoke(["acceptance", "--only", "6"])
+            invoke(["acceptance", "--only", "6,10,6"])
         invoke(["acceptance", "--seed", "3"])
-        assert seeds == [7, 8, 3]
+        assert seeds == [(7, {6, 10}), (8, {6, 10}), (3, None)]
 
 
 class TestNegativeOptionValues:
@@ -550,7 +571,8 @@ _OPTION_VALUES = st.sampled_from(("0", "1e300", "-1e300", "1e-300", "inf",
 def _commands(draw):
     """argv of potential, eigenfunction, specfun eval, poly, families,
     reproduce-dw or verify residual|spectrum|orthogonality, every float
-    option drawn from ``_OPTION_VALUES`` and every grid small."""
+    option drawn from ``_OPTION_VALUES``, every degree option from small
+    integers, negative ones among them, and every grid small."""
     def values(*names):
         return [f"--{name}={draw(_OPTION_VALUES)}" for name in names]
 
@@ -561,11 +583,13 @@ def _commands(draw):
         return [f"--case={draw(st.sampled_from(sorted(cli._CASE_NAMES)))}",
                 *values("alpha", "beta")]
 
-    def ell_m():
-        return [f"--ell={draw(st.integers(0, 3))}",
-                f"--m={draw(st.integers(0, 2))}"]
+    def degree(name, top):
+        return f"--{name}={draw(st.integers(-2, top))}"
 
-    m = f"--m={draw(st.integers(0, 2))}"
+    def ell_m():
+        return [degree("ell", 3), degree("m", 2)]
+
+    m = degree("m", 2)
     kind = draw(st.sampled_from((
         "potential", "eigenfunction", "specfun", "poly", "families",
         "reproduce-dw", "residual", "spectrum", "orthogonality")))
@@ -579,7 +603,7 @@ def _commands(draw):
         return ["specfun", "eval", *family(), *ell_m(), "--grid=5",
                 *optional("smin", "smax")]
     if kind == "poly":
-        return ["poly", *family(), f"--ell={draw(st.integers(0, 3))}"]
+        return ["poly", *family(), degree("ell", 3)]
     if kind == "families":
         return ["families", *values("alpha", "beta")]
     if kind == "reproduce-dw":
@@ -587,7 +611,7 @@ def _commands(draw):
                 f"--which={draw(st.sampled_from('12'))}"]
     if kind == "orthogonality":
         return ["verify", "orthogonality", *family(),
-                f"--m={draw(st.integers(0, 1))}", "--lmax=2"]
+                degree("m", 1), degree("lmax", 2)]
     system = draw(st.sampled_from(("family", "cuberoot") if kind ==
                                   "spectrum" else ("family", "cuberoot",
                                                    "sqrt")))
@@ -622,12 +646,30 @@ _TRACEBACK_SEEDS = (
      "mesh spacing 1e-302 is too small: its square underflows"),
 )
 
+# each printed a numpy RuntimeWarning ahead of its output: an overflow in
+# sigma(s) at s = 1e300, a square of a mesh spacing that overflows, or a
+# division by a product of norms that underflows to zero
+_WARNING_SEEDS = (
+    (["specfun", "eval", "--case", "s^2", "--alpha", "-1e300", "--beta",
+      "1e300", "--ell", "0", "--m", "0", "--grid", "2", "--smax", "1e300"],
+     0, ""),
+    (["verify", "spectrum", "--system", "cuberoot", "--c1", "1e-300",
+      "--c2", "0", "--grid", "32", "--xmax", "1e300"],
+     1, "error: mesh spacing 1.03137e+299 is too large: its square "
+        "overflows\n"),
+    (["verify", "orthogonality", "--case", "one", "--alpha", "-1e300",
+      "--beta", "-2", "--m", "1", "--lmax", "2"],
+     1, "error: the norms of F_(1,1) and F_(2,1) multiply to 0, so no "
+        "inner product can be normalized\n"),
+)
+
 
 class TestCommandFuzz:
     """Every other subcommand on extreme option values ends in exit 0, 1
     or 2 without a traceback, and exit 0 prints valid JSON or a CSV table
-    of finite numbers; the commands that ended in a traceback exit 1
-    naming the value."""
+    of finite numbers, with at least one row unless it lists the levels
+    below --emax; the commands that ended in a traceback exit 1 naming
+    the value."""
 
     @settings(derandomize=True, max_examples=600, deadline=None)
     @given(_commands())
@@ -648,6 +690,7 @@ class TestCommandFuzz:
             json.loads(text, parse_constant=_reject_constant)
             return
         header, *rows = text.splitlines()
+        assert rows or argv[:2] == ["verify", "spectrum"]
         for row in rows:
             cells = row.split(",")
             assert len(cells) == len(header.split(","))
@@ -666,6 +709,14 @@ class TestCommandFuzz:
         assert proc.returncode == 1
         assert proc.stdout == ""
         assert proc.stderr == f"error: {message}\n"
+
+    @pytest.mark.parametrize("argv,code,err", _WARNING_SEEDS,
+                             ids=["specfun", "mesh", "orthogonality"])
+    def test_seed_warns_no_more(self, argv, code, err, capsys):
+        # pytest turns every warning into an error, so a numpy
+        # RuntimeWarning fails this test
+        assert invoke(argv)[0] == code
+        assert capsys.readouterr().err == err
 
 
 class TestGridSize:

@@ -258,12 +258,6 @@ class TestPowerTerms:
             Fraction(4): 1.0}
 
 
-def test_operator_sugar():
-    e = (X ** 2 - 1) / (X + 2)
-    assert evaluate(e, 2.0) == pytest.approx(0.75)
-    assert evaluate(-X + 3, 1.0) == 2.0
-
-
 def test_simplify_is_fixed_point_on_pipeline_outputs():
     # machine-built expressions (potentials, wavefunctions, generated
     # eigenfunctions) must already be in normal form, or repeated passes

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from solvable.errors import (
-    DegreeBeyondCutoff, UnsupportedCorrespondence,
+    DegreeBeyondCutoff, InvalidParameter, UnsupportedCorrespondence,
 )
 from solvable.expr import evaluate
 from solvable.families import (
@@ -61,6 +61,13 @@ class TestPhi:
         fam = FamilySpec(SigmaCase.S2, -7.0, 1.0)
         with pytest.raises(DegreeBeyondCutoff):
             phi(fam, 4)
+
+    def test_rodrigues_negative_degree_raises(self):
+        # ended in numpy's bare "ValueError: Coefficient array is empty"
+        fam = FamilySpec(SigmaCase.ONE, -2.0, 0.0)
+        with pytest.raises(InvalidParameter,
+                           match="ell must be a nonnegative integer"):
+            phi_rodrigues(fam, -1)
 
     @pytest.mark.parametrize("case", ALL_CASES)
     def test_ode_residual_coefficients(self, case):
