@@ -15,7 +15,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -148,11 +147,6 @@ class FamilySpec:
     @property
     def tau_expr(self) -> Expr:
         return add(mul(self.alpha, VAR), self.beta)
-
-    @property
-    def kappa_expr(self) -> Expr:
-        """kappa = sqrt(sigma)."""
-        return pow_(self.sigma_expr, Fraction(1, 2))
 
 
 @dataclass(frozen=True)

@@ -248,12 +248,6 @@ def transformed_system(family: FamilySpec, ell: int, m: int,
         Provenance(family.alpha, family.beta, gauge=sub.gauge))
 
 
-def _hermite_expr(n: int, arg: Expr) -> Expr:
-    coeffs = hermite_poly(n).coeffs
-    terms = [mul(c, pow_(arg, j)) for j, c in enumerate(coeffs) if c != 0.0]
-    return add(*terms)
-
-
 def cuberoot_potential(c1: float, c2: float) -> Expr:
     """c1 (3r/2)^(2/3) + c2 (2/(3r))^(2/3) - 5/(36 r^2)."""
     return add(
@@ -307,7 +301,8 @@ def solve_params_quantsys(c1: float, c2: float, n: int,
         pow_(VAR, Fraction(1, 6)),
         exp_(add(mul(-amp_a, pow_(VAR, Fraction(4, 3))),
                  mul(sign * amp_b, r23))),
-        _hermite_expr(n, add(mul(herm_q, r23), -sign * herm_d)))
+        compose(hermite_poly(n).to_expr(),
+                add(mul(herm_q, r23), -sign * herm_d)))
     return SchrodingerSystem(
         cuberoot_potential(c1, c2), (0.0, INF), ((energy, psi),),
         Provenance(alpha, beta, "+" if sign > 0 else "-"))
@@ -370,7 +365,7 @@ def solve_params_inverse_sqrt(c1: float, c2: float,
     psi = mul(
         pow_(VAR, Fraction(1, 4)),
         exp_(add(mul(alpha / 2.0, VAR), mul(beta / math.sqrt(2.0), sqr))),
-        _hermite_expr(n, arg))
+        compose(hermite_poly(n).to_expr(), arg))
     return SchrodingerSystem(
         inverse_sqrt_potential(c1, c2), (0.0, INF), ((energy, psi),),
         Provenance(alpha, beta, "+" if beta >= 0 else "-", degenerate))

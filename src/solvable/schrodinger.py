@@ -1,31 +1,30 @@
 """From weighted families on (a, b) to Schrodinger operators on (a', b').
 
-The change of variable s -> x with dx/ds = 1/kappa(s) (kappa = sqrt(sigma);
-the + branch is used throughout, the - branch merely reflects x) turns the
-second-order family operator into -d^2/dx^2 + V_m(x).  Wavefunctions are
+With dx/ds = 1/kappa(s), kappa = sqrt(sigma), the family operator becomes
+-d^2/dx^2 + V_m(x), with eigenfunctions Psi_{ell,m}(x) = sqrt(kappa rho)
+F_{ell,m} at s = s(x) and the same eigenvalues lambda_ell.  Pearson's
+(sigma rho)' = tau rho makes V_m = c_m + N_m(s) / (16 sigma(s)), where
 
-    Psi_{ell,m}(x) = sqrt(kappa(s(x)) rho(s(x))) F_{ell,m}(s(x)),
+    N_m = (sigma' - 2 tau)(3 sigma' - 2 tau) + 4m(m-2) sigma'^2 + 8m tau sigma'
+    c_m = (alpha - a)/2 - m(m-2) a - m alpha,   sigma = a s^2 + b s + c,
 
-eigenfunctions of that operator with the same eigenvalues lambda_ell.
-The potential is built symbolically from eta = 1/sqrt(kappa rho):
-
-    V_m(x) = [ mult_m(s) - sigma eta''/eta - tau eta'/eta ]  at s = s(x),
-
-where mult_m is the multiplication part of the associated-function
-operator.  All six closed-form variable maps are hard-coded; exactness
-feeds the symbolic pipeline.
+and V_m is built in partial fractions over sigma: the shape-invariant
+potentials of Cooper, Khare & Sukhatme, Phys. Rep. 251 (1995) 267.  Where
+sigma has two simple real roots r, the variable map gives each |s(x) - r|
+in an exact half-angle form, so V and Psi keep their digits at the ends.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvalidParameter
-from .expr import VAR, Expr, add, compose, differentiate, exp_, fun_, mul, pow_
+from .expr import VAR, Expr, add, as_fraction, compose, exp_, fun_, mul, pow_
 from .families import FamilySpec, SigmaCase, check_degree, eigenvalue, weight
-from .specfun import multiplication_part, special_function
+from .specfun import special_function
 
 __all__ = [
     "VariableMap", "Provenance", "SchrodingerSystem", "variable_map",
@@ -37,37 +36,34 @@ INF = math.inf
 
 @dataclass(frozen=True)
 class VariableMap:
-    """Closed-form bijection s -> x with x'(s) = 1/kappa(s) and inverse."""
+    """s(x), with ds/dx = kappa(s(x)), and (r, |s(x) - r|) at simple roots."""
 
-    family: FamilySpec
-    forward: Expr       # x(s), expression in s
     inverse: Expr       # s(x), expression in x
     image: tuple        # (a', b')
+    root_factors: tuple = ()
 
 
 def variable_map(family: FamilySpec) -> VariableMap:
-    s, x = VAR, VAR
-    case = family.sigma_case
+    x, case = VAR, family.sigma_case
     if case is SigmaCase.ONE:
-        return VariableMap(family, s, x, (-INF, INF))
-    if case is SigmaCase.S:
-        # integral of ds/sqrt(s) = 2 sqrt(s)
-        return VariableMap(family, mul(2, pow_(s, Fraction(1, 2))),
-                           mul(Fraction(1, 4), pow_(x, 2)), (0.0, INF))
+        return VariableMap(x, (-INF, INF))
+    if case is SigmaCase.S:  # x = 2 sqrt(s)
+        return VariableMap(mul(Fraction(1, 4), pow_(x, 2)), (0.0, INF))
     if case is SigmaCase.ONE_MINUS_S2:
-        return VariableMap(family, fun_("arcsin", s), fun_("sin", x),
-                           (-math.pi / 2, math.pi / 2))
+        # 1 -+ sin x = 2 sin^2 u and 2 cos^2 u with u = pi/4 - x/2
+        u = add(math.pi / 4, mul(Fraction(-1, 2), x))
+        return VariableMap(fun_("sin", x), (-math.pi / 2, math.pi / 2), (
+            (1, mul(2, pow_(fun_("sin", u), 2))),
+            (-1, mul(2, pow_(fun_("cos", u), 2)))))
     if case is SigmaCase.S2_MINUS_1:
-        # arccosh s = log(s + sqrt(s^2 - 1))
-        fwd = fun_("log", add(s, pow_(add(pow_(s, 2), -1), Fraction(1, 2))))
-        return VariableMap(family, fwd, fun_("cosh", x), (0.0, INF))
+        # cosh x -+ 1 = 2 sinh^2(x/2) and 2 cosh^2(x/2)
+        half = mul(Fraction(1, 2), x)
+        return VariableMap(fun_("cosh", x), (0.0, INF), (
+            (1, mul(2, pow_(fun_("sinh", half), 2))),
+            (-1, mul(2, pow_(fun_("cosh", half), 2)))))
     if case is SigmaCase.S2:
-        return VariableMap(family, fun_("log", s), exp_(x), (-INF, INF))
-    if case is SigmaCase.S2_PLUS_1:
-        # arcsinh s = log(s + sqrt(s^2 + 1))
-        fwd = fun_("log", add(s, pow_(add(pow_(s, 2), 1), Fraction(1, 2))))
-        return VariableMap(family, fwd, fun_("sinh", x), (-INF, INF))
-    raise AssertionError(case)
+        return VariableMap(exp_(x), (-INF, INF))
+    return VariableMap(fun_("sinh", x), (-INF, INF))  # sigma = s^2 + 1
 
 
 @dataclass(frozen=True)
@@ -114,40 +110,55 @@ class SchrodingerSystem:
         return self._only_pair()[1]
 
 
-def _potential_in_s(family: FamilySpec, m: int) -> Expr:
-    sig, tau = family.sigma_expr, family.tau_expr
-    eta = pow_(mul(family.kappa_expr, weight(family)), Fraction(-1, 2))
-    d1 = differentiate(eta)
-    d2 = differentiate(d1)
-    inv_eta = pow_(eta, -1)
-    return add(
-        multiplication_part(family, m),
-        mul(-1, sig, d2, inv_eta),
-        mul(-1, tau, d1, inv_eta),
-    )
-
-
 def potential(family: FamilySpec, m: int, attach_ells=()) -> SchrodingerSystem:
     """The m-th potential as an expression in x, with eigenpairs
-    (lambda_ell, Psi_{ell,m}) attached for the requested ell values."""
+    (lambda_ell, Psi_{ell,m}) attached for the requested ell values; each
+    coefficient is exact until rounded once, so no residue cancels."""
     check_degree(family, m, "m")
     vmap = variable_map(family)
-    v_x = compose(_potential_in_s(family, m), vmap.inverse)
-    pairs = tuple(
-        (eigenvalue(family, ell), wavefunction(family, ell, m))
-        for ell in attach_ells)
+    a, b, c = map(Fraction, family.sigma_coeffs)
+    fa, fb = as_fraction(family.alpha), as_fraction(family.beta)
+    def rounded(q):  # to the nearest float, +-inf past the float range
+        big = abs(q) > sys.float_info.max
+        return (INF if q > 0 else -INF) if big else float(q)
+    def n_at(s):  # N_m(s) at a rational s
+        ds, tau = 2 * a * s + b, fa * s + fb
+        return (ds - 2 * tau) * (3 * ds - 2 * tau) \
+            + 4 * m * (m - 2) * ds * ds + 8 * m * tau * ds
+    n0, n1, n_1 = n_at(0), n_at(1), n_at(-1)
+    coeffs = (n0, (n1 - n_1) / 2, (n1 + n_1) / 2 - n0)
+    lead = coeffs[2] / a if a else 0  # N_m = lead sigma + rem
+    if vmap.root_factors:  # N_m(r)/(16 sigma'(r)) over s - r = +-|s - r|
+        rest = [(n_at(r) / (32 * a * r) * (-1) ** (r > family.interval[0]),
+                 pow_(dist, -1)) for r, dist in vmap.root_factors]
+    else:
+        rest = [((k - lead * q) / 16, compose(mul(
+            pow_(VAR, j), pow_(family.sigma_expr, -1)), vmap.inverse))
+            for j, (k, q) in enumerate(zip(coeffs, (c, b, a)))]
+    v_x = add(rounded((fa - a) / 2 - m * (m - 2) * a - m * fa + lead / 16),
+              *(mul(rounded(k), term) for k, term in rest))
+    pairs = tuple((eigenvalue(family, ell), wavefunction(family, ell, m))
+                  for ell in attach_ells)
     return SchrodingerSystem(v_x, vmap.image, pairs)
 
 
 def wavefunction(family: FamilySpec, ell: int, m: int) -> Expr:
-    """Psi_{ell,m}(x) = sqrt(kappa rho) F_{ell,m} at s = s(x); square
-    integrable on the image interval for ell below the cutoff."""
+    """Psi_{ell,m}(x) = sqrt(kappa rho) F_{ell,m} at s = s(x), square
+    integrable on the image for ell below the cutoff; at two simple roots r,
+    sqrt(kappa rho) kappa^m = prod |s - r|^((m - 1/2 + tau(r)/sigma'(r))/2)."""
     sf = special_function(family, ell, m)  # validates ell and m
     vmap = variable_map(family)
-    amp = mul(pow_(mul(family.kappa_expr, weight(family)), Fraction(1, 2)),
-              pow_(family.sigma_expr, Fraction(m, 2)),
-              sf.poly_part.to_expr())
-    return compose(amp, vmap.inverse)
+    if not vmap.root_factors:
+        amp = mul(pow_(mul(pow_(family.sigma_expr, Fraction(1, 2)),
+                           weight(family)), Fraction(1, 2)),
+                  pow_(family.sigma_expr, Fraction(m, 2)),
+                  sf.poly_part.to_expr())
+        return compose(amp, vmap.inverse)
+    fa, fb, a = map(as_fraction, (family.alpha, family.beta,
+                                  family.sigma_coeffs[0]))
+    return mul(compose(sf.poly_part.to_expr(), vmap.inverse), *(
+        pow_(dist, (m - Fraction(1, 2) + (fa * r + fb) / (2 * a * r)) / 2)
+        for r, dist in vmap.root_factors))
 
 
 def oscillator_potential_value(family: FamilySpec, m: int, x) -> float:

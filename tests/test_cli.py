@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 import threading
@@ -10,7 +11,7 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from solvable import cli
@@ -278,16 +279,17 @@ class TestInvalidParameters:
         (["verify", "orthogonality", "--case", "s", "--alpha", "-1",
           "--beta", "2", "--m", "4", "--lmax", "4"],
          "need m < min(lmax, L)"),
-        # the s^2 potential is inf * 0 = NaN below x of about -7.1
-        (["potential", "--case", "s^2", "--alpha", "-7", "--beta", "1",
-          "--m", "0"],
+        # alpha = beta = -1e300: the oscillator's alpha^2 x^2 and
+        # alpha beta x terms overflow to inf - inf = NaN at x = -10
+        (["potential", "--case", "one", "--alpha", "-1e300",
+          "--beta=-1e300", "--m", "0"],
          "nan in column V(x) of the row with x=-10"),
-        (["verify", "residual", "--case", "s^2", "--alpha", "-7",
-          "--beta", "1", "--ell", "0", "--m", "0"],
+        (["verify", "residual", "--case", "one", "--alpha", "-1e300",
+          "--beta=-1e300", "--ell", "0", "--m", "0"],
          "nan in column residual of the row with x=-10"),
         # a NaN potential would be read as no eigenvalue at all
-        (["verify", "spectrum", "--case", "s^2", "--alpha", "-7",
-          "--beta", "1", "--m", "0"],
+        (["verify", "spectrum", "--case", "one", "--alpha", "-1e300",
+          "--beta=-1e300", "--m", "0"],
          "potential is nan at x=-9.995"),
         (["verify", "spectrum", "--case", "1-s^2", "--alpha", "-5",
           "--beta", "1", "--m", "0", "--xmin", "-5", "--xmax", "5"],
@@ -305,6 +307,16 @@ class TestInvalidParameters:
           "--n", "0"], "c2 must be finite, got nan"),
         (["families", "--alpha", "nan", "--beta", "1"],
          "alpha must be finite, got nan"),
+        # the s^2 Psi_3 multiplies an overflowing e^(3x) by an underflowed
+        # exp(-3.525x - 0.52 e^(-x)); the s^2 V itself overflows below
+        # x of about -355
+        (["eigenfunction", "--case", "s^2", "--alpha", "-6.05", "--beta",
+          "1.04", "--ell", "3", "--m", "0", "--xmin", "236", "--xmax", "238",
+          "--grid", "3"],
+         "nan in column psi(x) of the row with x=237"),
+        (["potential", "--case", "s^2", "--alpha", "-7", "--beta", "1",
+          "--m", "0", "--xmin", "-400", "--xmax", "-300", "--grid", "3"],
+         "inf in column V(x) of the row with x=-400"),
     ])
     def test_exit_1_names_constraint(self, argv, constraint, capsys):
         code, text = invoke(argv)
@@ -317,13 +329,31 @@ class TestInvalidParameters:
         # stderr ahead of the error line
         env = dict(os.environ, PYTHONPATH="src")
         proc = subprocess.run(
-            [sys.executable, "-m", "solvable", "potential", "--case", "s^2",
-             "--alpha", "-7", "--beta", "1", "--m", "0"],
+            [sys.executable, "-m", "solvable", "potential", "--case", "one",
+             "--alpha", "-1e300", "--beta=-1e300", "--m", "0"],
             cwd=ROOT, env=env, capture_output=True, text=True, timeout=60)
         assert proc.returncode == 1
         assert proc.stdout == ""
         assert proc.stderr == (
             "error: nan in column V(x) of the row with x=-10\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["potential", "--case", "s^2", "--alpha", "-7", "--beta", "1",
+         "--m", "0"],
+        ["verify", "residual", "--case", "s^2", "--alpha", "-7", "--beta",
+         "1", "--ell", "0", "--m", "0"],
+        ["verify", "spectrum", "--case", "s^2", "--alpha", "-7", "--beta",
+         "1", "--m", "0"],
+    ], ids=["potential", "residual", "spectrum"])
+    def test_s2_rows_are_finite(self, argv):
+        # these printed NaN rows, then exited 1 naming them, while the
+        # s^2 V was an inf * 0 product below x of about -7.1
+        code, text = invoke(argv)
+        assert code == 0
+        header, *rows = text.splitlines()
+        assert rows
+        for row in rows:
+            assert all(math.isfinite(float(cell)) for cell in row.split(","))
 
     @pytest.mark.parametrize("argv,constraint", [
         (["potential", "--case", "one", "--alpha", "-1", "--beta", "nan",
@@ -529,10 +559,29 @@ def _reject_constant(name):
     raise ValueError(f"{name} is not JSON")
 
 
+def _examples(*examples):
+    """One explicit hypothesis example per argument tuple.  A
+    derandomized draw still changes whenever a loaded module's source
+    changes (hypothesis mixes constants it collects from local modules
+    into generation), so each input that once surfaced a defect is named
+    here and runs whatever the draw."""
+    def wrap(test):
+        for args in examples:
+            test = example(*args)(test)
+        return test
+    return wrap
+
+
+_SOLVE, _GENERATE = ["solve-params", "--mode"], ["generate", "--which"]
+
+
 class TestGeneratorFuzz:
     """solve-params and generate on any float c1 and c2 (NaN, infinities,
     0 and the extremes among them) end in exit 0, 1 or 2 without a
-    traceback, print valid JSON, and report one root for --mode invsqrt."""
+    traceback, print valid JSON, and report one root for --mode invsqrt.
+    The draws drift with the source (see ``_examples``); the examples are
+    the inputs that ended in a traceback, a wrong root count or invalid
+    JSON."""
 
     @settings(derandomize=True, max_examples=100, deadline=None)
     @given(st.sampled_from((["solve-params", "--mode", "quantsys"],
@@ -541,6 +590,18 @@ class TestGeneratorFuzz:
                             ["generate", "--which", "sqrt"])),
            _FUZZ_VALUES, _FUZZ_VALUES, st.integers(0, 30),
            st.sampled_from("+-"))
+    @_examples(
+        (_SOLVE + ["quantsys"], 1.0, math.nan, 0, "+"),
+        (_SOLVE + ["quantsys"], 8.98846567431158e+307, -2.0, 0, "+"),
+        (_SOLVE + ["invsqrt"], 1.0, -1e300, 0, "+"),
+        (_SOLVE + ["invsqrt"], 1e-10, 1.0, 0, "+"),
+        (_SOLVE + ["invsqrt"], 1e-200, 1.0, 0, "+"),
+        (_SOLVE + ["invsqrt"], 1.4e154, 4.0, 0, "+"),
+        (_SOLVE + ["invsqrt"], 1e300, 1.0, 0, "+"),
+        (_SOLVE + ["invsqrt"], 21.92398293660021, 19.39880901019049, 1, "+"),
+        (_GENERATE + ["cuberoot"], 0.0, 0.0, 0, "+"),
+        (_GENERATE + ["cuberoot"], 1.0, math.inf, 0, "+"),
+        (_GENERATE + ["sqrt"], 1.0, 1e300, 0, "+"))
     def test_exits_cleanly(self, command, c1, c2, n, branch):
         argv = command + [f"--c1={c1!r}", f"--c2={c2!r}", f"--n={n}"]
         if command[0] == "generate":
@@ -664,15 +725,63 @@ _WARNING_SEEDS = (
 )
 
 
+# every command of the fuzz's kinds that once surfaced a defect: a
+# traceback, a numpy warning, a NaN or empty table, a wrong spectrum window
+# or a potential that lost its digits
+_DEFECT_COMMANDS = (
+    "potential --case s^2 --alpha -7 --beta 1 --m 0",
+    "potential --case one --alpha -1 --beta nan --m 0",
+    "eigenfunction --case s --alpha -7 --beta 1e300 --ell 1 --m 0 --grid 5",
+    "eigenfunction --case s^2 --alpha -6.05 --beta 1.04 --ell 3 --m 0 "
+    "--xmin 236 --xmax 238 --grid 3",
+    "specfun eval --case s --alpha -1 --beta 2 --ell 2 --m 1 --smin=-inf",
+    "specfun eval --case s^2 --alpha -1e300 --beta 1e300 --ell 0 --m 0 "
+    "--grid 2 --smax 1e300",
+    "families --alpha nan --beta 1",
+    "reproduce-dw --theta 1 --rho 0 --lambda -1 --which 1 --Ik x^(1/0)",
+    "reproduce-dw --theta 1 --rho 1 --lambda 1 --which 1 --Ik cosh(1000)*x^2",
+    "reproduce-dw --theta 1 --rho 1 --lambda 1 --which 1 --Ik exp(800)*x^2",
+    "reproduce-dw --theta 1e200 --rho 1 --lambda 1 --which 2",
+    "reproduce-dw --theta nan --rho 1 --lambda 1 --which 2",
+    "reproduce-dw --theta 1 --rho inf --lambda 1 --which 2",
+    "verify residual --case s^2 --alpha -7 --beta 1 --ell 0 --m 0",
+    "verify residual --case 1-s^2 --alpha -2 --beta 1 --ell 2 --m 0 "
+    "--grid 5",
+    "verify residual --system family --case one --alpha -7 --beta 1e300 "
+    "--grid 5",
+    "verify spectrum --case s^2 --alpha -7 --beta 1 --m 0",
+    "verify spectrum --system family --case s^2-1 --alpha -7 --beta 10 "
+    "--m 1 --xmax 60",
+    "verify spectrum --system family --case s --alpha -1 --beta 2 --m 0",
+    "verify spectrum --system family --case 1-s^2 --alpha -5 --beta 1 "
+    "--m 0",
+    "verify spectrum --system cuberoot --c1 0",
+    "verify spectrum --system cuberoot --c1 1e-300 --c2 0 --grid 32 "
+    "--xmax 1e300",
+    "verify spectrum --system cuberoot --c1 1e-300 --c2 1e300 --grid 100",
+    "verify spectrum --family one --alpha -2 --beta 0 --grid 100 --xmin 0 "
+    "--xmax 1e-300",
+    "verify spectrum --family one --alpha -2 --beta 0.5 --m 0 --emax 1e300 "
+    "--grid 100",
+    "verify spectrum --family one --alpha -2 --beta 0.5 --m 0 --emax nan",
+    "verify orthogonality --case one --alpha -1e300 --beta -2 --m 1 "
+    "--lmax 2",
+    "verify orthogonality --case s --alpha -1 --beta 2 --m 5 --lmax 4",
+    "verify orthogonality --case s --alpha -1 --beta 2 --lmax -3",
+)
+
+
 class TestCommandFuzz:
     """Every other subcommand on extreme option values ends in exit 0, 1
     or 2 without a traceback, and exit 0 prints valid JSON or a CSV table
     of finite numbers, with at least one row unless it lists the levels
     below --emax; the commands that ended in a traceback exit 1 naming
-    the value."""
+    the value.  The draws drift with the source (see ``_examples``), so
+    every command that once surfaced a defect is an explicit example."""
 
     @settings(derandomize=True, max_examples=600, deadline=None)
     @given(_commands())
+    @_examples(*((shlex.split(command),) for command in _DEFECT_COMMANDS))
     def test_exits_cleanly(self, argv):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stderr(err):

@@ -84,7 +84,7 @@ CLI_COMMANDS = [
 ]
 
 CLI_DIGEST = (
-    "1d766bfccc51e279c640c88da11fd840ef031881eeca0738648e508639f41a82")
+    "a07f4004bcdf0684b20efc694c6db272ad45748e1583efd64d3fbb8d51b9ddc3")
 
 
 def cli_digest():

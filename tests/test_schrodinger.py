@@ -1,13 +1,21 @@
 import math
 from dataclasses import FrozenInstanceError
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from solvable.errors import DegreeBeyondCutoff, InvalidParameter
-from solvable.expr import differentiate, evaluate, parse, simplify
+from solvable.expr import (
+    Add, Const, Exp, Fun, Mul, Pow, Var, add, compose, differentiate,
+    evaluate, mul, parse, pow_,
+)
 from solvable.families import (
     ALL_CASES, FamilySpec, SigmaCase, cutoff, eigenvalue, sample_points,
+    weight,
 )
 from solvable.generator import (
     reproduce_dw, solve_params_inverse_sqrt, solve_params_quantsys,
@@ -16,11 +24,29 @@ from solvable.generator import (
 from solvable.oracle import (
     eigenvalues_below, fd_hamiltonian, integrate, residual,
 )
+from solvable.polynomials import phi
 from solvable.schrodinger import (
     SchrodingerSystem, oscillator_potential_value, potential, variable_map,
     wavefunction,
 )
+from solvable.specfun import multiplication_part
 from .test_families import make
+
+# x(s) through numpy's inverse functions, independent of the library's maps
+X_OF_S = {
+    SigmaCase.ONE: lambda s: s,
+    SigmaCase.S: lambda s: 2.0 * np.sqrt(s),
+    SigmaCase.ONE_MINUS_S2: np.arcsin,
+    SigmaCase.S2_MINUS_1: np.arccosh,
+    SigmaCase.S2: np.log,
+    SigmaCase.S2_PLUS_1: np.arcsinh,
+}
+TWO_ROOT_CASES = (SigmaCase.ONE_MINUS_S2, SigmaCase.S2_MINUS_1)
+
+
+def interior_points(family, n):
+    """n points of the family's sample window, mapped to x."""
+    return X_OF_S[family.sigma_case](sample_points(family, n))
 
 
 # each constructor's systems, with one known eigenpair apiece
@@ -67,38 +93,54 @@ class TestOneSystemType:
 class TestVariableMap:
     def test_identity_for_constant_sigma(self):
         vm = variable_map(FamilySpec(SigmaCase.ONE, -2.0, 0.0))
-        assert evaluate(vm.forward, 1.3) == 1.3
+        assert evaluate(vm.inverse, 1.3) == 1.3
         assert vm.image == (-math.inf, math.inf)
 
     def test_two_sqrt_map(self):
         vm = variable_map(make(SigmaCase.S))
-        assert evaluate(vm.forward, 4.0) == pytest.approx(4.0)
         assert evaluate(vm.inverse, 4.0) == pytest.approx(4.0)
+        assert evaluate(vm.inverse, 2.0) == pytest.approx(1.0)
         assert vm.image == (0.0, math.inf)
 
     def test_exponential_map(self):
         vm = variable_map(make(SigmaCase.S2))
-        assert evaluate(vm.forward, math.e) == pytest.approx(1.0)
         assert evaluate(vm.inverse, 0.0) == pytest.approx(1.0)
+        assert evaluate(vm.inverse, 1.0) == pytest.approx(math.e)
         assert vm.image == (-math.inf, math.inf)
 
     @pytest.mark.parametrize("case", ALL_CASES)
     def test_round_trip(self, case):
+        # s(x(s)) = s with x(s) from numpy's inverse functions
         fam = make(case)
         vm = variable_map(fam)
-        for s in sample_points(fam, 100):
-            back = evaluate(vm.inverse, evaluate(vm.forward, s))
-            assert back == pytest.approx(s, rel=1e-12, abs=1e-12)
+        ss = sample_points(fam, 100)
+        back = evaluate(vm.inverse, X_OF_S[case](ss))
+        np.testing.assert_allclose(back, ss, rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("case", ALL_CASES)
     def test_defining_derivative_relation(self, case):
-        # d(forward)/ds = 1/kappa(s), via the symbolic derivative
+        # ds/dx = kappa(s(x)) = sqrt(sigma(s(x))), via the symbolic
+        # derivative of the inverse map
         fam = make(case)
         vm = variable_map(fam)
-        dfwd = simplify(differentiate(vm.forward))
-        for s in sample_points(fam, 100):
-            want = 1.0 / math.sqrt(fam.sigma(s))
-            assert evaluate(dfwd, s) == pytest.approx(want, rel=1e-10)
+        xs = interior_points(fam, 100)
+        want = np.sqrt(fam.sigma(evaluate(vm.inverse, xs)))
+        np.testing.assert_allclose(
+            evaluate(differentiate(vm.inverse), xs), want, rtol=1e-10)
+
+    @pytest.mark.parametrize("case", ALL_CASES)
+    def test_half_angle_factors(self, case):
+        # one factor |s(x) - r| for each simple real root r of sigma
+        fam = make(case)
+        vm = variable_map(fam)
+        roots = [r for r, _ in vm.root_factors]
+        assert roots == ([1, -1] if case in TWO_ROOT_CASES else [])
+        xs = interior_points(fam, 100)
+        ss = evaluate(vm.inverse, xs)
+        for r, dist in vm.root_factors:
+            assert fam.sigma(r) == 0.0
+            np.testing.assert_allclose(evaluate(dist, xs), np.abs(ss - r),
+                                       rtol=1e-12)
 
 
 class TestPotential:
@@ -190,9 +232,7 @@ class TestResidual:
         fam = make(case)
         cap = cutoff(fam)
         top = min(cap.max_degree if cap.max_degree is not None else 4, 4)
-        vm = variable_map(fam)
-        xs = np.array([evaluate(vm.forward, s)
-                       for s in sample_points(fam, 100)])
+        xs = interior_points(fam, 100)
         for m in range(top + 1):
             system = potential(fam, m, attach_ells=range(m, top + 1))
             for lam, psi in system.known_eigenpairs:
@@ -255,3 +295,146 @@ class TestSpectralOracleMatch:
         assert len(got) == 5
         for ell, e in enumerate(got):
             assert e == pytest.approx(eigenvalue(fam, ell), abs=5e-4)
+
+
+# --- closed forms against 50-digit mpmath -------------------------------
+
+_MP_FUNCTIONS = {
+    "sin": mpmath.sin, "cos": mpmath.cos, "sinh": mpmath.sinh,
+    "cosh": mpmath.cosh, "log": mpmath.log, "arcsin": mpmath.asin,
+    "arctan": mpmath.atan,
+}
+
+# s(x) in mpmath, independent of the library's maps
+_S_OF_X_MP = {
+    SigmaCase.ONE: lambda x: x,
+    SigmaCase.S: lambda x: x * x / 4,
+    SigmaCase.ONE_MINUS_S2: mpmath.sin,
+    SigmaCase.S2_MINUS_1: mpmath.cosh,
+    SigmaCase.S2: mpmath.exp,
+    SigmaCase.S2_PLUS_1: mpmath.sinh,
+}
+
+# admissible (alpha, beta) clear of each case's constraint boundary; alpha
+# reaches below -5, so that m = 3 is admissible for the finite systems
+_ALPHA = st.floats(-9.0, -0.5)
+_PARAMETERS = {
+    SigmaCase.ONE: st.tuples(_ALPHA, st.floats(-3.0, 3.0)),
+    SigmaCase.S: st.tuples(st.floats(-4.0, -0.5), st.floats(0.5, 4.0)),
+    SigmaCase.ONE_MINUS_S2: st.tuples(st.floats(-9.0, -1.0),
+                                      st.floats(-0.9, 0.9)).map(
+        lambda t: (t[0], -t[0] * t[1])),
+    SigmaCase.S2_MINUS_1: st.tuples(_ALPHA, st.floats(0.5, 8.0)).map(
+        lambda t: (t[0], t[1] - t[0])),
+    SigmaCase.S2: st.tuples(_ALPHA, st.floats(0.5, 4.0)),
+    SigmaCase.S2_PLUS_1: st.tuples(_ALPHA, st.floats(-3.0, 3.0)),
+}
+
+
+def mp_evaluate(e, x):
+    """e at the mpf x, every operation in mpmath."""
+    if isinstance(e, Const):
+        return mpmath.mpf(e.value)
+    if isinstance(e, Var):
+        return x
+    if isinstance(e, Add):
+        return mpmath.fsum(mp_evaluate(t, x) for t in e.terms)
+    if isinstance(e, Mul):
+        return mpmath.fprod(mp_evaluate(f, x) for f in e.factors)
+    if isinstance(e, Pow):
+        q = e.exponent
+        return mp_evaluate(e.base, x) ** (mpmath.mpf(q.numerator)
+                                          / q.denominator)
+    if isinstance(e, Exp):
+        return mpmath.exp(mp_evaluate(e.arg, x))
+    return _MP_FUNCTIONS[e.name](mp_evaluate(e.arg, x))
+
+
+def mp_psi(family, ell, m):
+    """Psi_{ell,m}(x) = sqrt(kappa rho) kappa^m P_ell^(m) at s = s(x), in
+    mpmath from the family's weight and polynomial alone."""
+    a, b, c = family.sigma_coeffs
+    rho, poly = weight(family), phi(family, ell).deriv(m)
+
+    def psi(x):
+        s = _S_OF_X_MP[family.sigma_case](x)
+        sig = (a * s + b) * s + c
+        p = mpmath.fsum(k * s ** j for j, k in enumerate(poly.coeffs))
+        return mpmath.sqrt(mpmath.sqrt(sig) * mp_evaluate(rho, s)) \
+            * sig ** (mpmath.mpf(m) / 2) * p
+    return psi
+
+
+def eta_potential(family, m):
+    """V_m as the eta derivation built it: eta = (kappa rho)^(-1/2),
+    V = mult_m - sigma eta''/eta - tau eta'/eta at s = s(x), with both
+    derivatives symbolic."""
+    sig, tau = family.sigma_expr, family.tau_expr
+    eta = pow_(mul(pow_(sig, Fraction(1, 2)), weight(family)),
+               Fraction(-1, 2))
+    d1 = differentiate(eta)
+    d2 = differentiate(d1)
+    inv_eta = pow_(eta, -1)
+    v_s = add(
+        multiplication_part(family, m),
+        mul(-1, sig, d2, inv_eta),
+        mul(-1, tau, d1, inv_eta),
+    )
+    return compose(v_s, variable_map(family).inverse)
+
+
+def end_points(family):
+    """The points 1e-6 of the x interval (1e-6 of a half-line) inside
+    each finite end."""
+    lo, hi = variable_map(family).image
+    width = hi - lo if math.isfinite(hi - lo) else 1.0
+    return [x for x, finite in ((lo + 1e-6 * width, math.isfinite(lo)),
+                                (hi - 1e-6 * width, math.isfinite(hi)))
+            if finite]
+
+
+def tree_nodes(e):
+    """Nodes of e counted as a tree, a shared subtree once per use."""
+    children = {Add: lambda e: e.terms, Mul: lambda e: e.factors,
+                Pow: lambda e: (e.base,), Exp: lambda e: (e.arg,),
+                Fun: lambda e: (e.arg,)}.get(type(e), lambda e: ())
+    return 1 + sum(tree_nodes(child) for child in children(e))
+
+
+class TestClosedFormsAgainstMpmath:
+    """V_m and Psi_{m,m} for every family and m <= 3 against 50-digit
+    mpmath: Psi from the weight and polynomial, V = lambda_m + Psi''/Psi
+    by mpmath's differentiation.  At 1e-6 from a finite end the 1-s^2
+    half-angle u = pi/4 - x/2 carries one rounding of about 1e-16, which
+    is 1e-10 relative to cos u there; in the interior V also matches the
+    eta derivation evaluated through ``differentiate``."""
+
+    @pytest.mark.parametrize("case", ALL_CASES)
+    @settings(derandomize=True, max_examples=8, deadline=None)
+    @given(data=st.data())
+    def test_potential_and_wavefunction(self, case, data):
+        fam = FamilySpec(case, *data.draw(_PARAMETERS[case]))
+        interior = interior_points(fam, 5)
+        for m in range(cutoff(fam).top_degree(3) + 1):
+            v = potential(fam, m).potential
+            psi, want_psi = wavefunction(fam, m, m), mp_psi(fam, m, m)
+            v_eta = evaluate(eta_potential(fam, m), interior)
+            np.testing.assert_allclose(evaluate(v, interior), v_eta,
+                                       rtol=1e-11, atol=1e-11)
+            for x, rtol in [(x, 1e-12) for x in interior] + [
+                    (x, 1e-8) for x in end_points(fam)]:
+                with mpmath.workdps(50):
+                    xm = mpmath.mpf(x)
+                    want_v = float(eigenvalue(fam, m) + mpmath.diff(
+                        want_psi, xm, 2) / want_psi(xm))
+                    want = float(want_psi(xm))
+                got_v = float(evaluate(v, x))
+                assert abs(got_v - want_v) <= rtol * (1 + abs(want_v))
+                assert float(evaluate(psi, x)) == pytest.approx(want, rel=rtol)
+
+    @pytest.mark.parametrize("case", ALL_CASES)
+    def test_potential_tree_is_small(self, case):
+        fam = FamilySpec(case, -8.0, 9.0 if case in (
+            SigmaCase.S, SigmaCase.S2_MINUS_1) else 1.0)
+        for m in range(cutoff(fam).top_degree(3) + 1):
+            assert tree_nodes(potential(fam, m).potential) <= 25
