@@ -34,7 +34,6 @@ Pipeline, in order:
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -313,16 +312,21 @@ def _negative_root(c1: float, c2: float, a: float) -> float:
     c1 != 0).  h(u) = a u^3 + c2 u^2 - c1^2 is increasing and convex from
     its root on, so Newton's method decreases monotonically to it from a
     start with h >= 0 and stops at the first step that no longer lowers
-    u.  For c2 > 0, h >= 0 at |c1|/sqrt(c2) and at (c1^2/a)^(1/3);
-    otherwise at -c2/a + (c1^2/a)^(1/3)."""
-    cube = (c1 * c1 / a) ** (1.0 / 3.0)
+    u.  For c2 > 0, h >= 0 at |c1|/sqrt(c2) and at |c1|^(2/3) / a^(1/3);
+    otherwise at -c2/a + |c1|^(2/3) / a^(1/3).  Each step h/h' is taken
+    as u times ((a u + c2) - (c1/u)^2) / (3 a u + 2 c2), so neither c1^2
+    nor u^3 is formed ((c1/u)^2 is at most a u + c2 on the way down), and
+    the root is found wherever it is a normal float.  A start that
+    underflows to 0 is returned as it is."""
+    cube = abs(c1) ** (2.0 / 3.0) / a ** (1.0 / 3.0)
     u = min(abs(c1) / math.sqrt(c2), cube) if c2 > 0 else cube - c2 / a
-    while True:
-        nxt = u - ((a * u + c2) * u * u - c1 * c1) / (
-            (3.0 * a * u + 2.0 * c2) * u)
+    while u > 0.0:
+        r = c1 / u
+        nxt = u - u * (((a * u + c2) - r * r) / (3.0 * a * u + 2.0 * c2))
         if not nxt < u:
-            return -u
+            break
         u = nxt
+    return -u
 
 
 def solve_params_inverse_sqrt(c1: float, c2: float,
@@ -347,15 +351,18 @@ def solve_params_inverse_sqrt(c1: float, c2: float,
     if n < 0:
         raise InvalidParameter("n must be a nonnegative integer")
     degenerate = c1 == 0.0
-    if not degenerate and c1 * c1 < sys.float_info.min:
-        raise InvalidParameter(f"c1^2 must not underflow, got c1={c1:g}")
-    alpha = c2 / (n + 0.5) if degenerate else _negative_root(c1, c2, n + 0.5)
-    if not alpha < 0.0:
-        raise NoAdmissibleRoot(
-            f"no real root with alpha < 0 for c1={c1:g}, c2={c2:g}, n={n}")
-    beta = 0.0 if degenerate else 2.0 * c1 / alpha
-    energy = -alpha * alpha / 4.0
-    if c1 * c1 == INF or not all(map(math.isfinite, (alpha, beta, energy))):
+    if degenerate:
+        alpha, beta = c2 / (n + 0.5), 0.0
+        if not alpha < 0.0:
+            raise NoAdmissibleRoot(
+                f"no real root with alpha < 0 for c1={c1:g}, c2={c2:g}, "
+                f"n={n}")
+    else:
+        alpha = _negative_root(c1, c2, n + 0.5)
+        # a root that underflows to 0 leaves beta = 2 c1/alpha infinite
+        beta = 2.0 * c1 / alpha if alpha < 0.0 else INF
+    energy = -(0.5 * alpha) * (0.5 * alpha)  # alpha^2 may overflow
+    if not all(map(math.isfinite, (alpha, beta, energy))):
         raise InvalidParameter(
             f"alpha, beta and E must be finite; the parameter cubic "
             f"overflows for c1={c1:g}, c2={c2:g}, n={n}")

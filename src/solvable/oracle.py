@@ -23,10 +23,10 @@ serve as oracles for it:
   incoming pivot is at least its coupling, since no later pivot can then
   be negative (about two thirds of an oscillator's rows are swept), and a
   shift that meets an exact zero pivot is swept again with the pivot
-  taken as a tiny positive number; the bisection's below/above decisions
-  are replayed from monotone counts and Newton-located flip points, so
-  about half the row sweeps give the plain bisection's result bit for
-  bit.
+  taken as a tiny positive number; each level is bisected on its own,
+  its decisions replayed from one shared record of monotone counts and
+  Newton-located flip points, so about half the row sweeps give the plain
+  bisection's result bit for bit; a NaN entry or shift is named.
 
 A uniform mesh cannot resolve an r^gamma cusp at a regular-singular
 endpoint (for the cube-root potential, gamma = 1/6): its error stalls near
@@ -468,7 +468,7 @@ _SAFE_OFF = (2.0 ** -500, 2.0 ** 500)
 # bisection stops once every bracket is within this share of max(1, |E|)
 _RTOL = 1e-10
 # an index goes to Newton once counts j and j + 1 bracket its flip point
-# within this share of max(1, |midpoint|)
+# within this share of max(1, |midpoint of that bracket|)
 _ISOLATED = 0.1
 # Newton stops at a step of this share of the bisection's final width
 # w = _RTOL * max(1, |E|), and probes this share of w either side of its
@@ -490,12 +490,9 @@ class _Rows(NamedTuple):
 
     d0: float
     rest: list          # d_1, ..., d_(n-1)
-    # the one squared off-diagonal of a uniform mesh.  _sweep and
-    # _newton_sweep keep a loop of their own for it: one loop over the
-    # (d_i, o_(i-1)^2) pairs of every mesh gives the same counts but lost
-    # all 6 alternating pairs of spectrum benchmark runs on a 2-vCPU host
-    # (tasks_per_s median 44.2 against 50.0, task_p50_ms 21.9 against
-    # 19.4), so keep the fork
+    # the one squared off-diagonal of a uniform mesh, which _sweep and
+    # _newton_sweep loop over apart: one loop for every mesh lost all 6
+    # spectrum benchmark pairs (tasks_per_s 44.2 against 50.0, 2 vCPUs)
     o2: float | None
     off2: list          # o_i^2, i < n - 1
     abs_off: list       # |o_i|, i < n - 1
@@ -503,8 +500,15 @@ class _Rows(NamedTuple):
 
 
 def _rows(ham):
+    """The rows of ``ham``; NonFiniteValue names its first NaN entry, which
+    would count as "not below" at every shift."""
     diag = np.asarray(ham.diag, dtype=float)
     off = np.asarray(ham.off, dtype=float)
+    for name, values in (("diagonal", diag), ("off-diagonal", off)):
+        nan = np.isnan(values.ravel())
+        if nan.any():
+            raise NonFiniteValue(f"FD Hamiltonian {name} entry "
+                                 f"{int(np.argmax(nan))} is nan")
     a = np.broadcast_to(np.abs(off), diag.size - 1)
     if off.ndim == 0:
         o2 = float(off) * float(off)
@@ -580,13 +584,9 @@ def _sweep(rows, s):
 
 
 def _counts(rows, shifts):
-    """Sturm count at each shift, one plain-float sweep of the rows each.
-
-    The recurrence is sequential in the rows, so each shift is swept on
-    its own; for the few shifts a bisection pass sends, that is cheaper
-    than one numpy call per row on a short array.  A numpy scalar shift
-    would divide by a zero pivot without raising, so each is a float.
-    """
+    """Sturm count at each shift, one plain-float sweep of the rows each
+    (the recurrence is sequential in the rows).  A numpy scalar shift
+    would divide by a zero pivot without raising, so each is a float."""
     return [_sweep(rows, float(s))[0] for s in shifts]
 
 
@@ -597,10 +597,8 @@ def _newton_sweep(rows, s):
     where a pivot is zero.  Without a zero pivot the pivots are the
     count's own, so the count is too."""
     d0, rest, o2, off2, _, _ = rows
-    s = float(s)
     q, dq = d0 - s, -1.0
-    count = 0
-    total = 0.0
+    count, total = 0, 0.0
     try:
         if o2 is not None:
             for d in rest:
@@ -629,89 +627,94 @@ def sturm_count(ham: FDHamiltonian, shifts):
     """Number of eigenvalues strictly below each shift (exact count via
     the sign changes of the Sturm sequence)."""
     shifts = np.atleast_1d(np.asarray(shifts, dtype=float))
+    if np.isnan(shifts).any():
+        raise InvalidParameter(f"shift {np.argmax(np.isnan(shifts))} is nan")
     return np.array(_counts(_rows(ham), shifts.tolist()), dtype=np.int64)
 
 
 class _Replay:
-    """The decisions count(mid_j) >= j + 1 of a Sturm bisection over the
-    indices j < k, from as few counts as possible.
+    """A Sturm bisection of each index j < k on its own, in plain floats,
+    ``brackets[j]`` its [lo, hi], deciding count(mid) >= j + 1 from as few
+    counts as possible.
 
     The floating-point count is monotone in the shift (Demmel, Dhillon &
-    Ren, ETNA 3, 1995), so for each j the counts taken so far give the
-    highest shift ``low[j]`` with count <= j and the lowest ``high[j]``
-    with count >= j + 1: a midpoint at or below low[j] is not below the
-    flip point, one at or above high[j] is, and only those in between are
-    counted, each distinct one once per pass.  Once two counts j and j + 1
-    isolate the flip point, a Newton iteration on log|det(T - s)| locates
-    it, and the probes either side of it that the counts have not settled
-    join the next pass's counts.  Newton only chooses shifts to count;
-    every decision rests on a count.
+    Ren, ETNA 3, 1995), so the shifts counted so far give the highest
+    ``low[j]`` with count <= j and the lowest ``high[j]`` with count >= j +
+    1: a midpoint at or below low[j] is not below, one at or above high[j]
+    is, and one in between is counted and narrows every index's record.
+    Once counts j and j + 1 isolate the flip point, Newton on log|det(T -
+    s)| locates it, and the probes either side that the counts have not
+    settled are counted at once.  Every decision rests on a count, so
+    neither the order of the indices nor the shifts counted change a
+    result.
     """
 
-    def __init__(self, rows, k, e_max):
+    def __init__(self, rows, k, lo, hi):
         self.rows = rows
-        self.idx = np.arange(k)
-        self.low = np.full(k, -math.inf)
-        self.low_count = np.full(k, -1)
-        self.high = np.full(k, e_max)
-        self.high_count = np.full(k, k)
-        self.located = np.zeros(k, dtype=bool)
-        self.probes = []
+        self.brackets = [(lo, hi)] * k
+        self.low, self.low_count = [-math.inf] * k, [-1] * k
+        self.high, self.high_count = [hi] * k, [k] * k
+        self.located = [False] * k
+
+    def count(self, shifts):
+        """The Sturm count at each shift, each recorded."""
+        counts = _counts(self.rows, shifts)
+        for shift, count in zip(shifts, counts):
+            self.record(shift, count)
+        return counts
 
     def record(self, shift, count):
-        at_most = count <= self.idx
-        raise_low = at_most & (shift > self.low)
-        self.low[raise_low] = shift
-        self.low_count[raise_low] = count
-        drop_high = ~at_most & (shift < self.high)
-        self.high[drop_high] = shift
-        self.high_count[drop_high] = count
+        # low and high never fall as j grows, so each loop stops at the
+        # first index whose record the shift does not move
+        for j in range(count, len(self.low)):
+            if not shift > self.low[j]:
+                break
+            self.low[j], self.low_count[j] = shift, count
+        for j in range(min(count, len(self.high)) - 1, -1, -1):
+            if not shift < self.high[j]:
+                break
+            self.high[j], self.high_count[j] = shift, count
 
-    def below(self, mid):
-        """count(mid_j) >= j + 1 for each j."""
-        below = mid >= self.high
-        open_ = ~below & (mid > self.low)
-        shifts = sorted(set(mid[open_].tolist()).union(self.probes))
-        self.probes = []
-        counted = dict(zip(shifts, _counts(self.rows, shifts)))
-        for shift, count in counted.items():
-            self.record(shift, count)
-        for j in np.flatnonzero(open_).tolist():
-            below[j] = counted[float(mid[j])] >= j + 1
-        self.locate(mid)
-        return below
+    def passes(self, j):
+        """Index j's passes; after each, whether it is within tolerance."""
+        lo, hi = self.brackets[j]
+        while True:
+            mid = 0.5 * (lo + hi)
+            below = mid >= self.high[j] or (
+                mid > self.low[j] and self.count([mid])[0] >= j + 1)
+            lo, hi = self.brackets[j] = (lo, mid) if below else (mid, hi)
+            self.locate(j)
+            yield hi - lo <= _RTOL * max(1.0, abs(mid))
 
-    def locate(self, mid):
-        """Newton probes for each index whose flip point the counts have
-        just isolated.  Each Newton sweep counts its shift as well, and a
-        step that would leave the counted bracket bisects it instead."""
-        ready = (~self.located & (self.low_count == self.idx)
-                 & (self.high_count == self.idx + 1)
-                 & (self.high - self.low
-                    <= _ISOLATED * np.maximum(1.0, np.abs(mid))))
-        for j in np.flatnonzero(ready).tolist():
-            self.located[j] = True
-            s = 0.5 * (float(self.low[j]) + float(self.high[j]))
-            for _ in range(_NEWTON_STEPS):
-                swept = _newton_sweep(self.rows, s)
-                if swept is None:
-                    break
-                count, slope = swept
-                self.record(s, count)
-                a, b = float(self.low[j]), float(self.high[j])
-                if b - a <= 2.0 * _PROBE * _RTOL * max(1.0, abs(s)):
-                    break  # the counts alone pin the flip point
-                step = 1.0 / slope if slope != 0.0 else math.inf
-                if not a < s - step < b:
-                    s = 0.5 * (a + b)
-                    continue
-                s -= step
-                w = _RTOL * max(1.0, abs(s))
-                if abs(step) <= _NEWTON_STOP * w:
-                    self.probes += [p for p in (s - _PROBE * w,
-                                                s + _PROBE * w)
-                                    if a < p < b]
-                    break
+    def locate(self, j):
+        """Newton probes for index j once the counts isolate its flip
+        point.  Each Newton sweep counts its shift as well, and a step
+        that would leave the counted bracket bisects it instead."""
+        a, b = self.low[j], self.high[j]
+        s = 0.5 * (a + b)  # the scale, not the pass's far-off midpoint
+        if (self.located[j] or (self.low_count[j], self.high_count[j])
+                != (j, j + 1) or not b - a <= _ISOLATED * max(1.0, abs(s))):
+            return
+        self.located[j] = True
+        for _ in range(_NEWTON_STEPS):
+            swept = _newton_sweep(self.rows, s)
+            if swept is None:
+                break
+            count, slope = swept
+            self.record(s, count)
+            a, b = self.low[j], self.high[j]
+            if b - a <= 2.0 * _PROBE * _RTOL * max(1.0, abs(s)):
+                break  # the counts alone pin the flip point
+            step = 1.0 / slope if slope != 0.0 else math.inf
+            if not a < s - step < b:
+                s = 0.5 * (a + b)
+                continue
+            s -= step
+            w = _RTOL * max(1.0, abs(s))
+            if abs(step) <= _NEWTON_STOP * w:
+                self.count([p for p in (s - _PROBE * w, s + _PROBE * w)
+                            if a < p < b])
+                break
 
 
 def eigenvalues_below(ham: FDHamiltonian, e_max: float) -> list:
@@ -720,43 +723,39 @@ def eigenvalues_below(ham: FDHamiltonian, e_max: float) -> list:
     e_max or, if lower, the Gershgorin upper bound.  Raises
     BisectionNoConverge if 200 passes do not reach that tolerance.
 
-    The bisection's below/above decisions are replayed from monotone
-    counts and Newton-located flip points (see ``_Replay``), so far fewer
-    rows are swept, and the result is bit for bit the plain bisection's.
+    Each index is bisected on its own from shared counts (``_Replay``),
+    so far fewer rows are swept, up to the pass at which the last is
+    within the tolerance: the result is bit for bit the plain lockstep
+    bisection's.
     """
     require_finite(("e_max", e_max))
     rows = _rows(ham)
     k = _counts(rows, [float(e_max)])[0]
     if k == 0:
         return []
-    if np.ndim(ham.off) == 0:
-        # Gershgorin bounds, whatever the sign of the off-diagonal
-        lo0 = float(np.min(ham.diag)) - 2.0 * abs(ham.off)
-        top = float(np.max(ham.diag)) + 2.0 * abs(ham.off)
-    else:
-        # row-wise Gershgorin bounds: on a graded mesh min(diag) + 2 min(off)
-        # would sit near -1/h_0^2 and cost dozens of extra passes
-        a = np.abs(ham.off)
-        lo0 = float(np.min(ham.diag - np.append(0.0, a)
-                           - np.append(a, 0.0)))
-        top = float(np.max(ham.diag + np.append(0.0, a)
-                           + np.append(a, 0.0)))
+    # Gershgorin bounds, whatever the sign of the off-diagonal; row-wise
+    # on a graded mesh, where min(diag) + 2 min(off) would sit near
+    # -1/h_0^2 and cost dozens of extra passes
+    a = np.abs(ham.off)
+    a_in, a_out = ((0.0, 2.0 * a) if a.ndim == 0
+                   else (np.append(0.0, a), np.append(a, 0.0)))
+    lo0 = float(np.min(ham.diag - a_in - a_out))
     # no eigenvalue lies above the upper bound, so a larger e_max would
     # only add passes (at 1e300, more than the 200 allowed)
-    top = min(float(e_max), top)
-    lo = np.full(k, lo0)
-    hi = np.full(k, top)
-    replay = _Replay(rows, k, top)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        below = replay.below(mid)
-        hi = np.where(below, mid, hi)
-        lo = np.where(below, lo, mid)
-        if np.all(hi - lo <= _RTOL * np.maximum(1.0, np.abs(mid))):
-            return [float(v) for v in 0.5 * (lo + hi)]
-    raise BisectionNoConverge(
-        f"bisection of {k} eigenvalues in [{lo0:.6g}, {top:.6g}] not "
-        f"within rtol {_RTOL:g} after 200 passes")
+    top = min(float(e_max), float(np.max(ham.diag + a_in + a_out)))
+    replay = _Replay(rows, k, lo0, top)
+    runs = [replay.passes(j) for j in range(k)]
+    # a bracket stays within the tolerance once it is, as it only narrows
+    firsts = [next((n for n, within in enumerate(islice(run, 200), 1)
+                    if within), math.inf) for run in runs]
+    last = max(firsts)
+    if last > 200:
+        raise BisectionNoConverge(
+            f"bisection of {k} eigenvalues in [{lo0:.6g}, {top:.6g}] not "
+            f"within rtol {_RTOL:g} after 200 passes")
+    for run, first in zip(runs, firsts):
+        list(islice(run, last - first))
+    return [0.5 * (lo + hi) for lo, hi in replay.brackets]
 
 
 def richardson_eigenvalues(potential, x_lo, x_hi, n, e_max):

@@ -143,6 +143,16 @@ class TestSolveParams:
         assert entry["admissible"] is True
         assert abs(entry["alpha"] + 2.0) < 1e-9
 
+    @pytest.mark.parametrize("c1,c2,alpha", [
+        ("1e-200", "1", -1e-200), ("1.4e154", "4", -7.31861142005e102)])
+    def test_invsqrt_root_where_c1_squared_leaves_the_float_range(
+            self, c1, c2, alpha):
+        code, text = invoke(["solve-params", "--mode", "invsqrt",
+                             "--c1", c1, "--c2", c2, "--n", "0"])
+        (entry,) = json.loads(text)
+        assert code == 0 and entry["admissible"] is True
+        assert entry["alpha"] == pytest.approx(alpha, rel=1e-11)
+
 
 class TestVerify:
     def test_spectrum_family(self):
@@ -701,7 +711,7 @@ _TRACEBACK_SEEDS = (
      "nan in column residual of the row with x=-10"),
     (["verify", "spectrum", "--system", "cuberoot", "--c1", "1e-300",
       "--c2", "1e300", "--grid", "100"],
-     "nan in column E_numeric of the row with index=0"),
+     "FD Hamiltonian diagonal entry 0 is nan"),
     (["verify", "spectrum", "--family", "one", "--alpha", "-2", "--beta",
       "0", "--grid", "100", "--xmin", "0", "--xmax", "1e-300"],
      "mesh spacing 1e-302 is too small: its square underflows"),

@@ -1,4 +1,5 @@
 import math
+import sys
 from dataclasses import replace
 from fractions import Fraction
 
@@ -9,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from solvable.errors import (
-    Inadmissible, MapNotClosedForm, NoAdmissibleRoot, NonIntegrableGauge,
-    Unimplemented,
+    Inadmissible, InvalidParameter, MapNotClosedForm, NoAdmissibleRoot,
+    NonIntegrableGauge, Unimplemented,
 )
 from solvable.expr import (
     VAR, add, differentiate, evaluate, exp_, mul, parse, pow_, power_terms,
@@ -331,9 +332,13 @@ def _bisected_root(c1, c2, n):
         return -(lo + hi) / 2
 
 
-_SIGNED_MAGNITUDES = st.builds(
-    lambda sign, e: sign * 10.0 ** e,
-    st.sampled_from((1.0, -1.0)), st.floats(-60.0, 60.0))
+def _signed_powers(lo, hi):
+    """+-10^e for e in [lo, hi]."""
+    return st.builds(lambda sign, e: sign * 10.0 ** e,
+                     st.sampled_from((1.0, -1.0)), st.floats(lo, hi))
+
+
+_SIGNED_MAGNITUDES = _signed_powers(-60.0, 60.0)
 
 
 class TestNegativeRoot:
@@ -347,6 +352,40 @@ class TestNegativeRoot:
         got = solve_params_inverse_sqrt(c1, c2, n).provenance.alpha
         want = _bisected_root(c1, c2, n)
         assert abs((got - want) / want) <= 1e-13
+
+    @pytest.mark.parametrize("c1,c2,n", [
+        (1e-200, 1.0, 0),  # c1^2 underflows
+        (1.4e154, 4.0, 0),  # c1^2 overflows
+        # u (a u + c2 - (c1/u)^2), the Newton step times its denominator,
+        # underflows: the step must be u times a ratio
+        (2.3097639909213792e-287, 5.372600203840193e-199, 25),
+        # alpha^2 overflows, alpha^2/4 does not
+        (-2.3042290871171234e292, 1.2896128416779344e276, 11),
+    ])
+    def test_root_beyond_the_squares_of_c1(self, c1, c2, n):
+        got = solve_params_inverse_sqrt(c1, c2, n)
+        want = _bisected_root(c1, c2, n)
+        assert abs((got.provenance.alpha - want) / want) <= 1e-13
+        assert math.isfinite(got.energy)
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(_signed_powers(-320.0, 308.0), _signed_powers(-320.0, 308.0),
+           st.integers(0, 29))
+    def test_whole_float_range(self, c1, c2, n):
+        # InvalidParameter only where alpha is not a normal float or
+        # beta = 2 c1/alpha or E = -alpha^2/4 overflows
+        want = _bisected_root(c1, c2, n)
+        with mpmath.workdps(60):
+            beta, energy = 2 * c1 / want, want * want / 4
+        out_of_range = (abs(want) < sys.float_info.min
+                        or max(abs(beta), energy) > sys.float_info.max)
+        try:
+            got = solve_params_inverse_sqrt(c1, c2, n).provenance.alpha
+        except InvalidParameter:
+            assert out_of_range
+            return
+        if abs(want) >= sys.float_info.min:
+            assert abs((got - want) / want) <= 1e-13
 
     def test_small_c1_has_its_root(self):
         p = solve_params_inverse_sqrt(1e-10, 1.0, 0)

@@ -692,7 +692,7 @@ class TestSturmCountExact:
     where its sweep stops at a dominant tail and where a zero pivot sends
     it to the 1e-290 rule: at each diagonal entry, at and one ulp either
     side of each row-wise Gershgorin lower bound (where rows turn
-    dominant), and at the infinities and NaN."""
+    dominant), and at the infinities."""
 
     @staticmethod
     def check(diag, off, fractions=()):
@@ -704,7 +704,7 @@ class TestSturmCountExact:
                  - np.append(a, 0.0)).tolist()
         upper = (np.array(diag) + np.append(0.0, a)
                  + np.append(a, 0.0)).tolist()
-        shifts = [*diag, *lower, math.inf, -math.inf, math.nan]
+        shifts = [*diag, *lower, math.inf, -math.inf]
         shifts += [math.nextafter(b, t) for b in lower
                    for t in (math.inf, -math.inf)]
         lo, hi = min(lower), max(upper)
@@ -755,6 +755,36 @@ class TestSturmCountExact:
         assert sturm_count(ham, shifts).tolist() == full_row_counts(
             ham, shifts)
         assert {1.0, 2.0, 3.0} <= set(fallback)
+
+
+class TestNaNEntries:
+    """A NaN entry of a directly built FDHamiltonian, or a NaN shift, would
+    count as "not below" everywhere; the Sturm layer names it instead.  An
+    infinite diagonal entry only decouples its row."""
+
+    @pytest.mark.parametrize("diag,off,message", [
+        ([2.0, math.nan, 2.0, 2.0], -1.0, "diagonal entry 1 is nan"),
+        ([2.0, 2.0, 2.0, 2.0], math.nan, "off-diagonal entry 0 is nan"),
+        ([2.0, 2.0, 2.0, 2.0], np.array([-1.0, -1.0, math.nan]),
+         "off-diagonal entry 2 is nan"),
+    ])
+    def test_nan_entry_is_named(self, diag, off, message):
+        ham = _tridiagonal(diag, off)
+        with pytest.raises(NonFiniteValue, match=message):
+            eigenvalues_below(ham, 5.0)
+        with pytest.raises(NonFiniteValue, match=message):
+            sturm_count(ham, [0.0, 1.0, 3.0, 5.0])
+
+    def test_nan_shift_is_named(self):
+        ham = _tridiagonal([2.0, 2.0, 2.0], -1.0)
+        with pytest.raises(InvalidParameter, match="shift 1 is nan"):
+            sturm_count(ham, [0.0, math.nan, 5.0])
+
+    def test_infinite_diagonal_entry_decouples_its_row(self):
+        ham = _tridiagonal([2.0, math.inf, 2.0, 2.0], -1.0)
+        got = eigenvalues_below(ham, 5.0)
+        assert got == reference_eigenvalues_below(ham, 5.0)
+        assert got == pytest.approx([1.0, 2.0, 3.0], abs=1e-9)
 
 
 class TestEigenvaluesReplayProperty:
@@ -826,3 +856,48 @@ class TestTailStopRows:
         ham, e_max = _oscillator(-2.0, 0.5, 3000)
         eigenvalues_below(ham, e_max)
         assert sum(swept) <= 0.75 * len(swept) * ham.diag.size
+
+
+def _replay_work(ham, e_max, monkeypatch):
+    """(counted shifts, Newton sweeps) of one ``eigenvalues_below``."""
+    work = [0, 0]
+    counts, newton = oracle._counts, oracle._newton_sweep
+
+    def counting(rows, shifts):
+        work[0] += len(shifts)
+        return counts(rows, shifts)
+
+    def newton_counting(rows, s):
+        work[1] += 1
+        return newton(rows, s)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(oracle, "_counts", counting)
+        mp.setattr(oracle, "_newton_sweep", newton_counting)
+        eigenvalues_below(ham, e_max)
+    return tuple(work)
+
+
+class TestReplayWork:
+    """Counted shifts and Newton sweeps of ``eigenvalues_below`` on
+    ``PINNED_OSCILLATORS`` and on criterion 9's three cube-root levels
+    grow no further than those of the lockstep replay, which counted every
+    undecided midpoint of a pass together and its Newton probes in the next
+    pass (captured from it, the count at e_max included)."""
+
+    LOCKSTEP = ((28, 26), (28, 26), (30, 25), (34, 11), (31, 16), (36, 22))
+
+    def test_no_more_work_than_lockstep(self, monkeypatch):
+        cases = [_oscillator(*p) for p in PINNED_OSCILLATORS]
+
+        def recording(ham, e_max):
+            cases.append((ham, e_max))
+            return eigenvalues_below(ham, e_max)
+
+        monkeypatch.setattr(acceptance, "eigenvalues_below", recording)
+        acceptance.cuberoot_containment(1.0, 0.0, range(3))
+        work = [_replay_work(ham, e_max, monkeypatch)
+                for ham, e_max in cases]
+        for (shifts, newton), (top_shifts, top_newton) in zip(
+                work, self.LOCKSTEP, strict=True):
+            assert shifts <= top_shifts and newton <= top_newton
