@@ -15,8 +15,9 @@ serve as oracles for it:
   is the one-panel-at-a-time algorithm's, bit for bit;
 
 * a three-point finite-difference Hamiltonian -d^2/dx^2 + V(x) with
-  Dirichlet (or ratio-matched) boundaries on a uniform mesh, or on a mesh
-  graded toward a singular endpoint at x = 0, whose eigenvalues are
+  Dirichlet (or ratio-matched) boundaries, two arrays (diagonal and
+  couplings) built by one symmetrized stencil on a uniform mesh or on a
+  mesh graded toward a singular endpoint at x = 0; its eigenvalues are
   located by Sturm-sequence counting plus bisection, so the count of
   eigenvalues below any shift is exact; a count stops at the first row
   past which every row is diagonally dominant at the shift and whose
@@ -332,35 +333,32 @@ def integrate(f, interval, tol: float = 1e-10) -> QuadResult:
 
 @dataclass(frozen=True)
 class FDHamiltonian:
-    """Symmetric tridiagonal discretization of -d^2/dx^2 + V on the
-    interior nodes ``grid`` of [x_lo, x_hi], with Dirichlet walls; n is
-    the subinterval count.
-
-    On a uniform mesh ``h`` is the spacing and ``off`` the one
-    off-diagonal -1/h^2.  On a graded mesh ``h`` holds the n spacings and
-    ``off`` the n-2 off-diagonals, one per pair of neighbouring rows: the
-    non-uniform three-point stencil symmetrized by the node weights
-    w_i = (h_(i-1) + h_i)/2, which keeps its eigenvalues.
+    """Symmetric tridiagonal discretization of -d^2/dx^2 + V with
+    Dirichlet walls, as two float arrays on either mesh: ``diag`` holds
+    the n diagonal entries and ``off`` the n - 1 couplings of
+    neighbouring rows.
 
     The arrays are held as read-only views, so a shared instance cannot
-    be changed by any of its readers.
+    be changed by any of its readers.  InvalidParameter names a diagonal
+    that is not 1-D and non-empty, or an ``off`` that is not 1-D of
+    length diag.size - 1.
     """
 
-    x_lo: float
-    x_hi: float
-    n: int
-    grid: np.ndarray = field(repr=False)
-    h: float | np.ndarray
     diag: np.ndarray = field(repr=False)
-    off: float | np.ndarray
+    off: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        for name in ("grid", "h", "diag", "off"):
-            value = getattr(self, name)
-            if isinstance(value, np.ndarray):
-                view = value.view()
-                view.flags.writeable = False
-                object.__setattr__(self, name, view)
+        diag = np.asarray(self.diag, dtype=float)
+        off = np.asarray(self.off, dtype=float)
+        if diag.ndim != 1 or diag.size == 0 or off.shape != (diag.size - 1,):
+            raise InvalidParameter(
+                f"need a 1-D diagonal of n >= 1 entries and a 1-D "
+                f"off-diagonal of n - 1, got shapes {diag.shape} and "
+                f"{off.shape}")
+        for name, value in (("diag", diag), ("off", off)):
+            view = value.view()
+            view.flags.writeable = False
+            object.__setattr__(self, name, view)
 
 
 def indicial_grading(gamma: float) -> float:
@@ -414,12 +412,20 @@ def fd_hamiltonian(potential, x_lo: float, x_hi: float, n: int,
     spacing h needs a normal, finite h^2, so that 1/h^2 is finite and
     the stencil's products of spacings do not overflow.
 
-    left_ratio r imposes u_0 = r * u_1 instead of u_0 = 0, which matches
-    a known power-law behavior at a singular left endpoint."""
+    One stencil serves both meshes:
+    -(2/(h_(i-1)+h_i)) [(u_(i+1)-u_i)/h_i - (u_i-u_(i-1))/h_(i-1)] + V_i u_i
+    symmetrized by sqrt(w_i), w_i = (h_(i-1) + h_i)/2, which keeps its
+    eigenvalues: the diagonal is 2/(h_(i-1) h_i) + V_i, the coupling
+    -1/(h_i sqrt(w_i w_(i+1))).  Every h_i of a uniform mesh is the one
+    spacing h = (x_hi - x_lo)/n, so the entries are 2/h^2 + V_i and -1/h^2.
+
+    A finite left_ratio r imposes u_0 = r * u_1 instead of u_0 = 0, which
+    matches a known power-law behavior at a singular left endpoint."""
     if n < 16:
         raise InvalidParameter("need at least 16 subintervals")
     nodes = fd_nodes(x_lo, x_hi, n, grading)
-    h = (x_hi - x_lo) / n if grading == 1.0 else np.diff(nodes)
+    # np.diff of a uniform mesh's nodes rounds its spacings apart
+    h = np.full(n, (x_hi - x_lo) / n) if grading == 1.0 else np.diff(nodes)
     h_min, h_max = float(np.min(h)), float(np.max(h))
     if not h_min * h_min >= sys.float_info.min:
         raise InvalidParameter(
@@ -427,6 +433,7 @@ def fd_hamiltonian(potential, x_lo: float, x_hi: float, n: int,
     if not h_max * h_max < math.inf:
         raise InvalidParameter(
             f"mesh spacing {h_max:g} is too large: its square overflows")
+    require_finite(("left_ratio", left_ratio))
     grid = nodes[1:-1]
     v = np.broadcast_to(np.asarray(_as_array_function(potential)(grid),
                                    dtype=float), grid.shape)
@@ -434,25 +441,10 @@ def fd_hamiltonian(potential, x_lo: float, x_hi: float, n: int,
     if not finite.all():
         i = int(np.argmin(finite))
         raise NonFiniteValue(f"potential is {v[i]:g} at x={grid[i]:g}")
-    if grading == 1.0:
-        diag = 2.0 / h ** 2 + v
-        diag[0] -= left_ratio / h ** 2
-        return FDHamiltonian(x_lo, x_hi, n, grid, h, diag, -1.0 / h ** 2)
-    h, diag, off = _nonuniform_stencil(nodes, v, left_ratio)
-    return FDHamiltonian(x_lo, x_hi, n, grid, h, diag, off)
-
-
-def _nonuniform_stencil(nodes, v, left_ratio):
-    """Spacings, diagonal and off-diagonals of
-    -(2/(h_(i-1)+h_i)) [(u_(i+1)-u_i)/h_i - (u_i-u_(i-1))/h_(i-1)] + V_i u_i
-    symmetrized by sqrt(w_i): the diagonal is 2/(h_(i-1) h_i) + V_i, the
-    off-diagonal -1/(h_i sqrt(w_i w_(i+1)))."""
-    h = np.diff(nodes)
     w = 0.5 * (h[:-1] + h[1:])
     diag = 2.0 / (h[:-1] * h[1:]) + v
     diag[0] -= left_ratio / (h[0] * w[0])
-    off = -1.0 / (h[1:-1] * np.sqrt(w[:-1] * w[1:]))
-    return h, diag, off
+    return FDHamiltonian(diag, -1.0 / (h[1:-1] * np.sqrt(w[:-1] * w[1:])))
 
 
 # a zero pivot is not counted, so it goes on as the pivot at a shift just
@@ -485,53 +477,64 @@ class _Rows(NamedTuple):
 
     floor[r] is the least row-wise Gershgorin lower bound
     d_i - |o_(i-1)| - |o_i|, less the margin, over the rows i >= r: every
-    row from r on is dominant at a shift s <= floor[r].
+    row from r on is dominant at a shift s <= floor[r].  ``bracket`` holds
+    Gershgorin bounds (lo, hi) of the whole spectrum.
     """
 
     d0: float
     rest: list          # d_1, ..., d_(n-1)
-    # the one squared off-diagonal of a uniform mesh, which _sweep and
-    # _newton_sweep loop over apart: one loop for every mesh lost all 6
-    # spectrum benchmark pairs (tasks_per_s 44.2 against 50.0, 2 vCPUs)
+    # the one squared coupling when every coupling is equal (a uniform
+    # mesh), which _sweep and _newton_sweep loop over apart: one loop for
+    # every mesh lost all 6 spectrum benchmark pairs (tasks_per_s 44.2
+    # against 50.0, 2 vCPUs)
     o2: float | None
     off2: list          # o_i^2, i < n - 1
     abs_off: list       # |o_i|, i < n - 1
     floor: list
+    bracket: tuple
 
 
 def _rows(ham):
     """The rows of ``ham``; NonFiniteValue names its first NaN entry, which
-    would count as "not below" at every shift."""
-    diag = np.asarray(ham.diag, dtype=float)
-    off = np.asarray(ham.off, dtype=float)
+    would count as "not below" at every shift.
+
+    With every coupling equal the bracket is min/max(d_i -+ 2|o|), from
+    which the pinned uniform-mesh eigenvalues were bisected; otherwise it
+    is row-wise, min/max(d_i -+ (|o_(i-1)| + |o_i|)), since
+    on a graded mesh min(d) - 2 max|o| would sit near -1/h_0^2 and cost
+    dozens of extra bisection passes."""
+    diag, off = ham.diag, ham.off
     for name, values in (("diagonal", diag), ("off-diagonal", off)):
-        nan = np.isnan(values.ravel())
+        nan = np.isnan(values)
         if nan.any():
             raise NonFiniteValue(f"FD Hamiltonian {name} entry "
                                  f"{int(np.argmax(nan))} is nan")
-    a = np.broadcast_to(np.abs(off), diag.size - 1)
-    if off.ndim == 0:
-        o2 = float(off) * float(off)
-        off2 = [o2] * a.size
-    else:
-        o2 = None
-        with np.errstate(over="ignore"):  # as the float product above
-            off2 = (off * off).tolist()
+    a = np.abs(off)
     a_in, a_out = np.append(0.0, a), np.append(a, 0.0)
     with np.errstate(over="ignore", invalid="ignore"):
-        bound = (diag - a_in - a_out
-                 - _MARGIN * (np.abs(diag) + a_in + a_out))
+        low = diag - a_in - a_out
+        bound = low - _MARGIN * (np.abs(diag) + a_in + a_out)
+        if a.size and (off == off[0]).all():
+            o2 = float(off[0]) * float(off[0])
+            off2 = [o2] * a.size
+            bracket = (float(np.min(diag - 2.0 * a[0])),
+                       float(np.max(diag + 2.0 * a[0])))
+        else:
+            o2 = None
+            off2 = (off * off).tolist()
+            bracket = (float(np.min(low)),
+                       float(np.max(diag + a_in + a_out)))
     safe = (a == 0.0) | ((a >= _SAFE_OFF[0]) & (a <= _SAFE_OFF[1]))
     bound[~(np.isfinite(bound) & np.append(True, safe)
             & np.append(safe, True))] = -math.inf
     floor = np.minimum.accumulate(bound[::-1])[::-1].tolist()
     return _Rows(float(diag[0]), diag[1:].tolist(), o2, off2, a.tolist(),
-                 floor)
+                 floor, bracket)
 
 
 def _tiny_count(rows, s):
     """The Sturm count at s over every row, a zero pivot taken as _TINY."""
-    d0, rest, _, off2, _, _ = rows
+    d0, rest, _, off2, _, _, _ = rows
     q = d0 - s
     count = int(q < 0.0)
     for d, o2 in zip(rest, off2):
@@ -553,7 +556,7 @@ def _sweep(rows, s):
     pivot raises ZeroDivisionError, and the shift is swept again with the
     _TINY rule.
     """
-    d0, rest, o2, off2, abs_off, floor = rows
+    d0, rest, o2, off2, abs_off, floor, _ = rows
     stop = bisect_left(floor, s)
     if stop == 0:
         return 0, 0  # every pivot is at least its row's |o_i|
@@ -596,7 +599,7 @@ def _newton_sweep(rows, s):
     one sweep of every row, since the slope is the whole matrix's; None
     where a pivot is zero.  Without a zero pivot the pivots are the
     count's own, so the count is too."""
-    d0, rest, o2, off2, _, _ = rows
+    d0, rest, o2, off2, _, _, _ = rows
     q, dq = d0 - s, -1.0
     count, total = 0, 0.0
     try:
@@ -733,16 +736,10 @@ def eigenvalues_below(ham: FDHamiltonian, e_max: float) -> list:
     k = _counts(rows, [float(e_max)])[0]
     if k == 0:
         return []
-    # Gershgorin bounds, whatever the sign of the off-diagonal; row-wise
-    # on a graded mesh, where min(diag) + 2 min(off) would sit near
-    # -1/h_0^2 and cost dozens of extra passes
-    a = np.abs(ham.off)
-    a_in, a_out = ((0.0, 2.0 * a) if a.ndim == 0
-                   else (np.append(0.0, a), np.append(a, 0.0)))
-    lo0 = float(np.min(ham.diag - a_in - a_out))
+    lo0, top = rows.bracket
     # no eigenvalue lies above the upper bound, so a larger e_max would
     # only add passes (at 1e300, more than the 200 allowed)
-    top = min(float(e_max), float(np.max(ham.diag + a_in + a_out)))
+    top = min(float(e_max), top)
     replay = _Replay(rows, k, lo0, top)
     runs = [replay.passes(j) for j in range(k)]
     # a bracket stays within the tolerance once it is, as it only narrows

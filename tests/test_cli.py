@@ -711,7 +711,7 @@ _TRACEBACK_SEEDS = (
      "nan in column residual of the row with x=-10"),
     (["verify", "spectrum", "--system", "cuberoot", "--c1", "1e-300",
       "--c2", "1e300", "--grid", "100"],
-     "FD Hamiltonian diagonal entry 0 is nan"),
+     "left_ratio must be finite, got nan"),
     (["verify", "spectrum", "--family", "one", "--alpha", "-2", "--beta",
       "0", "--grid", "100", "--xmin", "0", "--xmax", "1e-300"],
      "mesh spacing 1e-302 is too small: its square underflows"),

@@ -1,6 +1,8 @@
-"""Every script in demos/ runs to completion in a fresh interpreter."""
+"""Every script in demos/ and the README's "Library at a glance" block
+run to completion in a fresh interpreter."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -23,3 +25,13 @@ def test_demo_runs_cleanly(demo):
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stdout
+
+
+def test_readme_library_block_runs_cleanly():
+    [block] = re.findall(r"^## Library at a glance\n\n```python\n(.*?)^```$",
+                         (ROOT / "README.md").read_text(), re.M | re.S)
+    env = dict(os.environ, PYTHONPATH="src")
+    proc = subprocess.run([sys.executable, "-c", block], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""

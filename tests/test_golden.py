@@ -5,14 +5,18 @@ The digests pin the exact bytes, so a change to how expressions are built,
 cached or simplified that alters any printed digit shows here.  Elapsed
 seconds are stripped from the acceptance details; the README's
 ``acceptance`` example is covered by the criteria themselves.
+``README_COMMANDS`` must be the README's other examples, in its order.
 """
 
 import hashlib
 import io
 import re
+from pathlib import Path
 
 from solvable.acceptance import CRITERIA
 from solvable.cli import run
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 README_COMMANDS = [
     "families --alpha -7 --beta 1",
@@ -59,6 +63,21 @@ def test_acceptance_details_unchanged():
 
 def test_readme_commands_unchanged():
     assert readme_digest() == README_DIGEST
+
+
+def readme_command_lines():
+    """The ``solvable ...`` lines of the README's shell blocks, without
+    the program name and trailing comments."""
+    blocks = re.findall(r"^```sh\n(.*?)^```$", README.read_text(),
+                        re.M | re.S)
+    return [m.group(1) for block in blocks
+            for m in re.finditer(r"^solvable (.*?)\s*(?:#.*)?$", block,
+                                 re.M)]
+
+
+def test_readme_commands_are_the_readmes():
+    assert README_COMMANDS == [cmd for cmd in readme_command_lines()
+                               if cmd != "acceptance"]
 
 # CLI outputs no README example covers: the family spectrum table, both
 # branches of the inverse-sqrt generator, the quantsys parameter roots, the

@@ -286,6 +286,15 @@ class TestFDHamiltonian:
             fd_hamiltonian(lambda x: np.where(x == 1.0, np.inf, x),
                            0.0, 4.0, 16, grading=2.0)
 
+    @pytest.mark.parametrize("ratio", [math.nan, math.inf, -math.inf])
+    def test_non_finite_left_ratio_is_named(self, ratio):
+        # a NaN or infinite wall ratio would surface only as a NaN first
+        # diagonal entry, which names neither the ratio nor the wall
+        with pytest.raises(InvalidParameter,
+                           match=f"left_ratio must be finite, got {ratio:g}"):
+            fd_hamiltonian(parse("x"), 1e-3, 40.0, 64, left_ratio=ratio,
+                           grading=2.0)
+
     def test_positive_operator_empty_list(self):
         ham = fd_hamiltonian(lambda x: np.zeros_like(x), 0.0, 1.0, 16)
         assert eigenvalues_below(ham, -1.0) == []
@@ -294,9 +303,8 @@ class TestFDHamiltonian:
         ham = fd_hamiltonian(lambda x: 0.25 * x ** 4 - 2 * x * x,
                              -8.0, 8.0, 1000)
         ours = eigenvalues_below(ham, 2.0)
-        off = np.full(len(ham.diag) - 1, ham.off)
-        lo = float(np.min(ham.diag)) + 2.0 * ham.off - 1.0
-        ref = eigh_tridiagonal(ham.diag, off, select="v",
+        lo = float(np.min(ham.diag) - 2.0 * np.max(np.abs(ham.off))) - 1.0
+        ref = eigh_tridiagonal(ham.diag, ham.off, select="v",
                                select_range=(lo, 2.0))[0]
         assert len(ours) == len(ref)
         assert np.allclose(ours, ref, atol=1e-9)
@@ -364,11 +372,25 @@ class TestImmutableResults:
     def test_fd_hamiltonian_arrays_are_read_only(self):
         for ham in (fd_hamiltonian(parse("x^2"), -4.0, 4.0, 64),
                     fd_hamiltonian(parse("x"), 0.0, 4.0, 64, grading=2.0)):
-            for name in ("grid", "diag", "h", "off"):
-                value = getattr(ham, name)
-                if isinstance(value, np.ndarray):
-                    with pytest.raises(ValueError):
-                        value[0] = 0.0
+            assert [f.name for f in dataclasses.fields(ham)] == ["diag",
+                                                                 "off"]
+            for value in (ham.diag, ham.off):
+                with pytest.raises(ValueError):
+                    value[0] = 0.0
+
+    @pytest.mark.parametrize("diag,off", [
+        ([2.0, 2.0, 2.0], -1.0),
+        ([2.0, 2.0, 2.0], [-1.0]),
+        ([2.0, 2.0, 2.0], [-1.0, -1.0, -1.0]),
+        ([2.0, 2.0, 2.0], [[-1.0, -1.0]]),
+        ([[2.0, 2.0]], [-1.0]),
+        ([], []),
+    ], ids=["scalar", "short", "long", "2-D", "2-D diagonal", "empty"])
+    def test_off_diagonal_of_wrong_shape_is_named(self, diag, off):
+        # the Sturm layer would otherwise meet numpy's broadcast error
+        with pytest.raises(InvalidParameter,
+                           match=r"off-diagonal of n - 1, got shapes"):
+            FDHamiltonian(np.array(diag), np.array(off))
 
     def test_quad_result_is_frozen(self):
         res = integrate(lambda s: s * s, (0.0, 1.0))
@@ -378,16 +400,15 @@ class TestImmutableResults:
 
 class TestGradedMesh:
     def test_uniform_nodes_reproduce_uniform_stencil_bit_for_bit(self):
-        # a dyadic spacing makes every node and spacing exact, so the
-        # non-uniform formulas must reduce to 2/h^2 + V and -1/h^2 exactly
+        # a dyadic spacing makes every node and spacing exact, so the one
+        # stencil must reduce to 2/h^2 + V and -1/h^2 exactly
         v = lambda x: x * x - 1.0
         ham = fd_hamiltonian(v, -4.0, 4.0, 256, left_ratio=0.3)
-        nodes = fd_nodes(-4.0, 4.0, 256)
-        h, diag, off = oracle._nonuniform_stencil(nodes, v(nodes[1:-1]),
-                                                  0.3)
-        assert np.all(h == ham.h)
-        assert np.array_equal(diag, ham.diag)
-        assert np.all(off == ham.off)
+        h = 8.0 / 256
+        diag = 2.0 / h ** 2 + v(-4.0 + h * np.arange(1, 256))
+        diag[0] -= 0.3 / h ** 2
+        assert np.array_equal(ham.diag, diag)
+        assert np.array_equal(ham.off, np.full(254, -1.0 / h ** 2))
 
     def test_nodes_graded_toward_origin(self):
         nodes = fd_nodes(1e-3, 40.0, 100, 3.0)
@@ -486,9 +507,10 @@ _entries = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
 
 
 def _tridiagonal(diag, off):
-    n = len(diag)
-    return FDHamiltonian(0.0, 1.0, n + 1, np.zeros(n), 1.0,
-                         np.array(diag, dtype=float), off)
+    """The FDHamiltonian of ``diag`` and ``off``, a scalar ``off`` taken
+    as every coupling."""
+    return FDHamiltonian(np.array(diag, dtype=float),
+                         np.full(len(diag) - 1, off, dtype=float))
 
 
 class TestSturmCountProperty:
@@ -562,19 +584,18 @@ def reference_eigenvalues_below(ham, e_max, rtol=1e-10):
     """Plain Sturm bisection, every midpoint counted by
     ``reference_counts``: the loop that ``eigenvalues_below`` replays,
     kept here as its reference.  Its bracket runs from the Gershgorin
-    lower bound to e_max or, if lower, the Gershgorin upper bound."""
+    lower bound to e_max or, if lower, the Gershgorin upper bound: the
+    bounds d_i -+ 2|o| when every coupling o is equal, else row-wise."""
     k = int(reference_counts(ham, e_max)[0])
     if k == 0:
         return []
-    if np.ndim(ham.off) == 0:
-        lo0 = float(np.min(ham.diag)) - 2.0 * abs(ham.off)
-        top = float(np.max(ham.diag)) + 2.0 * abs(ham.off)
+    a = np.abs(ham.off)
+    if a.size and np.all(ham.off == ham.off[0]):
+        a_in, a_out = 0.0, 2.0 * a[0]
     else:
-        a = np.abs(ham.off)
-        lo0 = float(np.min(ham.diag - np.append(0.0, a)
-                           - np.append(a, 0.0)))
-        top = float(np.max(ham.diag + np.append(0.0, a)
-                           + np.append(a, 0.0)))
+        a_in, a_out = np.append(0.0, a), np.append(a, 0.0)
+    lo0 = float(np.min(ham.diag - a_in - a_out))
+    top = float(np.max(ham.diag + a_in + a_out))
     lo = np.full(k, lo0)
     hi = np.full(k, min(float(e_max), top))
     idx = np.arange(k)
@@ -901,3 +922,29 @@ class TestReplayWork:
         for (shifts, newton), (top_shifts, top_newton) in zip(
                 work, self.LOCKSTEP, strict=True):
             assert shifts <= top_shifts and newton <= top_newton
+
+
+class TestEqualCouplingLoops:
+    """``_rows`` reads from the matrix whether every coupling is equal and
+    then loops over the one squared coupling ``o2``: on every uniform
+    mesh, its spacing dyadic or not, and never on the graded mesh."""
+
+    @pytest.mark.parametrize("build", [
+        lambda: fd_hamiltonian(parse("x^2 - 1"), -10.0, 10.0, 4000),
+        *(lambda p=p: _oscillator(*p)[0] for p in PINNED_OSCILLATORS),
+        lambda: fd_hamiltonian(parse("x^2"), -3.7, 5.3, 1234),
+    ], ids=["criterion 1", "oscillator 1", "oscillator 2", "oscillator 3",
+            "non-dyadic"])
+    def test_uniform_mesh_takes_the_equal_coupling_loops(self, build):
+        ham = build()
+        assert np.all(ham.off == ham.off[0])
+        assert oracle._rows(ham).o2 == float(ham.off[0]) ** 2
+
+    def test_non_dyadic_nodes_differ_in_spacing(self):
+        # which is why the uniform stencil is given the one spacing
+        # (x_hi - x_lo)/n rather than the differences of the nodes
+        assert len(set(np.diff(fd_nodes(-3.7, 5.3, 1234)).tolist())) > 1
+
+    def test_graded_mesh_takes_the_per_row_loops(self):
+        ham = _cuberoot_graded(8000, ratio=0.5)
+        assert oracle._rows(ham).o2 is None
