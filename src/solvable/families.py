@@ -15,6 +15,8 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -109,6 +111,9 @@ class FamilySpec:
 
     Construction validates the admissibility constraints eagerly; every
     downstream formula misbehaves silently outside that region.
+    ``exact`` is (alpha, beta) as exact fractions (``as_fraction``),
+    derived once per instance for the exponents and coefficients of the
+    weight, the potential and the wavefunctions.
     """
 
     sigma_case: SigmaCase
@@ -123,6 +128,10 @@ class FamilySpec:
         if not ok(self.alpha, self.beta):
             raise FamilyConstraintError(
                 f"case {self.sigma_case.value}: {text}", self.alpha, self.beta)
+
+    @cached_property
+    def exact(self) -> tuple[Fraction, Fraction]:
+        return as_fraction(self.alpha), as_fraction(self.beta)
 
     @property
     def interval(self):
@@ -178,7 +187,7 @@ def eigenvalue(family: FamilySpec, ell: int) -> float:
 def weight(family: FamilySpec) -> Expr:
     """The weight rho as an expression; satisfies (sigma rho)' = tau rho."""
     al, be = family.alpha, family.beta
-    fa, fb = as_fraction(al), as_fraction(be)
+    fa, fb = family.exact
     s = VAR
     case = family.sigma_case
     if case is SigmaCase.ONE:

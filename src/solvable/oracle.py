@@ -11,8 +11,10 @@ serve as oracles for it:
   elementwise: the core panels share a call with the first blocks of
   each infinite side, and each refinement round evaluates in one call
   the halves of every panel the stop rules already commit the loop to
-  split, then replays the splits one at a time, so every sum and count
-  is the one-panel-at-a-time algorithm's, bit for bit;
+  split, then replays the splits one at a time; each Gauss rule sums
+  over all the panels of a call in one ``np.vecdot``, the per-row
+  kernel of a 1-D ``np.dot``, so every sum and count is the
+  one-panel-at-a-time algorithm's, bit for bit;
 
 * a three-point finite-difference Hamiltonian -d^2/dx^2 + V(x) with
   Dirichlet (or ratio-matched) boundaries, two arrays (diagonal and
@@ -76,16 +78,23 @@ def _as_array_function(f):
 
 def _panels(f, bounds):
     """16-point value and |GL16 - GL8| error estimate of each panel [a, b]
-    in ``bounds``, from one call of f on the 24 nodes of every panel."""
-    a, b = np.array(bounds).T
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    xs = mid[:, None] + half[:, None] * _NODES
+    in ``bounds``, from one call of f on the 24 nodes of every panel.
+
+    Each rule's weighted sums over all panels are one ``np.vecdot``,
+    which runs the per-row kernel of a 1-D ``np.dot``, so every sum is
+    the one a panel-by-panel dot gives, bit for bit; the scaling by the
+    half-width stays in Python floats, which overflow to inf silently.
+    """
+    mids = [0.5 * (a + b) for a, b in bounds]
+    halves = [0.5 * (b - a) for a, b in bounds]
+    xs = np.array(mids)[:, None] + np.array(halves)[:, None] * _NODES
     y = np.asarray(f(xs.ravel()), dtype=float).reshape(xs.shape)
     finite = np.isfinite(y).all(axis=1).tolist()
+    sums16 = np.vecdot(y[:, :16], _GL16[1]).tolist()
+    sums8 = np.vecdot(y[:, 16:], _GL8[1]).tolist()
     out = []
-    for h, row, ok in zip(half.tolist(), y, finite):
-        v16 = h * float(np.dot(_GL16[1], row[:16]))
-        v8 = h * float(np.dot(_GL8[1], row[16:]))
+    for h, s16, s8, ok in zip(halves, sums16, sums8, finite):
+        v16, v8 = h * s16, h * s8
         out.append((v16, abs(v16 - v8) if ok else math.inf))
     return out
 
@@ -228,7 +237,9 @@ def integrate(f, interval, tol: float = 1e-10) -> QuadResult:
     ahead of that certainty, and the march or split that needs a panel
     set takes it from the heap's one store of panels evaluated ahead, so
     value, error, nodes and window are those of evaluating one panel set
-    per call; ``QuadResult.calls`` counts the calls.  Should a call
+    per call; ``QuadResult.calls`` counts the calls.  The 16- and 8-point
+    sums of all the panels of a call are one ``np.vecdot`` per rule, each
+    row's sum the one a 1-D ``np.dot`` of that panel gives.  Should a call
     joining several sets raise, the sets are evaluated one call each from
     then on, so the exception is the one that evaluation raises.
     Convergence target is max(tol, tol * |integral|), so large-magnitude

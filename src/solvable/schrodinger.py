@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvalidParameter
-from .expr import VAR, Expr, add, as_fraction, compose, exp_, fun_, mul, pow_
+from .expr import VAR, Expr, add, compose, exp_, fun_, mul, pow_
 from .families import FamilySpec, SigmaCase, check_degree, eigenvalue, weight
 from .specfun import special_function
 
@@ -117,7 +117,7 @@ def potential(family: FamilySpec, m: int, attach_ells=()) -> SchrodingerSystem:
     check_degree(family, m, "m")
     vmap = variable_map(family)
     a, b, c = map(Fraction, family.sigma_coeffs)
-    fa, fb = as_fraction(family.alpha), as_fraction(family.beta)
+    fa, fb = family.exact
     def rounded(q):  # to the nearest float, +-inf past the float range
         big = abs(q) > sys.float_info.max
         return (INF if q > 0 else -INF) if big else float(q)
@@ -154,8 +154,7 @@ def wavefunction(family: FamilySpec, ell: int, m: int) -> Expr:
                   pow_(family.sigma_expr, Fraction(m, 2)),
                   sf.poly_part.to_expr())
         return compose(amp, vmap.inverse)
-    fa, fb, a = map(as_fraction, (family.alpha, family.beta,
-                                  family.sigma_coeffs[0]))
+    (fa, fb), a = family.exact, Fraction(family.sigma_coeffs[0])
     return mul(compose(sf.poly_part.to_expr(), vmap.inverse), *(
         pow_(dist, (m - Fraction(1, 2) + (fa * r + fb) / (2 * a * r)) / 2)
         for r, dist in vmap.root_factors))

@@ -110,11 +110,18 @@ def scalar_product(family: FamilySpec, f, g):
 
     f and g may be Exprs or vectorized callables (SpecialFunctions are
     both): each is called with the nodes of one or more quadrature
-    panels in one array, so it must act elementwise.  Raises
-    QuadratureNoConverge when the adaptive error estimate cannot be
-    brought below 1e-9.
+    panels in one array, so it must act elementwise.  A norm (``g is
+    f``) evaluates f once per call and squares it, the floats two
+    evaluations of f would give.  Raises QuadratureNoConverge when the
+    adaptive error estimate cannot be brought below 1e-9.
     """
     rho = weight(family)
-    fc, gc = _as_array_function(f), _as_array_function(g)
-    integrand = lambda s: fc(s) * gc(s) * evaluate(rho, s)
+    fc = _as_array_function(f)
+    if g is f:
+        def integrand(s):
+            v = fc(s)
+            return v * v * evaluate(rho, s)
+    else:
+        gc = _as_array_function(g)
+        integrand = lambda s: fc(s) * gc(s) * evaluate(rho, s)
     return integrate(integrand, family.interval, 1e-9).value

@@ -1,10 +1,12 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from solvable.errors import DegreeBeyondCutoff, FamilyConstraintError
-from solvable.expr import differentiate, evaluate, mul, parse
+from solvable.expr import as_fraction, differentiate, evaluate, mul, parse
 from solvable.families import (
     ALL_CASES, FamilySpec, SigmaCase, cutoff, eigenvalue, sample_points,
     weight,
@@ -180,3 +182,49 @@ class TestCutoff:
         cap = cutoff(fam)
         assert cap.lambda_cap == 2.5
         assert cap.max_degree == 2
+
+
+class TestExactParameters:
+    @pytest.mark.parametrize("alpha, beta", [
+        (-2.0, 1.0), (-1.3, 2.1), (-6.05, 1.04), (-0.1, 0.3),
+        (-1 / 3, 2.0 ** -40), (-7.000000000000001, 1e-300)])
+    def test_exact_is_as_fraction_of_alpha_and_beta(self, alpha, beta):
+        fam = FamilySpec(SigmaCase.S, alpha, beta)
+        assert fam.exact == (as_fraction(alpha), as_fraction(beta))
+        assert fam.exact is fam.exact  # derived once per instance
+
+    def test_no_module_converts_alpha_or_beta_itself(self):
+        # the exact alpha and beta come from FamilySpec.exact alone: no
+        # as_fraction call (direct or mapped) in src/ takes alpha, beta
+        # or a local name assigned from them
+        src = Path(__file__).resolve().parent.parent / "src" / "solvable"
+        found = []
+        for path in sorted(src.glob("*.py")):
+            for fn in ast.walk(ast.parse(path.read_text())):
+                if (not isinstance(fn, ast.FunctionDef)
+                        or fn.name == "exact"):
+                    continue
+                tainted = {
+                    t.id for node in ast.walk(fn)
+                    if isinstance(node, ast.Assign) and _reads_param(
+                        node.value, ())
+                    for target in node.targets for t in ast.walk(target)
+                    if isinstance(t, ast.Name)}
+                for call in ast.walk(fn):
+                    if not (isinstance(call, ast.Call) and any(
+                            isinstance(n, ast.Name)
+                            and n.id == "as_fraction"
+                            for n in [call.func, *call.args])):
+                        continue
+                    if any(_reads_param(arg, tainted) for arg in call.args):
+                        found.append(f"{path.name}:{call.lineno}")
+        assert found == []
+
+
+def _reads_param(node, names):
+    """Whether ``node`` reads an ``.alpha`` or ``.beta`` attribute or one
+    of ``names``."""
+    return any(
+        (isinstance(n, ast.Attribute) and n.attr in ("alpha", "beta"))
+        or (isinstance(n, ast.Name) and n.id in names)
+        for n in ast.walk(node))

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+import struct
 import warnings
 
 import numpy as np
@@ -77,6 +78,50 @@ class TestIntegrate:
         fine = integrate(f, (-math.inf, math.inf), 1e-12)
         assert fine.error_estimate < coarse.error_estimate
         assert fine.nodes > coarse.nodes
+
+
+def _panels_by_row(f, bounds):
+    """``oracle._panels`` as a loop of 1-D ``np.dot`` calls, one row of
+    nodes (panel) at a time: the reference for its vecdot sums."""
+    w16 = np.polynomial.legendre.leggauss(16)[1]
+    w8 = np.polynomial.legendre.leggauss(8)[1]
+    a, b = np.array(bounds).T
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    xs = mid[:, None] + half[:, None] * oracle._NODES
+    y = np.asarray(f(xs.ravel()), dtype=float).reshape(xs.shape)
+    finite = np.isfinite(y).all(axis=1).tolist()
+    out = []
+    for h, row, ok in zip(half.tolist(), y, finite):
+        v16 = h * float(np.dot(w16, row[:16]))
+        v8 = h * float(np.dot(w8, row[16:]))
+        out.append((v16, abs(v16 - v8) if ok else math.inf))
+    return out
+
+
+class TestPanelsProperty:
+    """``_panels`` sums every rule over all panels in one ``np.vecdot``;
+    each value and error is the per-row ``np.dot`` loop's, bit for bit,
+    on values of magnitude e^-30 to e^30 with some +-inf and NaN."""
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(st.integers(1, 64), st.integers(0, 2 ** 32 - 1),
+           st.sampled_from((0.0, 0.01, 0.2)))
+    def test_same_floats_as_row_by_row_dot(self, panels, seed, bad):
+        rng = np.random.default_rng(seed)
+        y = rng.choice((-1.0, 1.0), (panels, 24)) \
+            * np.exp(rng.uniform(-30.0, 30.0, (panels, 24)))
+        hit = rng.random((panels, 24)) < bad
+        y[hit] = rng.choice((math.inf, -math.inf, math.nan), hit.sum())
+        lo = rng.uniform(-50.0, 50.0, panels)
+        bounds = list(zip(lo.tolist(),
+                          (lo + np.exp(rng.uniform(-20.0, 5.0, panels)))
+                          .tolist()))
+        f = lambda s: y.ravel()
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = oracle._panels(f, bounds)
+            want = _panels_by_row(f, bounds)
+        bits = lambda pairs: [struct.pack("<2d", *p) for p in pairs]
+        assert bits(got) == bits(want)
 
 
 # (integrand, interval, tol): a finite interval, both half-lines, the whole

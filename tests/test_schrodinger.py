@@ -1,3 +1,4 @@
+import hashlib
 import math
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from solvable.acceptance import ACCEPTANCE_FAMILIES
 from solvable.errors import DegreeBeyondCutoff, InvalidParameter
 from solvable.expr import (
     Add, Const, Exp, Fun, Mul, Pow, Var, add, compose, differentiate,
@@ -217,6 +219,41 @@ class TestWavefunction:
             psi = wavefunction(fam, ell, 0)
             res = integrate(lambda x: evaluate(psi, x) ** 2, vm.image, 1e-8)
             assert math.isfinite(res.value) and res.value > 0
+
+
+# the acceptance rows and five rows whose alpha and beta are not binary
+# fractions, so their exact values come from a short continued fraction
+TREE_ROWS = ACCEPTANCE_FAMILIES + (
+    (SigmaCase.S, -1.3, 2.1),
+    (SigmaCase.ONE_MINUS_S2, -5.3, 0.7),
+    (SigmaCase.S2_MINUS_1, -6.1, 9.7),
+    (SigmaCase.S2, -6.05, 1.04),
+    (SigmaCase.S2_PLUS_1, -4.9, 0.3),
+)
+
+# captured before FamilySpec held its exact alpha and beta
+TREES_DIGEST = (
+    "f6281dfc03283effe41c62b2db78abf7c141804744a22bfbe7e3382db4603799")
+
+
+def trees_digest():
+    """Digest of the repr of rho, and of V_m with every attached
+    (lambda, Psi_{ell,m}), for m <= ell <= 3 below the cutoff."""
+    h = hashlib.sha256()
+    for case, alpha, beta in TREE_ROWS:
+        fam = FamilySpec(case, alpha, beta)
+        top = cutoff(fam).top_degree(3)
+        h.update(f"{weight(fam)!r}\n".encode())
+        for m in range(top + 1):
+            system = potential(fam, m, attach_ells=range(m, top + 1))
+            h.update(f"{system.potential!r} {system.interval!r}\n".encode())
+            for lam, psi in system.known_eigenpairs:
+                h.update(f"{lam.hex()} {psi!r}\n".encode())
+    return h.hexdigest()
+
+
+def test_weight_potential_and_wavefunction_trees_unchanged():
+    assert trees_digest() == TREES_DIGEST
 
 
 class TestResidual:

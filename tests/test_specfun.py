@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from solvable.acceptance import ACCEPTANCE_FAMILIES
 from solvable.errors import (
     DegreeBeyondCutoff, OrderExceedsDegree, SingularPoint,
 )
@@ -114,7 +115,33 @@ class TestHmOperator:
             assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
+class _Counted:
+    """A callable that counts its calls."""
+
+    def __init__(self, f):
+        self.f, self.calls = f, 0
+
+    def __call__(self, s):
+        self.calls += 1
+        return self.f(s)
+
+
 class TestScalarProduct:
+    @pytest.mark.parametrize("row", ACCEPTANCE_FAMILIES,
+                             ids=lambda row: row[0].value)
+    def test_norm_evaluates_f_once_with_the_same_floats(self, row):
+        # <F, F> squares one evaluation of F a call; two evaluations of
+        # the same F give the same floats, so the norm is unchanged
+        fam = FamilySpec(*row)
+        top = cutoff(fam).top_degree(3)
+        for ell, m in ((top, 0), (top, min(top, 1))):
+            f = _Counted(special_function(fam, ell, m))
+            norm = scalar_product(fam, f, f)
+            once = f.calls
+            pair = scalar_product(fam, f, lambda s: f(s))
+            assert norm.hex() == pair.hex()
+            assert f.calls - once == 2 * once
+
     def test_gaussian_normalization(self):
         fam = FamilySpec(SigmaCase.ONE, -2.0, 0.0)
         val = scalar_product(fam, lambda s: 1.0, lambda s: 1.0)
