@@ -49,7 +49,7 @@ ACCEPTANCE_FAMILIES = (
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class CriterionResult:
     index: int
     name: str
@@ -86,7 +86,7 @@ def family_spectrum(fam, m, lo, hi, n_sub, e_max=None):
     return rows
 
 
-def criterion_1_oscillator_spectrum(seed=42):
+def criterion_1_oscillator_spectrum():
     """FD spectrum of V_0 = x^2 - 1 matches 2*ell to 5e-4 in under 5 s."""
     t0 = time.time()
     fam = FamilySpec(SigmaCase.ONE, -2.0, 0.0)
@@ -114,7 +114,7 @@ def _hm_worst(fam, top):
     return worst
 
 
-def criterion_2_operator_residuals(seed=42):
+def criterion_2_operator_residuals():
     """H_m eigenrelation residual <= 1e-8 over 100 points, all families,
     ell <= min(L, 8), m <= ell, in under 10 s."""
     t0 = time.time()
@@ -128,7 +128,7 @@ def criterion_2_operator_residuals(seed=42):
                 f"{elapsed:.2f}s (cap 10s); s^2-1 run at beta=10")
 
 
-def criterion_3_rodrigues(seed=42):
+def criterion_3_rodrigues():
     """Recursion and Rodrigues constructions proportional to 1e-9."""
     worst = 0.0
     for fam in _families():
@@ -171,7 +171,7 @@ def orthogonality_rows(fam, m, top):
     return rows
 
 
-def criterion_4_orthogonality(seed=42):
+def criterion_4_orthogonality():
     """Normalized inner products <= 1e-8 for ell != k, in both the
     weighted s coordinate and the x coordinate, the two routes agreeing."""
     worst_inner = 0.0
@@ -187,7 +187,7 @@ def criterion_4_orthogonality(seed=42):
                 f"route disagreement {worst_gap:.2e} (tol 1e-8)")
 
 
-def criterion_5_generated_eigenpairs(seed=42):
+def criterion_5_generated_eigenpairs():
     """Closed-form eigenpairs of the cube-root system: residual <= 1e-8
     on [1e-3, 30] and E = +-2 sqrt(1+2n) to 1e-12, n = 0..3."""
     worst_res = 0.0
@@ -203,7 +203,7 @@ def criterion_5_generated_eigenpairs(seed=42):
                 f"worst |dE| {worst_de:.2e} (tol 1e-12)")
 
 
-def criterion_6_admissibility(seed=42):
+def criterion_6_admissibility():
     """(c1=1, c2=-5) rejects n in {0, 1} and accepts n=2 with E=0."""
     rejected = []
     for n in (0, 1):
@@ -217,7 +217,7 @@ def criterion_6_admissibility(seed=42):
     return ok, (f"n=0,1 rejected: {rejected}, E_2+ = {p.energy:g} (exact 0)")
 
 
-def criterion_7_dw_reproduction(seed=42):
+def criterion_7_dw_reproduction():
     """theta=1, rho=0, lambda=-1 through the sqrt route: coefficient
     pattern (0, -1/2, -3/16, E=-1) and ground state r^(1/4) e^(-r)."""
     g = reproduce_dw(1.0, 0.0, -1.0, which=1)
@@ -234,7 +234,7 @@ def criterion_7_dw_reproduction(seed=42):
                 f"{res:.2e} (tol 1e-10)")
 
 
-def criterion_8_cubic_round_trip(seed=42):
+def criterion_8_cubic_round_trip():
     """(alpha=-2, beta=1, m=0, ell=3) -> (c1=-1, c2=-6.75) -> recover
     alpha=-2 within 1e-10 and E=-1 within 1e-12."""
     alpha, beta, m, ell = -2.0, 1.0, 0, 3
@@ -278,7 +278,7 @@ def cuberoot_containment(c1, c2, levels, lo=1e-3, hi=40.0, n_sub=8000):
     return found
 
 
-def criterion_9_fd_containment(seed=42):
+def criterion_9_fd_containment():
     """FD spectrum on [1e-3, 40], N=8000 contains E_n^+ within 2e-3 for
     n = 0..2, each level under its own wall matched to psi_n, on a mesh
     graded toward the r^(1/6) cusp at r = 0."""
@@ -289,7 +289,7 @@ def criterion_9_fd_containment(seed=42):
                 + " (tol 2e-3; per-level matched walls, graded mesh)")
 
 
-def criterion_10_finite_cutoff(seed=42):
+def criterion_10_finite_cutoff():
     """s^2 family at alpha=-7: L=3; ell=4 raises; ell <= 3 residuals ok."""
     fam = FamilySpec(SigmaCase.S2, -7.0, 1.0)
     cap = cutoff(fam)
@@ -319,14 +319,14 @@ CRITERIA = (
 )
 
 
-def run_all(seed: int = 42, only=None):
+def run_all(only=None):
     results = []
     for index, name, fn in CRITERIA:
         if only and index not in only:
             continue
         t0 = time.time()
         try:
-            passed, detail = fn(seed)
+            passed, detail = fn()
         except Exception as exc:  # a crash is a failure, not an abort
             passed, detail = False, f"raised {type(exc).__name__}: {exc}"
         results.append(CriterionResult(

@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import re
 import sys
 import threading
@@ -106,10 +105,6 @@ def _family_from(args) -> FamilySpec:
     return FamilySpec(case, args.alpha, args.beta)
 
 
-def _default_seed() -> int:
-    return int(os.environ.get("SOLVABLE_SEED", "42"))
-
-
 def _grid_size(text) -> int:
     """argparse type of the --grid point counts: an integer >= 1."""
     try:
@@ -144,7 +139,7 @@ def cmd_families(args, out):
     entries = []
     for case in ALL_CASES:
         entry = {"case": case.value, "constraint": case.constraint}
-        if args.alpha is not None and args.beta is not None:
+        if args.alpha is not None:
             require_finite(("alpha", args.alpha), ("beta", args.beta))
             entry["alpha"] = args.alpha
             entry["beta"] = args.beta
@@ -374,8 +369,7 @@ def cmd_reproduce_dw(args, out):
 
 
 def cmd_acceptance(args, out):
-    seed = args.seed if args.seed is not None else _default_seed()
-    results = acceptance_mod.run_all(seed=seed, only=args.only)
+    results = acceptance_mod.run_all(only=args.only)
     failed = 0
     for r in results:
         status = "PASS" if r.passed else "FAIL"
@@ -522,8 +516,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_reproduce_dw)
 
     p = sub.add_parser("acceptance", help="run every acceptance criterion")
-    p.add_argument("--seed", type=int, default=None,
-                   help="default: $SOLVABLE_SEED, else 42")
     p.add_argument("--only", type=_criterion_indices, default=None,
                    help="comma-separated criterion indices 1-10")
     p.set_defaults(fn=cmd_acceptance)
@@ -554,6 +546,11 @@ def run(argv, out=None) -> int:
             "family" and None in (args.case, args.alpha, args.beta):
         ap.error("--case/--family, --alpha, --beta are required "
                  "for --system family")
+    if args.command == "families" and (args.alpha is None) != (
+            args.beta is None):
+        given, missing = (("--alpha", "--beta") if args.beta is None
+                          else ("--beta", "--alpha"))
+        ap.error(f"{missing} is required with {given}")
     try:
         return args.fn(args, out)
     except SolvableError as exc:

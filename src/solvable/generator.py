@@ -53,7 +53,7 @@ from .schrodinger import Provenance, SchrodingerSystem, wavefunction
 
 __all__ = [
     "SecondOrderODE", "EliminationResult", "TermDecomposition",
-    "SubstitutionMap", "SubstitutionResult", "eliminate_first_derivative",
+    "SubstitutionResult", "eliminate_first_derivative",
     "decompose", "substitute", "transformed_system", "solve_params_quantsys",
     "solve_params_inverse_sqrt", "reproduce_dw", "boundary_ratio",
 ]
@@ -68,7 +68,6 @@ class SecondOrderODE:
     a: Expr
     b: Expr
     c: Expr
-    interval: tuple = (0.0, INF)
 
 
 @dataclass(frozen=True)
@@ -164,15 +163,6 @@ def decompose(family: FamilySpec, m: int) -> TermDecomposition:
         c_zero=lambda ell: be * be / 4.0 + al / 2.0 - al * m + al * ell)
 
 
-@dataclass(frozen=True)
-class SubstitutionMap:
-    """r -> x(r) with x'(r) = 1/sqrt(I(x(r))) for the map-defining term."""
-
-    k: int                  # index of the SURVIVING term
-    x_of_r: Expr
-    i_map: Expr             # I_{-k}, the map-defining term
-
-
 def _solve_monomial_map(i_map: Expr) -> Expr:
     """Closed-form x(r) solving x' = 1/sqrt(i_map(x)) for i_map = x^p."""
     terms = power_terms(i_map)
@@ -193,18 +183,22 @@ def _solve_monomial_map(i_map: Expr) -> Expr:
 
 @dataclass(frozen=True)
 class SubstitutionResult:
-    map: SubstitutionMap
+    """The map r -> x(r) with x'(r) = 1/sqrt(I(x(r))) for the map-defining
+    term, and the energy and gauge it leaves."""
+
+    k: int                  # index of the SURVIVING term
+    x_of_r: Expr
+    i_map: Expr             # I_{-k}, the map-defining term
     energy: float           # E = -(coefficient of the map-defining term)
     gauge: Expr             # (I(x(r)))^{1/4}
 
     def potential(self, dec: TermDecomposition, ell: int) -> Expr:
-        k = self.map.k
-        c_keep, i_keep = dec.term(k)
-        x_of_r = self.map.x_of_r
-        ix = compose(self.map.i_map, x_of_r)
+        c_keep, i_keep = dec.term(self.k)
+        x_of_r = self.x_of_r
+        ix = compose(self.i_map, x_of_r)
         ikx = compose(i_keep, x_of_r)
-        d1x = compose(differentiate(self.map.i_map), x_of_r)
-        d2x = compose(differentiate(differentiate(self.map.i_map)), x_of_r)
+        d1x = compose(differentiate(self.i_map), x_of_r)
+        d2x = compose(differentiate(differentiate(self.i_map)), x_of_r)
         return add(
             mul(c_keep, ikx, pow_(ix, -1)),
             mul(dec.c_zero(ell), pow_(ix, -1)),
@@ -228,9 +222,9 @@ def substitute(dec: TermDecomposition, k: int,
     if x_of_r is None:
         x_of_r = _solve_monomial_map(i_map)
     # a caller's x_of_r may be a raw node tree; compose passes it through
-    smap = SubstitutionMap(k, simplify(x_of_r), i_map)
-    gauge = pow_(compose(i_map, smap.x_of_r), Fraction(1, 4))
-    return SubstitutionResult(smap, -c_map, gauge)
+    x_of_r = simplify(x_of_r)
+    gauge = pow_(compose(i_map, x_of_r), Fraction(1, 4))
+    return SubstitutionResult(k, x_of_r, i_map, -c_map, gauge)
 
 
 def transformed_system(family: FamilySpec, ell: int, m: int,
@@ -241,7 +235,7 @@ def transformed_system(family: FamilySpec, ell: int, m: int,
     sub = substitute(dec, k)
     w = sub.potential(dec, ell)
     psi_x = wavefunction(family, ell, m)
-    psi_r = mul(sub.gauge, compose(psi_x, sub.map.x_of_r))
+    psi_r = mul(sub.gauge, compose(psi_x, sub.x_of_r))
     return SchrodingerSystem(
         w, (0.0, INF), ((sub.energy, psi_r),),
         Provenance(family.alpha, family.beta, gauge=sub.gauge))

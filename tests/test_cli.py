@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import io
 import json
@@ -45,6 +46,16 @@ class TestFamilies:
         assert s2["L"] == 3
         assert entries["s^2-1"]["admissible"] is False
 
+    # one of the two once exited 0 with the parameter-free table
+    @pytest.mark.parametrize("given,missing", [
+        (["--alpha", "-7"], "--beta"), (["--beta", "1"], "--alpha")])
+    def test_one_parameter_is_a_usage_error(self, given, missing, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["families", *given])
+        assert exc.value.code == 2
+        assert (f"error: {missing} is required with {given[0]}"
+                in capsys.readouterr().err)
+
 
 class TestPoly:
     def test_coefficient_table(self):
@@ -71,6 +82,14 @@ class TestPoly:
 
 
 class TestAcceptanceOnly:
+    def test_reaches_run_all_as_a_set(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli.acceptance_mod, "run_all",
+                            lambda only: calls.append(only) or [])
+        invoke(["acceptance", "--only", "6,10,6"])
+        invoke(["acceptance"])
+        assert calls == [{6, 10}, None]
+
     # "x" ended in a ValueError traceback; "0" and "99" ran no criterion
     # and printed "0/0 criteria passed", exit 0
     @pytest.mark.parametrize("value,bad", [
@@ -476,16 +495,6 @@ class TestSharedParser:
             assert invoke(argv)[0] == 0
         assert built == [1]
 
-    def test_default_seed_is_read_at_each_call(self, monkeypatch):
-        seeds = []
-        monkeypatch.setattr(
-            cli.acceptance_mod, "run_all",
-            lambda seed, only: seeds.append((seed, only)) or [])
-        for value in ("7", "8"):
-            monkeypatch.setenv("SOLVABLE_SEED", value)
-            invoke(["acceptance", "--only", "6,10,6"])
-        invoke(["acceptance", "--seed", "3"])
-        assert seeds == [(7, {6, 10}), (8, {6, 10}), (3, None)]
 
 
 class TestNegativeOptionValues:
@@ -905,6 +914,20 @@ class TestHelp:
 
 
 class TestAcceptanceCommand:
+    # the run is deterministic and takes no seed: --seed is unknown, and
+    # SOLVABLE_SEED=abc once ended in a ValueError traceback
+    def test_seed_option_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["acceptance", "--seed", "3"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+
+    def test_seed_environment_variable_is_not_read(self, monkeypatch):
+        monkeypatch.setenv("SOLVABLE_SEED", "abc")
+        code, text, err = run_fresh(["acceptance", "--only", "6"])
+        assert (code, err) == (0, "")
+        assert text.endswith("1/1 criteria passed\n")
+
     def test_subset_runs_and_reports(self):
         code, text = invoke(["acceptance", "--only", "6,8"])
         assert code == 0
@@ -916,3 +939,24 @@ class TestAcceptanceCommand:
         code, text = invoke(["acceptance", "--only", "9"])
         assert code == 0
         assert "PASS criterion  9" in text
+
+
+class TestNoEnvironmentKnobs:
+    _READERS = ("environ", "environb", "getenv", "getenvb")
+
+    def test_no_module_reads_the_environment(self):
+        # the CLI's options are its only inputs: no module under
+        # src/solvable reads os.environ or os.getenv, as an attribute or
+        # imported by name
+        found = []
+        for path in sorted((ROOT / "src" / "solvable").rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if ((isinstance(node, ast.Attribute)
+                     and node.attr in self._READERS)
+                        or (isinstance(node, ast.ImportFrom)
+                            and node.module == "os"
+                            and any(alias.name in self._READERS
+                                    for alias in node.names))):
+                    found.append(f"{path.name}:{node.lineno}")
+        assert found == []
+

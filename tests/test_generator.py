@@ -154,7 +154,7 @@ class TestSubstitute:
         assert t[Fraction(-2, 3)] == pytest.approx(3.0 * (2 / 3) ** (2 / 3))
         assert t[Fraction(-2)] == pytest.approx(-5.0 / 36.0)
         # x(r) = (3r/2)^{2/3}
-        assert evaluate(sub.map.x_of_r, 2.0 / 3.0) == pytest.approx(1.0)
+        assert evaluate(sub.x_of_r, 2.0 / 3.0) == pytest.approx(1.0)
 
     def test_sqrt_route(self, dec):
         sub = substitute(dec, -1)
@@ -163,15 +163,15 @@ class TestSubstitute:
         assert t[Fraction(-1, 2)] == pytest.approx(-4.0 / math.sqrt(2.0))
         assert t[Fraction(-1)] == pytest.approx(1.5)
         assert t[Fraction(-2)] == pytest.approx(-3.0 / 16.0)
-        assert evaluate(sub.map.x_of_r, 0.5) == pytest.approx(1.0)
+        assert evaluate(sub.x_of_r, 0.5) == pytest.approx(1.0)
 
     def test_map_derivative_relation(self, dec):
         # x'(r) = 1/sqrt(I(x(r))) for the map-defining term
         for k in (+1, -1):
             sub = substitute(dec, k)
-            dx = simplify(differentiate(sub.map.x_of_r))
+            dx = simplify(differentiate(sub.x_of_r))
             for r in np.linspace(0.05, 10, 100):
-                ix = evaluate(sub.map.i_map, evaluate(sub.map.x_of_r, r))
+                ix = evaluate(sub.i_map, evaluate(sub.x_of_r, r))
                 assert evaluate(dx, r) == pytest.approx(
                     1.0 / math.sqrt(ix), rel=1e-9)
 

@@ -43,7 +43,7 @@ _ELAPSED = re.compile(r"\d+\.\d+s \(cap \d+s\)")
 def acceptance_digest():
     h = hashlib.sha256()
     for index, _name, fn in CRITERIA:
-        passed, detail = fn(seed=42)
+        passed, detail = fn()
         h.update(f"{index}|{passed}|{_ELAPSED.sub('', detail)}\n".encode())
     return h.hexdigest()
 
