@@ -253,9 +253,12 @@ def criterion_8_cubic_round_trip():
 CUBEROOT_GAMMA = 1.0 / 6.0
 
 
-def cuberoot_containment(c1, c2, levels, lo=1e-3, hi=40.0, n_sub=8000):
-    """(n, E_numeric, E_n^+) for each level n: the FD eigenvalue nearest
-    E_n^+ of the cube-root potential on [lo, hi] with n_sub subintervals.
+def cuberoot_containment(c1, c2, e_max=None, lo=1e-3, hi=40.0, n_sub=8000):
+    """(n, E_numeric, E_n^+) for each chosen level n: the FD eigenvalue
+    nearest E_n^+ of the cube-root potential on [lo, hi] with n_sub
+    subintervals.  The levels are the first three admissible n < 16, or,
+    given e_max, every admissible n < 16 with E_n^+ below it; Inadmissible
+    is raised when no n < 16 is admissible.
 
     Each closed-form eigenfunction carries its own admixture of the second
     indicial solution r^(5/6) at the limit-circle endpoint r = 0, so the
@@ -263,11 +266,23 @@ def cuberoot_containment(c1, c2, levels, lo=1e-3, hi=40.0, n_sub=8000):
     its own matched wall u_0 = (psi_n(r_0)/psi_n(r_1)) u_1.  The mesh is
     graded toward the r^(1/6) cusp by ``indicial_grading``.
     """
+    admissible = []
+    for n in range(16):
+        try:
+            admissible.append((n, solve_params_quantsys(c1, c2, n, "+")))
+        except Inadmissible:
+            continue
+    if not admissible:
+        raise Inadmissible(f"no level n < 16 is admissible for "
+                           f"c1={c1:g}, c2={c2:g}")
+    if e_max is None:
+        levels = admissible[:3]
+    else:
+        levels = [(n, pair) for n, pair in admissible if pair.energy < e_max]
     grading = indicial_grading(CUBEROOT_GAMMA)
     r1 = fd_nodes(lo, hi, n_sub, grading)[1]
     found = []
-    for n in levels:
-        pair = solve_params_quantsys(c1, c2, n, "+")
+    for n, pair in levels:
         ham = fd_hamiltonian(pair.potential, lo, hi, n_sub,
                              left_ratio=boundary_ratio(pair, lo, r1),
                              grading=grading)
@@ -283,7 +298,7 @@ def criterion_9_fd_containment():
     n = 0..2, each level under its own wall matched to psi_n, on a mesh
     graded toward the r^(1/6) cusp at r = 0."""
     errs = [abs(e - want)
-            for _, e, want in cuberoot_containment(1.0, 0.0, range(3))]
+            for _, e, want in cuberoot_containment(1.0, 0.0)]
     ok = all(e <= 2e-3 for e in errs)
     return ok, ("containment errors " + ", ".join(f"{e:.2e}" for e in errs)
                 + " (tol 2e-3; per-level matched walls, graded mesh)")

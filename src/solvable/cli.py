@@ -101,8 +101,10 @@ def emit_csv(header, rows, out):
 
 
 def _family_from(args) -> FamilySpec:
-    case = _CASE_NAMES[args.case]
-    return FamilySpec(case, args.alpha, args.beta)
+    if None in (args.case, args.alpha, args.beta):
+        args.parser.error("--case/--family, --alpha, --beta are required "
+                          "for --system family")
+    return FamilySpec(_CASE_NAMES[args.case], args.alpha, args.beta)
 
 
 def _grid_size(text) -> int:
@@ -127,15 +129,19 @@ def _criterion_indices(text) -> set:
     return {int(token) for token in text.split(",")}
 
 
-def _add_family_flags(p):
+def _add_family_flags(p, required=True):
     p.add_argument("--case", "--family", dest="case",
-                   choices=sorted(_CASE_NAMES), required=True,
+                   choices=sorted(_CASE_NAMES), required=required,
                    help="sigma case (one, s, 1-s^2, s^2-1, s^2, s^2+1)")
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--beta", type=float, required=True)
+    p.add_argument("--alpha", type=float, required=required)
+    p.add_argument("--beta", type=float, required=required)
 
 
 def cmd_families(args, out):
+    if (args.alpha is None) != (args.beta is None):
+        given, missing = (("--alpha", "--beta") if args.beta is None
+                          else ("--beta", "--alpha"))
+        args.parser.error(f"{missing} is required with {given}")
     entries = []
     for case in ALL_CASES:
         entry = {"case": case.value, "constraint": case.constraint}
@@ -309,30 +315,16 @@ def cmd_verify_spectrum(args, out):
         rows = acceptance_mod.family_spectrum(fam, args.m, lo, hi, args.grid,
                                               args.emax)
     else:
-        # the E_n^+ are not the spectrum of one self-adjoint extension, so
-        # each level is solved under its own matched wall (criterion 9);
-        # index is the level n
+        # each level under its own matched wall (criterion 9); index is
+        # the level n
         _require_finite_options(args, "xmin", "xmax")
-        lo = args.xmin if args.xmin is not None else 1e-3
-        hi = args.xmax if args.xmax is not None else 40.0
-        admissible = []
-        for n in range(16):
-            try:
-                energy = solve_params_quantsys(args.c1, args.c2, n,
-                                               "+").energy
-            except Inadmissible:
-                continue
-            admissible.append((n, energy))
-        if not admissible:
-            raise Inadmissible(f"no level n < 16 is admissible for "
-                               f"c1={args.c1:g}, c2={args.c2:g}")
-        if args.emax is None:
-            levels = [n for n, _ in admissible[:3]]
-        else:
-            levels = [n for n, e in admissible if e < args.emax]
+        window = {name: v for name, v in (("lo", args.xmin),
+                                          ("hi", args.xmax))
+                  if v is not None}
         rows = [(n, e, want, abs(e - want))
                 for n, e, want in acceptance_mod.cuberoot_containment(
-                    args.c1, args.c2, levels, lo, hi, args.grid)]
+                    args.c1, args.c2, args.emax, n_sub=args.grid,
+                    **window)]
     emit_csv(("index", "E_numeric", "E_analytic", "abs_err"), rows, out)
     return 0
 
@@ -405,12 +397,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("families", help="list the six families as JSON")
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--beta", type=float, default=None)
-    p.set_defaults(fn=cmd_families)
+    p.set_defaults(fn=cmd_families, parser=p)
 
     p = sub.add_parser("poly", help="polynomial coefficient table (CSV)")
     _add_family_flags(p)
     p.add_argument("--ell", type=int, required=True)
-    p.set_defaults(fn=cmd_poly)
+    p.set_defaults(fn=cmd_poly, parser=p)
 
     p = sub.add_parser("specfun",
                        help="evaluate an associated special function (CSV)")
@@ -422,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--grid", type=_grid_size, default=101)
     pe.add_argument("--smin", type=float, default=None)
     pe.add_argument("--smax", type=float, default=None)
-    pe.set_defaults(fn=cmd_specfun)
+    pe.set_defaults(fn=cmd_specfun, parser=pe)
 
     p = sub.add_parser("potential", help="V_m on a grid (CSV)")
     _add_family_flags(p)
@@ -430,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=_grid_size, default=201)
     p.add_argument("--xmin", type=float, default=None)
     p.add_argument("--xmax", type=float, default=None)
-    p.set_defaults(fn=cmd_potential)
+    p.set_defaults(fn=cmd_potential, parser=p)
 
     p = sub.add_parser("eigenfunction", help="Psi_{ell,m} on a grid (CSV)")
     _add_family_flags(p)
@@ -439,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=_grid_size, default=201)
     p.add_argument("--xmin", type=float, default=None)
     p.add_argument("--xmax", type=float, default=None)
-    p.set_defaults(fn=cmd_eigenfunction)
+    p.set_defaults(fn=cmd_eigenfunction, parser=p)
 
     p = sub.add_parser("generate",
                        help="closed-form eigenpair of a generated system")
@@ -449,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--branch", choices=("+", "-"), default="+")
     p.add_argument("--which", choices=("cuberoot", "sqrt"),
                    default="cuberoot")
-    p.set_defaults(fn=cmd_generate)
+    p.set_defaults(fn=cmd_generate, parser=p)
 
     p = sub.add_parser("solve-params",
                        help="all parameter roots with admissibility flags")
@@ -457,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c1", type=float, required=True)
     p.add_argument("--c2", type=float, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.set_defaults(fn=cmd_solve_params)
+    p.set_defaults(fn=cmd_solve_params, parser=p)
 
     p = sub.add_parser("verify", help="numerical verification reports")
     sub2 = p.add_subparsers(dest="subcommand", required=True)
@@ -465,10 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
     pr = sub2.add_parser("residual")
     pr.add_argument("--system", choices=("family", "cuberoot", "sqrt"),
                     default="family")
-    pr.add_argument("--case", "--family", dest="case",
-                    choices=sorted(_CASE_NAMES))
-    pr.add_argument("--alpha", type=float)
-    pr.add_argument("--beta", type=float)
+    _add_family_flags(pr, required=False)
     pr.add_argument("--ell", type=int, default=0)
     pr.add_argument("--m", type=int, default=0)
     pr.add_argument("--c1", type=float, default=1.0)
@@ -476,32 +465,26 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--n", type=int, default=0)
     pr.add_argument("--branch", choices=("+", "-"), default="+")
     pr.add_argument("--grid", type=_grid_size, default=200)
-    pr.set_defaults(fn=cmd_verify_residual)
+    pr.set_defaults(fn=cmd_verify_residual, parser=pr)
 
     ps = sub2.add_parser("spectrum")
     ps.add_argument("--system", choices=("family", "cuberoot"),
                     default="family")
-    ps.add_argument("--case", "--family", dest="case",
-                    choices=sorted(_CASE_NAMES))
-    ps.add_argument("--alpha", type=float)
-    ps.add_argument("--beta", type=float)
+    _add_family_flags(ps, required=False)
     ps.add_argument("--m", type=int, default=0)
     ps.add_argument("--c1", type=float, default=1.0)
     ps.add_argument("--c2", type=float, default=0.0)
-    ps.add_argument("--grid", type=int, default=4000)
+    ps.add_argument("--grid", type=_grid_size, default=4000)
     ps.add_argument("--emax", type=float, default=None)
     ps.add_argument("--xmin", type=float, default=None)
     ps.add_argument("--xmax", type=float, default=None)
-    ps.set_defaults(fn=cmd_verify_spectrum)
+    ps.set_defaults(fn=cmd_verify_spectrum, parser=ps)
 
     po = sub2.add_parser("orthogonality")
-    po.add_argument("--case", "--family", dest="case",
-                    choices=sorted(_CASE_NAMES), required=True)
-    po.add_argument("--alpha", type=float, required=True)
-    po.add_argument("--beta", type=float, required=True)
+    _add_family_flags(po)
     po.add_argument("--m", type=int, default=0)
     po.add_argument("--lmax", type=int, default=4)
-    po.set_defaults(fn=cmd_verify_orthogonality)
+    po.set_defaults(fn=cmd_verify_orthogonality, parser=po)
 
     p = sub.add_parser("reproduce-dw",
                        help="transform the translated harmonic oscillator")
@@ -513,12 +496,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="override the map-defining term, e.g. 'x^2'")
     p.add_argument("--sub", dest="sub", type=str, default=None,
                    help="supply x(r) directly, e.g. 'sqrt(2*r)'")
-    p.set_defaults(fn=cmd_reproduce_dw)
+    p.set_defaults(fn=cmd_reproduce_dw, parser=p)
 
     p = sub.add_parser("acceptance", help="run every acceptance criterion")
     p.add_argument("--only", type=_criterion_indices, default=None,
                    help="comma-separated criterion indices 1-10")
-    p.set_defaults(fn=cmd_acceptance)
+    p.set_defaults(fn=cmd_acceptance, parser=p)
 
     return ap
 
@@ -540,17 +523,7 @@ def _shared_parser() -> argparse.ArgumentParser:
 
 def run(argv, out=None) -> int:
     out = out if out is not None else sys.stdout
-    ap = _shared_parser()
-    args = ap.parse_args(argv)
-    if args.command == "verify" and getattr(args, "system", None) == \
-            "family" and None in (args.case, args.alpha, args.beta):
-        ap.error("--case/--family, --alpha, --beta are required "
-                 "for --system family")
-    if args.command == "families" and (args.alpha is None) != (
-            args.beta is None):
-        given, missing = (("--alpha", "--beta") if args.beta is None
-                          else ("--beta", "--alpha"))
-        ap.error(f"{missing} is required with {given}")
+    args = _shared_parser().parse_args(argv)
     try:
         return args.fn(args, out)
     except SolvableError as exc:

@@ -7,10 +7,12 @@ Pipeline, in order:
    leaving [d^2/dr^2 + Q] (h psi) = 0,
    Q = (4AC - 2AB' + 2BA' - B^2)/(4A^2).
 
-2. decompose: write the oscillator-family Schrodinger equation as
+2. decompose: write the oscillator-family Schrodinger equation at the
+   eigenvalue of degree ell as
    [-d^2/dx^2 + C1*I1(x) + Cm1*Im1(x) + C0] Psi = 0 with I1 = x^2,
    Im1 = x, C1 = alpha^2/4, Cm1 = alpha*beta/2,
-   C0 = beta^2/4 + alpha/2 - alpha*m + alpha*ell.
+   C0 = beta^2/4 + alpha/2 - alpha*m + alpha*ell, a number once ell is
+   fixed.
 
 3. substitute: apply r -> x(r) with x'(r) = 1/sqrt(I(x(r))) for the
    term of index -k (the index k names the term that SURVIVES in the
@@ -18,7 +20,8 @@ Pipeline, in order:
    x = (3r/2)^(2/3) and correction -5/(36 r^2); k=-1 gives x = sqrt(2r)
    and correction -3/(16 r^2)).  The transformed function
    (I(x(r)))^(1/4) Psi(x(r)) solves -u'' + W(r) u = E u with
-   E = -(coefficient of the map-defining term).
+   E = -(coefficient of the map-defining term); the result holds the
+   map, W, E and the gauge, read from the decomposition alone.
 
 4. solve_params_*: invert the parameter identifications to produce
    closed-form eigenpairs of the two target potentials
@@ -123,13 +126,14 @@ def eliminate_first_derivative(ode: SecondOrderODE,
 
 @dataclass(frozen=True)
 class TermDecomposition:
-    """C1*I1(x) + Cm1*Im1(x) + C0(ell); x is the variable of i_plus/i_minus."""
+    """C1*I1(x) + Cm1*Im1(x) + C0 at one eigenvalue; x is the variable of
+    i_plus/i_minus."""
 
     i_plus: Expr            # I_{+1}(x)
     i_minus: Expr           # I_{-1}(x)
     c_plus: float           # C_{+1}(alpha, beta, m)
     c_minus: float          # C_{-1}(alpha, beta, m)
-    c_zero: object          # ell -> C_0(alpha, beta, m, ell)
+    c_zero: float           # C_0(alpha, beta, m, ell)
 
     def term(self, k: int):
         if k == 1:
@@ -138,15 +142,10 @@ class TermDecomposition:
             return self.c_minus, self.i_minus
         raise InvalidParameter("k must be +1 or -1")
 
-    def reassemble(self, ell: int) -> Expr:
-        """The potential-minus-eigenvalue this decomposition encodes."""
-        return add(mul(self.c_plus, self.i_plus),
-                   mul(self.c_minus, self.i_minus),
-                   self.c_zero(ell))
 
-
-def decompose(family: FamilySpec, m: int) -> TermDecomposition:
-    """Term decomposition of the family's Schrodinger equation.
+def decompose(family: FamilySpec, m: int, ell: int) -> TermDecomposition:
+    """Term decomposition of the family's Schrodinger equation for V_m at
+    the eigenvalue of degree ell.
 
     Shipped for the constant-sigma (oscillator) case; the other five
     families would need their own I/C tables.
@@ -160,7 +159,7 @@ def decompose(family: FamilySpec, m: int) -> TermDecomposition:
         i_minus=VAR,
         c_plus=al * al / 4.0,
         c_minus=al * be / 2.0,
-        c_zero=lambda ell: be * be / 4.0 + al / 2.0 - al * m + al * ell)
+        c_zero=be * be / 4.0 + al / 2.0 - al * m + al * ell)
 
 
 def _solve_monomial_map(i_map: Expr) -> Expr:
@@ -184,27 +183,14 @@ def _solve_monomial_map(i_map: Expr) -> Expr:
 @dataclass(frozen=True)
 class SubstitutionResult:
     """The map r -> x(r) with x'(r) = 1/sqrt(I(x(r))) for the map-defining
-    term, and the energy and gauge it leaves."""
+    term, and the potential, energy and gauge it leaves."""
 
     k: int                  # index of the SURVIVING term
     x_of_r: Expr
     i_map: Expr             # I_{-k}, the map-defining term
     energy: float           # E = -(coefficient of the map-defining term)
     gauge: Expr             # (I(x(r)))^{1/4}
-
-    def potential(self, dec: TermDecomposition, ell: int) -> Expr:
-        c_keep, i_keep = dec.term(self.k)
-        x_of_r = self.x_of_r
-        ix = compose(self.i_map, x_of_r)
-        ikx = compose(i_keep, x_of_r)
-        d1x = compose(differentiate(self.i_map), x_of_r)
-        d2x = compose(differentiate(differentiate(self.i_map)), x_of_r)
-        return add(
-            mul(c_keep, ikx, pow_(ix, -1)),
-            mul(dec.c_zero(ell), pow_(ix, -1)),
-            mul(Fraction(-5, 16), pow_(d1x, 2), pow_(ix, -3)),
-            mul(Fraction(1, 4), d2x, pow_(ix, -2)),
-        )
+    potential: Expr         # W(r)
 
 
 def substitute(dec: TermDecomposition, k: int,
@@ -214,30 +200,40 @@ def substitute(dec: TermDecomposition, k: int,
     k = +1 keeps C1*I1 and uses the map solving x' = 1/sqrt(I_{-1});
     k = -1 keeps C_{-1}*I_{-1} and uses x' = 1/sqrt(I_{+1}).  For the
     oscillator decomposition these are x = (3r/2)^(2/3) and x = sqrt(2r)
-    with corrections -5/(36 r^2) and -3/(16 r^2) respectively.
+    with corrections -5/(36 r^2) and -3/(16 r^2) respectively.  W is
+    (C_k I_k(x) + C0)/I(x) - (5/16) I'(x)^2/I(x)^3 + (1/4) I''(x)/I(x)^2
+    at x = x(r), I the map-defining term.
     """
     if k not in (1, -1):
         raise InvalidParameter("k must be +1 or -1")
     c_map, i_map = dec.term(-k)
+    c_keep, i_keep = dec.term(k)
     if x_of_r is None:
         x_of_r = _solve_monomial_map(i_map)
     # a caller's x_of_r may be a raw node tree; compose passes it through
     x_of_r = simplify(x_of_r)
-    gauge = pow_(compose(i_map, x_of_r), Fraction(1, 4))
-    return SubstitutionResult(k, x_of_r, i_map, -c_map, gauge)
+    ix = compose(i_map, x_of_r)
+    d1x = compose(differentiate(i_map), x_of_r)
+    d2x = compose(differentiate(differentiate(i_map)), x_of_r)
+    w = add(
+        mul(c_keep, compose(i_keep, x_of_r), pow_(ix, -1)),
+        mul(dec.c_zero, pow_(ix, -1)),
+        mul(Fraction(-5, 16), pow_(d1x, 2), pow_(ix, -3)),
+        mul(Fraction(1, 4), d2x, pow_(ix, -2)),
+    )
+    return SubstitutionResult(k, x_of_r, i_map, -c_map,
+                              pow_(ix, Fraction(1, 4)), w)
 
 
 def transformed_system(family: FamilySpec, ell: int, m: int,
                        k: int) -> SchrodingerSystem:
     """Run decompose + substitute on a family eigenpair; the returned
     psi = gauge * Psi_{ell,m}(x(r)) solves -psi'' + W psi = E psi."""
-    dec = decompose(family, m)
-    sub = substitute(dec, k)
-    w = sub.potential(dec, ell)
+    sub = substitute(decompose(family, m, ell), k)
     psi_x = wavefunction(family, ell, m)
     psi_r = mul(sub.gauge, compose(psi_x, sub.x_of_r))
     return SchrodingerSystem(
-        w, (0.0, INF), ((sub.energy, psi_r),),
+        sub.potential, (0.0, INF), ((sub.energy, psi_r),),
         Provenance(family.alpha, family.beta, gauge=sub.gauge))
 
 
@@ -399,10 +395,10 @@ def reproduce_dw(theta: float, rho_coeff: float, lam: float, which: int,
     dec = TermDecomposition(
         i_plus=i_plus, i_minus=i_minus,
         c_plus=theta * theta, c_minus=rho_coeff,
-        c_zero=lambda ell: lam)
+        c_zero=lam)
     sub = substitute(dec, k, x_of_r)
-    w = sub.potential(dec, 0)
-    return SchrodingerSystem(w, (0.0, INF), ((sub.energy, None),),
+    return SchrodingerSystem(sub.potential, (0.0, INF),
+                             ((sub.energy, None),),
                              Provenance(gauge=sub.gauge))
 
 

@@ -397,6 +397,8 @@ def fd_nodes(x_lo: float, x_hi: float, n: int,
     in x^(1/p), so the spacing shrinks as x^(1-1/p) toward a singular
     endpoint at x = 0 (this needs 0 <= x_lo).
     """
+    if n < 1:
+        raise InvalidParameter(f"need at least one subinterval, got {n}")
     if not x_lo < x_hi:
         raise DomainError(f"need x_lo < x_hi, got [{x_lo:g}, {x_hi:g}]")
     if grading == 1.0:

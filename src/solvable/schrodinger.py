@@ -28,7 +28,7 @@ from .specfun import special_function
 
 __all__ = [
     "VariableMap", "Provenance", "SchrodingerSystem", "variable_map",
-    "potential", "wavefunction", "oscillator_potential_value",
+    "potential", "wavefunction",
 ]
 
 INF = math.inf
@@ -158,14 +158,3 @@ def wavefunction(family: FamilySpec, ell: int, m: int) -> Expr:
     return mul(compose(sf.poly_part.to_expr(), vmap.inverse), *(
         pow_(dist, (m - Fraction(1, 2) + (fa * r + fb) / (2 * a * r)) / 2)
         for r, dist in vmap.root_factors))
-
-
-def oscillator_potential_value(family: FamilySpec, m: int, x) -> float:
-    """Closed form for the sigma = 1 case:
-    V_m(x) = alpha^2/4 x^2 + alpha beta/2 x + beta^2/4 + alpha/2 - alpha m."""
-    if family.sigma_case is not SigmaCase.ONE:
-        raise InvalidParameter(
-            "closed form applies to the sigma = 1 case only")
-    al, be = family.alpha, family.beta
-    return (al * al / 4.0) * x * x + (al * be / 2.0) * x \
-        + be * be / 4.0 + al / 2.0 - al * m

@@ -12,10 +12,13 @@ graded toward r=0 by ``indicial_grading(1/6)``, see ``solvable.oracle``.
 """
 
 import dataclasses
+from collections import Counter
 
 import pytest
 
-from solvable.acceptance import CRITERIA, CriterionResult
+from solvable import acceptance
+from solvable.acceptance import CRITERIA, CriterionResult, cuberoot_containment
+from solvable.errors import Inadmissible
 
 
 @pytest.mark.parametrize(
@@ -32,3 +35,29 @@ def test_criterion_result_is_frozen():
     result = CriterionResult(6, "admissibility filter", True, "ok", 0.0)
     with pytest.raises(dataclasses.FrozenInstanceError):
         result.passed = False
+
+
+class TestCuberootContainment:
+    def test_each_level_is_solved_once(self, monkeypatch):
+        solved = Counter()
+        solve = acceptance.solve_params_quantsys
+
+        def counting(c1, c2, n, branch):
+            solved[n] += 1
+            return solve(c1, c2, n, branch)
+
+        monkeypatch.setattr(acceptance, "solve_params_quantsys", counting)
+        rows = cuberoot_containment(1.0, -5.0, n_sub=500)
+        # n = 0, 1 are inadmissible; the first three admissible follow
+        assert [n for n, _, _ in rows] == [2, 3, 4]
+        assert set(solved.values()) == {1}
+
+    def test_e_max_chooses_the_levels_below_it(self):
+        # E_n^+ = 2 sqrt(1 + 2n): 2, 3.46, 4.47, ...
+        rows = cuberoot_containment(1.0, 0.0, 4.0, n_sub=500)
+        assert [n for n, _, _ in rows] == [0, 1]
+        assert cuberoot_containment(1.0, 0.0, 1.0, n_sub=500) == []
+
+    def test_no_admissible_level_raises(self):
+        with pytest.raises(Inadmissible, match="no level n < 16"):
+            cuberoot_containment(1.0, -100.0)

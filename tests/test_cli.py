@@ -1,3 +1,4 @@
+import argparse
 import ast
 import contextlib
 import io
@@ -569,6 +570,53 @@ class TestMissingFamilyFlags:
         assert "--alpha, --beta are required" in capsys.readouterr().err
 
 
+def _subparser(*names):
+    """The parser of the subcommand named by the words in names."""
+    parser = cli.build_parser()
+    for name in names:
+        [action] = [a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction)]
+        parser = action.choices[name]
+    return parser
+
+
+class TestPostParseUsageErrors:
+    # each printed the top-level usage line, "usage: solvable [-h] ..."
+    @pytest.mark.parametrize("argv,words", [
+        (["families", "--alpha", "-7"], 1),
+        (["verify", "residual", "--case", "one", "--beta", "1"], 2),
+        (["verify", "spectrum", "--alpha", "-2", "--beta", "1"], 2),
+    ], ids=["families", "verify-residual", "verify-spectrum"])
+    def test_usage_line_is_the_subcommands(self, argv, words, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+        sub = _subparser(*argv[:words])
+        err = capsys.readouterr().err
+        assert err.startswith(sub.format_usage())
+        assert f"\n{sub.prog}: error: " in err
+
+
+def test_family_flags_are_declared_alike():
+    cases = []
+
+    def walk(parser):
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                for sub in action.choices.values():
+                    walk(sub)
+            elif action.dest == "case":
+                cases.append(action)
+
+    walk(cli.build_parser())
+    # poly, specfun eval, potential, eigenfunction and the three verifies
+    assert len(cases) == 7
+    assert {tuple(a.option_strings) for a in cases} == {
+        ("--case", "--family")}
+    assert {tuple(a.choices) for a in cases} == {tuple(sorted(
+        cli._CASE_NAMES))}
+
+
 _FUZZ_VALUES = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
     st.sampled_from((math.nan, math.inf, -math.inf, 0.0, 1e300, 1e-300)))
@@ -856,7 +904,10 @@ class TestGridSize:
         ["specfun", "eval", "--case", "s", "--alpha", "-1", "--beta", "2",
          "--ell", "2", "--m", "1"],
         ["verify", "residual", "--system", "cuberoot"],
-    ], ids=["potential", "eigenfunction", "specfun", "verify-residual"])
+        # --grid 0 ended in a ZeroDivisionError traceback
+        ["verify", "spectrum", "--system", "cuberoot"],
+    ], ids=["potential", "eigenfunction", "specfun", "verify-residual",
+            "verify-spectrum"])
     @pytest.mark.parametrize("grid", ["0", "-5"])
     def test_grid_below_one_is_a_usage_error(self, argv, grid, capsys):
         with pytest.raises(SystemExit) as exc:

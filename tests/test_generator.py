@@ -1,4 +1,5 @@
 import math
+import pickle
 import sys
 from dataclasses import replace
 from fractions import Fraction
@@ -108,27 +109,29 @@ class TestEliminateFirstDerivative:
 class TestDecompose:
     def test_oscillator_coefficients(self):
         fam = FamilySpec(SigmaCase.ONE, -2.0, 4.0)
-        dec = decompose(fam, 1)
+        dec = decompose(fam, 1, 1)
         assert dec.c_plus == 1.0
         assert dec.c_minus == -4.0
-        assert dec.c_zero(1) == pytest.approx(3.0)
+        assert dec.c_zero == pytest.approx(3.0)
         assert power_terms(dec.i_plus) == {Fraction(2): 1.0}
         assert power_terms(dec.i_minus) == {Fraction(1): 1.0}
 
     def test_c_zero_matches_ground_case(self):
         fam = FamilySpec(SigmaCase.ONE, -2.0, 0.0)
-        dec = decompose(fam, 0)
-        assert dec.c_zero(0) == pytest.approx(-1.0)
+        dec = decompose(fam, 0, 0)
+        assert dec.c_zero == pytest.approx(-1.0)
 
     def test_reassembles_potential_minus_eigenvalue(self):
         from solvable.families import eigenvalue
 
         fam = FamilySpec(SigmaCase.ONE, -1.5, 0.7)
         for m in (0, 1, 2):
-            dec = decompose(fam, m)
             v = family_potential(fam, m).potential
             for ell in (m, m + 2):
-                target = dec.reassemble(ell)
+                dec = decompose(fam, m, ell)
+                # the potential-minus-eigenvalue the decomposition encodes
+                target = add(mul(dec.c_plus, dec.i_plus),
+                             mul(dec.c_minus, dec.i_minus), dec.c_zero)
                 lam = eigenvalue(fam, ell)
                 for x in np.linspace(-3, 3, 25):
                     want = evaluate(v, x) - lam
@@ -138,18 +141,28 @@ class TestDecompose:
     def test_other_cases_unimplemented(self):
         fam = FamilySpec(SigmaCase.S, -1.0, 2.0)
         with pytest.raises(Unimplemented):
-            decompose(fam, 0)
+            decompose(fam, 0, 0)
+
+    def test_records_compare_equal_and_pickle(self):
+        fam = FamilySpec(SigmaCase.ONE, -2.0, 4.0)
+        dec = decompose(fam, 1, 2)
+        assert dec == decompose(fam, 1, 2)
+        assert pickle.loads(pickle.dumps(dec)) == dec
+        for k in (+1, -1):
+            sub = substitute(dec, k)
+            assert sub == substitute(decompose(fam, 1, 2), k)
+            assert pickle.loads(pickle.dumps(sub)) == sub
 
 
 class TestSubstitute:
     @pytest.fixture()
     def dec(self):
-        return decompose(FamilySpec(SigmaCase.ONE, -2.0, 4.0), 1)
+        return decompose(FamilySpec(SigmaCase.ONE, -2.0, 4.0), 1, 1)
 
     def test_cuberoot_route(self, dec):
         sub = substitute(dec, +1)
         assert sub.energy == pytest.approx(4.0)  # -C_{-1} = -alpha*beta/2
-        t = terms_of(sub.potential(dec, 1))
+        t = terms_of(sub.potential)
         assert t[Fraction(2, 3)] == pytest.approx(1.0 * 1.5 ** (2 / 3))
         assert t[Fraction(-2, 3)] == pytest.approx(3.0 * (2 / 3) ** (2 / 3))
         assert t[Fraction(-2)] == pytest.approx(-5.0 / 36.0)
@@ -159,7 +172,7 @@ class TestSubstitute:
     def test_sqrt_route(self, dec):
         sub = substitute(dec, -1)
         assert sub.energy == pytest.approx(-1.0)  # -C_{+1} = -alpha^2/4
-        t = terms_of(sub.potential(dec, 1))
+        t = terms_of(sub.potential)
         assert t[Fraction(-1, 2)] == pytest.approx(-4.0 / math.sqrt(2.0))
         assert t[Fraction(-1)] == pytest.approx(1.5)
         assert t[Fraction(-2)] == pytest.approx(-3.0 / 16.0)
@@ -184,16 +197,15 @@ class TestSubstitute:
         assert set(t2) == {Fraction(1, 4)}
 
     def test_unsolvable_map_raises(self, dec):
-        bad = decompose(FamilySpec(SigmaCase.ONE, -2.0, 4.0), 1)
-        odd = type(bad)(i_plus=exp_(VAR), i_minus=VAR, c_plus=1.0,
-                        c_minus=1.0, c_zero=lambda ell: 0.0)
+        odd = type(dec)(i_plus=exp_(VAR), i_minus=VAR, c_plus=1.0,
+                        c_minus=1.0, c_zero=0.0)
         with pytest.raises(MapNotClosedForm):
             substitute(odd, -1)
 
     def test_caller_supplied_map(self, dec):
         # supplying the closed form explicitly must reproduce the builtin
         sub = substitute(dec, -1, x_of_r=parse("sqrt(2*r)"))
-        t = terms_of(sub.potential(dec, 1))
+        t = terms_of(sub.potential)
         assert t[Fraction(-2)] == pytest.approx(-3.0 / 16.0)
 
     @pytest.mark.parametrize("k", [+1, -1])

@@ -48,9 +48,10 @@ def acceptance_digest():
     return h.hexdigest()
 
 
-def readme_digest():
+def commands_digest(commands):
+    """Digest of each command with its exit status and stdout."""
     h = hashlib.sha256()
-    for cmd in README_COMMANDS:
+    for cmd in commands:
         out = io.StringIO()
         code = run(cmd.split(), out)
         h.update(f"{cmd}|{code}|{out.getvalue()}".encode())
@@ -62,7 +63,7 @@ def test_acceptance_details_unchanged():
 
 
 def test_readme_commands_unchanged():
-    assert readme_digest() == README_DIGEST
+    assert commands_digest(README_COMMANDS) == README_DIGEST
 
 
 def readme_command_lines():
@@ -106,14 +107,25 @@ CLI_DIGEST = (
     "a07f4004bcdf0684b20efc694c6db272ad45748e1583efd64d3fbb8d51b9ddc3")
 
 
-def cli_digest():
-    h = hashlib.sha256()
-    for cmd in CLI_COMMANDS:
-        out = io.StringIO()
-        code = run(cmd.split(), out)
-        h.update(f"{cmd}|{code}|{out.getvalue()}".encode())
-    return h.hexdigest()
-
 
 def test_cli_commands_unchanged():
-    assert cli_digest() == CLI_DIGEST
+    assert commands_digest(CLI_COMMANDS) == CLI_DIGEST
+
+
+# the cube-root spectrum table: the default levels, low levels that are
+# inadmissible (n = 0, 1 at c1 = 1, c2 = -5) and levels chosen by --emax
+# in a narrowed window
+CUBEROOT_SPECTRUM_COMMANDS = [
+    "verify spectrum --system cuberoot --grid 2000",
+    "verify spectrum --system cuberoot --c1 1 --c2 -5 --grid 2000",
+    "verify spectrum --system cuberoot --c1 1.5 --c2 0.7 --emax 8 "
+    "--xmax 30 --grid 2000",
+]
+
+CUBEROOT_SPECTRUM_DIGEST = (
+    "f5200701cfcc2e8ca485cf085b2a6f240642bd84cfb267a23916265b8a44e6c7")
+
+
+def test_cuberoot_spectrum_commands_unchanged():
+    assert commands_digest(CUBEROOT_SPECTRUM_COMMANDS) == \
+        CUBEROOT_SPECTRUM_DIGEST

@@ -469,6 +469,14 @@ class TestGradedMesh:
             fd_hamiltonian(lambda x: x * x, x_lo, x_hi, 100,
                            grading=grading)
 
+    # n = 0 divided by zero and n = -5 indexed an empty node array
+    @pytest.mark.parametrize("n", [0, -5])
+    @pytest.mark.parametrize("grading", [1.0, 3.0])
+    def test_no_subinterval_is_invalid(self, n, grading):
+        with pytest.raises(InvalidParameter,
+                           match="need at least one subinterval"):
+            fd_nodes(1e-3, 40.0, n, grading)
+
     @pytest.mark.parametrize("gamma", [1.0 / 6.0, 5.0 / 6.0])
     def test_grading_cancels_leading_truncation_on_indicial_solution(
             self, gamma):
@@ -502,7 +510,7 @@ class TestGradedMesh:
 
         err = {}
         for n_sub in (2000, 4000):
-            [(_, e, want)] = cuberoot_containment(1.0, 0.0, [0],
+            [(_, e, want)] = cuberoot_containment(1.0, 0.0, 3.0,
                                                   n_sub=n_sub)
             err[n_sub] = abs(e - want)
         assert 3.0 <= err[2000] / err[4000] <= 5.0
@@ -708,7 +716,7 @@ class TestEigenvaluesPinned:
             return spectra[-1]
 
         monkeypatch.setattr(acceptance, "eigenvalues_below", recording)
-        acceptance.cuberoot_containment(1.0, 0.0, range(3))
+        acceptance.cuberoot_containment(1.0, 0.0)
         spectra.append(eigenvalues_below(
             _tridiagonal(np.full(12, 2.0), -1.0), 4.0))
         assert len(spectra) == 7 and all(spectra)
@@ -961,7 +969,7 @@ class TestReplayWork:
             return eigenvalues_below(ham, e_max)
 
         monkeypatch.setattr(acceptance, "eigenvalues_below", recording)
-        acceptance.cuberoot_containment(1.0, 0.0, range(3))
+        acceptance.cuberoot_containment(1.0, 0.0)
         work = [_replay_work(ham, e_max, monkeypatch)
                 for ham, e_max in cases]
         for (shifts, newton), (top_shifts, top_newton) in zip(
