@@ -24,11 +24,11 @@ Quick start
 """
 
 from .errors import (
-    DegenerateRecursion, DegreeBeyondCutoff, DomainError, ExprSyntaxError,
-    FamilyConstraintError, Inadmissible, InvalidParameter, MapNotClosedForm,
-    NoAdmissibleRoot, NonIntegrableGauge, NonRationalExponent,
-    OrderExceedsDegree, QuadratureNoConverge, SingularPoint, SolvableError,
-    Unimplemented, UnsupportedCorrespondence,
+    BisectionNoConverge, DegenerateRecursion, DegreeBeyondCutoff, DomainError,
+    ExprSyntaxError, FamilyConstraintError, Inadmissible, InvalidParameter,
+    MapNotClosedForm, NoAdmissibleRoot, NonFiniteValue, NonIntegrableGauge,
+    NonRationalExponent, OrderExceedsDegree, QuadratureNoConverge,
+    SingularPoint, SolvableError, Unimplemented, UnsupportedCorrespondence,
 )
 from .expr import (
     Expr, compose, differentiate, evaluate, parse, power_terms, print_expr,
@@ -64,11 +64,12 @@ from .oracle import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ALL_CASES", "DegenerateRecursion", "DegreeBeyondCutoff", "DomainError",
-    "Expr", "ExprSyntaxError", "FDHamiltonian", "FamilyConstraintError",
-    "FamilyCutoff", "FamilySpec", "HmOperator", "Inadmissible",
-    "InvalidParameter", "MapNotClosedForm", "NoAdmissibleRoot",
-    "NonIntegrableGauge", "NonRationalExponent", "OrderExceedsDegree", "Poly",
+    "ALL_CASES", "BisectionNoConverge", "DegenerateRecursion",
+    "DegreeBeyondCutoff", "DomainError", "Expr", "ExprSyntaxError",
+    "FDHamiltonian", "FamilyConstraintError", "FamilyCutoff", "FamilySpec",
+    "HmOperator", "Inadmissible", "InvalidParameter", "MapNotClosedForm",
+    "NoAdmissibleRoot", "NonFiniteValue", "NonIntegrableGauge",
+    "NonRationalExponent", "OrderExceedsDegree", "Poly",
     "Provenance", "QuadratureNoConverge", "SchrodingerSystem",
     "SecondOrderODE", "SigmaCase", "SingularPoint", "SolvableError",
     "SpecialFunction", "TermDecomposition", "Unimplemented",

@@ -36,15 +36,7 @@ from .schrodinger import potential, variable_map, wavefunction
 from .specfun import special_function
 from . import acceptance as acceptance_mod
 
-_CASE_NAMES = {
-    "one": SigmaCase.ONE,
-    "1": SigmaCase.ONE,
-    "s": SigmaCase.S,
-    "1-s^2": SigmaCase.ONE_MINUS_S2,
-    "s^2-1": SigmaCase.S2_MINUS_1,
-    "s^2": SigmaCase.S2,
-    "s^2+1": SigmaCase.S2_PLUS_1,
-}
+_CASE_NAMES = {"one": SigmaCase.ONE} | {case.value: case for case in SigmaCase}
 
 
 def g12(v) -> str:

@@ -623,6 +623,10 @@ def print_expr(e: Expr, var: str = "x") -> str:
 
 _VAR_NAMES = ("x", "r", "s")
 
+# parentheses and calls nest at most this deep; at six frames a level the
+# recursive descent stays well inside the default recursion limit of 1000
+_MAX_NESTING = 100
+
 
 class _Tokenizer:
     def __init__(self, text):
@@ -631,6 +635,7 @@ class _Tokenizer:
         self.tokens = []
         self._scan()
         self.i = 0
+        self.depth = 0  # open parentheses and calls
 
     def _scan(self):
         t, n = self.text, len(self.text)
@@ -683,11 +688,24 @@ class _Tokenizer:
         return tok
 
 
-def _parse_number(text, pos) -> Fraction:
+def _finite_float(text, pos) -> float:
+    """The value of a number literal: a finite float, zero only when the
+    literal is.  float() rounds without building 10^k for the exponent k,
+    and a literal that passes has a k no longer than its text."""
     try:
-        return Fraction(text)
+        value = float(text)
     except ValueError:
         raise ExprSyntaxError(f"bad number {text!r}", pos) from None
+    if not math.isfinite(value) or (
+            value == 0.0 and text.lower().partition("e")[0].strip("0.")):
+        raise ExprSyntaxError(
+            f"number {text!r} is beyond the float range", pos)
+    return value
+
+
+def _parse_number(text, pos) -> Fraction:
+    """The exact value of an exponent literal."""
+    return Fraction(text) if _finite_float(text, pos) else Fraction(0)
 
 
 def _parse_exponent(tk: _Tokenizer) -> Fraction:
@@ -744,13 +762,11 @@ def _parse_product(tk):
 
 
 def _parse_unary(tk):
-    if tk.peek()[0] == "-":
-        tk.next()
-        return mul(-1, _parse_unary(tk))
-    if tk.peek()[0] == "+":
-        tk.next()
-        return _parse_unary(tk)
-    return _parse_power(tk)
+    negative = False
+    while tk.peek()[0] in "+-":
+        negative ^= tk.next()[0] == "-"
+    e = _parse_power(tk)
+    return mul(-1, e) if negative else e
 
 
 def _parse_power(tk):
@@ -761,17 +777,27 @@ def _parse_power(tk):
     return e
 
 
+def _parse_group(tk, pos):
+    """The sum after the '(' at ``pos``, through its ')'."""
+    tk.depth += 1
+    if tk.depth > _MAX_NESTING:
+        raise ExprSyntaxError(
+            f"more than {_MAX_NESTING} nested parentheses", pos)
+    e = _parse_sum(tk)
+    tk.expect(")")
+    tk.depth -= 1
+    return e
+
+
 def _parse_atom(tk):
     kind, text, pos = tk.next()
     if kind == "num":
-        return Const(float(_parse_number(text, pos)))
+        return Const(_finite_float(text, pos))
     if kind == "name":
         if text in _VAR_NAMES:
             return VAR
         if tk.peek()[0] == "(":
-            tk.next()
-            arg = _parse_sum(tk)
-            tk.expect(")")
+            arg = _parse_group(tk, tk.next()[2])
             if text == "exp":
                 return exp_(arg)
             if text == "sqrt":
@@ -781,9 +807,7 @@ def _parse_atom(tk):
             raise ExprSyntaxError(f"unknown function {text!r}", pos)
         raise ExprSyntaxError(f"unknown name {text!r}", pos)
     if kind == "(":
-        e = _parse_sum(tk)
-        tk.expect(")")
-        return e
+        return _parse_group(tk, pos)
     raise ExprSyntaxError(f"unexpected token {text!r}", pos)
 
 
@@ -793,6 +817,8 @@ def parse(text: str) -> Expr:
     Grammar: numbers, the variable, ``+ - * / ^``, parentheses,
     ``exp(...)``, ``sqrt(...)``, and registered function names;
     ``^`` takes a rational literal exponent such as ``2`` or ``(2/3)``.
+    A number must be a finite float, and parentheses and calls nest at
+    most _MAX_NESTING deep; ExprSyntaxError otherwise.
     """
     tk = _Tokenizer(text)
     e = _parse_sum(tk)

@@ -7,13 +7,16 @@ Each family carries its weight rho (the positive solution of
 (sigma*rho)' = tau*rho), its natural open interval, the parameter
 admissibility constraints, the polynomial eigenvalues lambda_ell, and the
 square-integrability cutoff beyond which the polynomial system stops
-being orthogonal.
+being orthogonal.  What the sigma case alone fixes (sigma's coefficients,
+the interval, the admissibility test and its text, whether the polynomial
+system is finite, and the sample window) is one row of the table _CASES.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -35,7 +38,8 @@ INF = math.inf
 
 
 class SigmaCase(enum.Enum):
-    """The six admissible leading coefficients sigma(s)."""
+    """The six admissible leading coefficients sigma(s); the read-only
+    properties read the case's row of _CASES."""
 
     ONE = "1"
     S = "s"
@@ -47,59 +51,53 @@ class SigmaCase(enum.Enum):
     @property
     def sigma_coeffs(self):
         """(a, b, c) with sigma(s) = a s^2 + b s + c."""
-        return _SIGMA_COEFFS[self]
+        return _CASES[self].sigma_coeffs
 
     @property
     def interval(self):
-        return _INTERVALS[self]
+        return _CASES[self].interval
 
     @property
     def constraint(self) -> str:
-        return _CONSTRAINTS[self][1]
+        return _CASES[self].constraint
 
     @property
     def finite_system(self) -> bool:
         """True when only finitely many polynomials are orthogonal."""
-        return self in (SigmaCase.S2_MINUS_1, SigmaCase.S2, SigmaCase.S2_PLUS_1)
+        return _CASES[self].finite_system
 
 
-_SIGMA_COEFFS = {
-    SigmaCase.ONE: (0.0, 0.0, 1.0),
-    SigmaCase.S: (0.0, 1.0, 0.0),
-    SigmaCase.ONE_MINUS_S2: (-1.0, 0.0, 1.0),
-    SigmaCase.S2_MINUS_1: (1.0, 0.0, -1.0),
-    SigmaCase.S2: (1.0, 0.0, 0.0),
-    SigmaCase.S2_PLUS_1: (1.0, 0.0, 1.0),
-}
+@dataclass(frozen=True)
+class _Case:
+    """What is fixed by the sigma case alone."""
 
-_INTERVALS = {
-    SigmaCase.ONE: (-INF, INF),
-    SigmaCase.S: (0.0, INF),
-    SigmaCase.ONE_MINUS_S2: (-1.0, 1.0),
-    SigmaCase.S2_MINUS_1: (1.0, INF),
-    SigmaCase.S2: (0.0, INF),
-    SigmaCase.S2_PLUS_1: (-INF, INF),
-}
+    sigma_coeffs: tuple         # (a, b, c)
+    interval: tuple             # the natural open interval
+    finite_system: bool
+    sample_window: tuple        # see sample_window()
+    admissible: Callable        # (alpha, beta) -> bool
+    constraint: str             # the admissibility test as text
 
-_CONSTRAINTS = {
-    SigmaCase.ONE: (
-        lambda a, b: a < 0,
-        "alpha < 0"),
-    SigmaCase.S: (
-        lambda a, b: a < 0 and b > 0,
-        "alpha < 0 and beta > 0"),
-    SigmaCase.ONE_MINUS_S2: (
-        lambda a, b: a < b < -a,
-        "alpha < beta < -alpha"),
-    SigmaCase.S2_MINUS_1: (
-        lambda a, b: -b < a < 0,
-        "-beta < alpha < 0"),
-    SigmaCase.S2: (
-        lambda a, b: a < 0 and b > 0,
-        "alpha < 0 and beta > 0"),
-    SigmaCase.S2_PLUS_1: (
-        lambda a, b: a < 0,
-        "alpha < 0"),
+
+_CASES = {
+    SigmaCase.ONE: _Case(
+        (0.0, 0.0, 1.0), (-INF, INF), False, (-2.0, 2.0),
+        lambda a, b: a < 0, "alpha < 0"),
+    SigmaCase.S: _Case(
+        (0.0, 1.0, 0.0), (0.0, INF), False, (0.2, 4.0),
+        lambda a, b: a < 0 and b > 0, "alpha < 0 and beta > 0"),
+    SigmaCase.ONE_MINUS_S2: _Case(
+        (-1.0, 0.0, 1.0), (-1.0, 1.0), False, (-0.8, 0.8),
+        lambda a, b: a < b < -a, "alpha < beta < -alpha"),
+    SigmaCase.S2_MINUS_1: _Case(
+        (1.0, 0.0, -1.0), (1.0, INF), True, (1.2, 4.0),
+        lambda a, b: -b < a < 0, "-beta < alpha < 0"),
+    SigmaCase.S2: _Case(
+        (1.0, 0.0, 0.0), (0.0, INF), True, (0.2, 4.0),
+        lambda a, b: a < 0 and b > 0, "alpha < 0 and beta > 0"),
+    SigmaCase.S2_PLUS_1: _Case(
+        (1.0, 0.0, 1.0), (-INF, INF), True, (-2.0, 2.0),
+        lambda a, b: a < 0, "alpha < 0"),
 }
 
 ALL_CASES = tuple(SigmaCase)
@@ -124,10 +122,10 @@ class FamilySpec:
         object.__setattr__(self, "alpha", float(self.alpha))
         object.__setattr__(self, "beta", float(self.beta))
         require_finite(("alpha", self.alpha), ("beta", self.beta))
-        ok, text = _CONSTRAINTS[self.sigma_case]
-        if not ok(self.alpha, self.beta):
+        case = self.sigma_case
+        if not _CASES[case].admissible(self.alpha, self.beta):
             raise FamilyConstraintError(
-                f"case {self.sigma_case.value}: {text}", self.alpha, self.beta)
+                f"case {case.value}: {case.constraint}", self.alpha, self.beta)
 
     @cached_property
     def exact(self) -> tuple[Fraction, Fraction]:
@@ -235,20 +233,10 @@ def check_degree(family: FamilySpec, degree: int, name: str = "ell") -> None:
             f"{name}={degree} is beyond the cutoff Lambda={cap:g}")
 
 
-_SAMPLE_WINDOWS = {
-    SigmaCase.ONE: (-2.0, 2.0),
-    SigmaCase.S: (0.2, 4.0),
-    SigmaCase.ONE_MINUS_S2: (-0.8, 0.8),
-    SigmaCase.S2_MINUS_1: (1.2, 4.0),
-    SigmaCase.S2: (0.2, 4.0),
-    SigmaCase.S2_PLUS_1: (-2.0, 2.0),
-}
-
-
 def sample_window(family: FamilySpec):
     """A closed sub-window of the interval where sigma, rho, and the
     polynomials are well scaled; used for pointwise checks and fits."""
-    return _SAMPLE_WINDOWS[family.sigma_case]
+    return _CASES[family.sigma_case].sample_window
 
 
 def sample_points(family: FamilySpec, n: int):

@@ -31,7 +31,8 @@ Pipeline, in order:
 
    via explicit square roots (first case) or the one negative root of a
    real cubic in alpha, found by a monotone Newton iteration (second
-   case, E = -alpha^2/4).
+   case, E = -alpha^2/4).  Both carry H_n of a changed variable, from
+   the sigma = 1 family with tau = -2s, whose monic phi is H_n / 2^n.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from .expr import (
     exp_, fun_, mul, pow_, power_terms, print_expr, simplify,
 )
 from .families import FamilySpec, SigmaCase
-from .polynomials import hermite_poly
+from .polynomials import phi
 from .schrodinger import Provenance, SchrodingerSystem, wavefunction
 
 __all__ = [
@@ -62,6 +63,7 @@ __all__ = [
 ]
 
 INF = math.inf
+_HERMITE = FamilySpec(SigmaCase.ONE, -2.0, 0.0)  # phi(_HERMITE, n) = H_n/2^n
 
 
 @dataclass(frozen=True)
@@ -266,9 +268,9 @@ def solve_params_quantsys(c1: float, c2: float, n: int,
     require_finite(("c1", c1), ("c2", c2))
     if n < 0:
         raise InvalidParameter("n must be a nonnegative integer")
-    if branch not in ("+", "-", 1, -1):
+    if branch not in ("+", "-"):
         raise InvalidParameter("branch must be '+' or '-'")
-    sign = 1 if branch in ("+", 1) else -1
+    sign = 1 if branch == "+" else -1
     rad = c2 + math.sqrt(c1) * (1 + 2 * n)
     if rad < 0:
         raise Inadmissible(
@@ -290,7 +292,7 @@ def solve_params_quantsys(c1: float, c2: float, n: int,
         pow_(VAR, Fraction(1, 6)),
         exp_(add(mul(-amp_a, pow_(VAR, Fraction(4, 3))),
                  mul(sign * amp_b, r23))),
-        compose(hermite_poly(n).to_expr(),
+        compose((2.0 ** n * phi(_HERMITE, n)).to_expr(),
                 add(mul(herm_q, r23), -sign * herm_d)))
     return SchrodingerSystem(
         cuberoot_potential(c1, c2), (0.0, INF), ((energy, psi),),
@@ -362,7 +364,7 @@ def solve_params_inverse_sqrt(c1: float, c2: float,
     psi = mul(
         pow_(VAR, Fraction(1, 4)),
         exp_(add(mul(alpha / 2.0, VAR), mul(beta / math.sqrt(2.0), sqr))),
-        compose(hermite_poly(n).to_expr(), arg))
+        compose((2.0 ** n * phi(_HERMITE, n)).to_expr(), arg))
     return SchrodingerSystem(
         inverse_sqrt_potential(c1, c2), (0.0, INF), ((energy, psi),),
         Provenance(alpha, beta, "+" if beta >= 0 else "-", degenerate))

@@ -38,7 +38,7 @@ from .families import (
 
 __all__ = [
     "Poly", "phi", "phi_rodrigues", "classical_match", "MatchReport",
-    "hermite_value", "laguerre_value", "jacobi_value", "hermite_poly",
+    "hermite_value", "laguerre_value", "jacobi_value",
 ]
 
 
@@ -184,16 +184,6 @@ def jacobi_value(n: int, p: float, q: float, x):
         a3 = (2 * k + p + q) * (2 * k + p + q + 1) * (2 * k + p + q + 2)
         a4 = 2 * (k + p) * (k + q) * (2 * k + p + q + 2)
         prev, cur = cur, ((a2 + a3 * x) * cur - a4 * prev) / a1
-    return cur
-
-
-def hermite_poly(n: int) -> Poly:
-    """Coefficients of the physicists' Hermite polynomial H_n."""
-    prev, cur = Poly((1.0,)), Poly((0.0, 2.0))
-    if n == 0:
-        return prev
-    for k in range(1, n):
-        prev, cur = cur, Poly((0.0, 2.0)) * cur - (2.0 * k) * prev
     return cur
 
 

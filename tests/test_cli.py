@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from solvable import cli
 from solvable.cli import run
+from solvable.expr import _MAX_NESTING
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -694,13 +695,24 @@ class TestGeneratorFuzz:
 _OPTION_VALUES = st.sampled_from(("0", "1e300", "-1e300", "1e-300", "inf",
                                   "-inf", "nan", "-2", "0.5", "1"))
 
+# --Ik/--sub text: ordinary maps, literals past the float range, and
+# parentheses or calls nested on both sides of the bound
+_MAP_TEXTS = st.sampled_from((
+    "x^2", "x", "2*x^3", "x^(-1/2)", "sqrt(2*r)", "(3*r/2)^(2/3)", "exp(r)",
+    "1e400*x^2", "x^1e400", *(
+        f"{opening * depth}{inner}{')' * depth}"
+        for depth in (_MAX_NESTING - 1, _MAX_NESTING, _MAX_NESTING + 1)
+        for opening, inner in (("(", "x^2"), ("exp(", "r"), ("-sin(", "r"))
+    )))
+
 
 @st.composite
 def _commands(draw):
     """argv of potential, eigenfunction, specfun eval, poly, families,
     reproduce-dw or verify residual|spectrum|orthogonality, every float
     option drawn from ``_OPTION_VALUES``, every degree option from small
-    integers, negative ones among them, and every grid small."""
+    integers, negative ones among them, every grid small, and reproduce-dw's
+    --Ik and --sub, when given, from ``_MAP_TEXTS``."""
     def values(*names):
         return [f"--{name}={draw(_OPTION_VALUES)}" for name in names]
 
@@ -736,7 +748,9 @@ def _commands(draw):
         return ["families", *values("alpha", "beta")]
     if kind == "reproduce-dw":
         return ["reproduce-dw", *values("theta", "rho", "lambda"),
-                f"--which={draw(st.sampled_from('12'))}"]
+                f"--which={draw(st.sampled_from('12'))}",
+                *(f"--{flag}={draw(_MAP_TEXTS)}" for flag in ("Ik", "sub")
+                  if draw(st.booleans()))]
     if kind == "orthogonality":
         return ["verify", "orthogonality", *family(),
                 degree("m", 1), degree("lmax", 2)]
@@ -757,8 +771,9 @@ def _commands(draw):
 
 
 # each ended in a traceback: an OverflowError from a Python float power,
-# a ZeroDivisionError from an underflowing h^2, or a TypeError from
-# iterating over one number
+# a ZeroDivisionError from an underflowing h^2, a TypeError from
+# iterating over one number, an OverflowError from a number literal past
+# the float range, or a RecursionError from 300 nested parentheses
 _TRACEBACK_SEEDS = (
     (["eigenfunction", "--case", "s", "--alpha", "-7", "--beta", "1e300",
       "--ell", "1", "--m", "0", "--grid", "5"],
@@ -772,6 +787,12 @@ _TRACEBACK_SEEDS = (
     (["verify", "spectrum", "--family", "one", "--alpha", "-2", "--beta",
       "0", "--grid", "100", "--xmin", "0", "--xmax", "1e-300"],
      "mesh spacing 1e-302 is too small: its square underflows"),
+    (["reproduce-dw", "--theta", "1", "--rho", "0", "--lambda", "-1",
+      "--which", "1", "--Ik", "1e400*x^2"],
+     "number '1e400' is beyond the float range (at position 0)"),
+    (["reproduce-dw", "--theta", "1", "--rho", "0", "--lambda", "-1",
+      "--which", "1", "--Ik", "(" * 300 + "x^2" + ")" * 300],
+     "more than 100 nested parentheses (at position 100)"),
 )
 
 # each printed a numpy RuntimeWarning ahead of its output: an overflow in
@@ -874,7 +895,7 @@ class TestCommandFuzz:
 
     @pytest.mark.parametrize("argv,message", _TRACEBACK_SEEDS,
                              ids=["eigenfunction", "residual", "cuberoot",
-                                  "mesh"])
+                                  "mesh", "literal", "nesting"])
     def test_seed_exits_1_naming_the_value(self, argv, message):
         # in a fresh interpreter, so a numpy RuntimeWarning would reach
         # stderr ahead of the error line
@@ -885,6 +906,20 @@ class TestCommandFuzz:
         assert proc.returncode == 1
         assert proc.stdout == ""
         assert proc.stderr == f"error: {message}\n"
+
+    # --sub at the bound exited 0 and still does; one level more exited 0
+    # as well, and 200 levels ended in a RecursionError
+    @pytest.mark.parametrize("depth,code,err", [
+        (_MAX_NESTING, 0, ""),
+        (_MAX_NESTING + 1, 1, "error: more than 100 nested parentheses "
+                              f"(at position {4 * _MAX_NESTING + 3})\n")],
+        ids=["at-bound", "past-bound"])
+    def test_nesting_bound_through_sub(self, depth, code, err, capsys):
+        sub = "exp(" * depth + "r" + ")" * depth
+        assert invoke(["reproduce-dw", "--theta", "1", "--rho", "0",
+                       "--lambda", "-1", "--which", "1",
+                       f"--sub={sub}"])[0] == code
+        assert capsys.readouterr().err == err
 
     @pytest.mark.parametrize("argv,code,err", _WARNING_SEEDS,
                              ids=["specfun", "mesh", "orthogonality"])

@@ -9,9 +9,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from solvable.errors import DomainError, ExprSyntaxError, NonRationalExponent
+from solvable.errors import (
+    DomainError, ExprSyntaxError, NonRationalExponent, SolvableError,
+)
 from solvable.expr import (
-    _FUNCTIONS, VAR, Add, Const, Exp, Expr, Fun, Mul, Pow, Var,
+    _FUNCTIONS, _MAX_NESTING, VAR, Add, Const, Exp, Expr, Fun, Mul, Pow, Var,
     add, as_expr, compose, differentiate, evaluate, exp_, expand, fun_, mul,
     parse, pow_, power_terms, print_expr, simplify,
 )
@@ -145,6 +147,62 @@ class TestParse:
         with pytest.raises(ExprSyntaxError) as err:
             parse(text)
         assert err.value.position == position
+
+    # 1e400 ended in an OverflowError from float(Fraction("1e400")); a
+    # literal that underflows built 10^k for its whole exponent k
+    @pytest.mark.parametrize("text,literal,position", [
+        ("1e400*x^2", "1e400", 0), ("x+2.5E309", "2.5E309", 2),
+        ("x^1e400", "1e400", 2), ("x^(1/1e-400)", "1e-400", 5),
+        ("x^1e-999999", "1e-999999", 2), ("1e-400*x", "1e-400", 0)])
+    def test_literal_beyond_the_float_range(self, text, literal, position):
+        with pytest.raises(ExprSyntaxError) as err:
+            parse(text)
+        assert err.value.position == position
+        assert f"number {literal!r} is beyond the float range" \
+            in str(err.value)
+
+    def test_exponents_stay_exact(self):
+        assert parse("x^1e300") == Pow(X, Fraction(10) ** 300)
+        assert parse("x^(1/3)") == Pow(X, Fraction(1, 3))
+        assert parse("x^0e999999") == Const(1.0)
+
+    def test_unary_signs_take_no_recursion(self):
+        # 2000 signs ended in a RecursionError, about one frame each
+        assert parse("-" * 2000 + "x") == X
+        assert parse("-" * 2001 + "x") == mul(-1, X)
+        assert parse("+-" * 999 + "-x^2") == pow_(X, 2)
+        assert parse("2*-+-x") == mul(2, X)
+
+    @pytest.mark.parametrize("opening,width", [
+        ("(", 1), ("exp(", 4), ("-sqrt(", 6)])
+    def test_nesting_bound(self, opening, width):
+        text = opening * _MAX_NESTING + "x" + ")" * _MAX_NESTING
+        parse(text)
+        deeper = opening + text + ")"
+        with pytest.raises(ExprSyntaxError, match="nested") as err:
+            parse(deeper)
+        # the opening parenthesis one past the bound
+        assert err.value.position == width * (_MAX_NESTING + 1) - 1
+
+
+# pieces of text over the parser's alphabet, alone or in runs long enough
+# to nest past the bound, stack signs or write a number past the float range
+_PIECES = st.sampled_from(
+    [*"xrs0123456789.eE+-*/^(), ", "exp", "sqrt", *sorted(_FUNCTIONS)])
+_GRAMMAR_TEXT = st.lists(
+    st.one_of(_PIECES, st.builds(lambda piece, n: piece * n,
+                                 _PIECES, st.integers(2, 300))),
+    max_size=12).map("".join)
+
+
+@settings(max_examples=500, derandomize=True, database=None, deadline=None)
+@given(_GRAMMAR_TEXT)
+def test_any_text_parses_or_raises_a_domain_error(text):
+    # an OverflowError or a RecursionError once escaped
+    try:
+        parse(text)
+    except SolvableError:
+        pass
 
 
 class TestEvaluate:

@@ -228,3 +228,32 @@ def _reads_param(node, names):
         (isinstance(n, ast.Attribute) and n.attr in ("alpha", "beta"))
         or (isinstance(n, ast.Name) and n.id in names)
         for n in ast.walk(node))
+
+
+class TestCaseTable:
+    def test_one_dict_is_keyed_by_sigma_cases(self):
+        # each case's facts sit in one row of families._CASES; no module
+        # under src/solvable keeps another dict literal keyed by SigmaCase
+        # members
+        src = Path(__file__).resolve().parent.parent / "src" / "solvable"
+        found = []
+        for path in sorted(src.glob("*.py")):
+            tree = ast.parse(path.read_text())
+            names = {id(node.value): target.id for node in ast.walk(tree)
+                     if isinstance(node, ast.Assign)
+                     for target in node.targets
+                     if isinstance(target, ast.Name)}
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Dict) and any(
+                        isinstance(key, ast.Attribute)
+                        and isinstance(key.value, ast.Name)
+                        and key.value.id == "SigmaCase"
+                        for key in node.keys):
+                    found.append((path.name,
+                                  names.get(id(node), node.lineno)))
+        assert found == [("families.py", "_CASES")]
+
+    def test_case_facts_are_read_only(self):
+        with pytest.raises(AttributeError):
+            SigmaCase.ONE.interval = (0, 1)
+        assert SigmaCase.ONE.interval == (-math.inf, math.inf)

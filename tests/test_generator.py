@@ -229,6 +229,12 @@ class TestQuantsysEigenpairs:
         p = solve_params_quantsys(1.0, 0.0, 1, "-")
         assert p.energy == pytest.approx(-2.0 * math.sqrt(3.0), abs=1e-12)
 
+    # 1 and -1 were accepted as well, though no caller passed them
+    @pytest.mark.parametrize("branch", [1, -1, "x"])
+    def test_branch_is_plus_or_minus(self, branch):
+        with pytest.raises(InvalidParameter, match="branch must be"):
+            solve_params_quantsys(1.0, 0.0, 0, branch)
+
     def test_admissibility_boundary(self):
         with pytest.raises(Inadmissible):
             solve_params_quantsys(1.0, -5.0, 0, "+")

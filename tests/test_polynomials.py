@@ -8,8 +8,9 @@ from solvable.expr import evaluate
 from solvable.families import (
     ALL_CASES, FamilySpec, SigmaCase, cutoff, eigenvalue, sample_points,
 )
+from solvable.generator import _HERMITE
 from solvable.polynomials import (
-    Poly, classical_match, hermite_poly, hermite_value, jacobi_value,
+    Poly, classical_match, hermite_value, jacobi_value,
     laguerre_value, phi, phi_rodrigues,
 )
 from .test_families import make
@@ -133,9 +134,17 @@ class TestClassicalRecurrences:
         assert np.allclose(hermite_value(3, xs), 8 * xs ** 3 - 12 * xs)
 
     def test_hermite_poly_coefficients(self):
-        assert hermite_poly(0).coeffs == (1.0,)
-        assert hermite_poly(2).coeffs == (-2.0, 0.0, 4.0)
-        assert hermite_poly(4).coeffs == (12.0, 0.0, -48.0, 0.0, 16.0)
+        # the generator's H_n is 2^n times phi of sigma = 1, tau = -2s
+        def hermite(n):
+            return 2.0 ** n * phi(_HERMITE, n)
+
+        assert hermite(0).coeffs == (1.0,)
+        assert hermite(2).coeffs == (-2.0, 0.0, 4.0)
+        assert hermite(4).coeffs == (12.0, 0.0, -48.0, 0.0, 16.0)
+        xs = np.linspace(-2, 2, 9)
+        for n in range(16):
+            assert np.allclose(hermite(n)(xs), hermite_value(n, xs),
+                               rtol=1e-12, atol=0)
 
     def test_laguerre_values(self):
         xs = np.linspace(0.1, 4, 5)
