@@ -51,10 +51,9 @@ from .schrodinger import (
     wavefunction,
 )
 from .generator import (
-    SecondOrderODE, TermDecomposition, cuberoot_potential, decompose,
-    eliminate_first_derivative, inverse_sqrt_potential, reproduce_dw,
-    solve_params_inverse_sqrt, solve_params_quantsys, substitute,
-    transformed_system,
+    SecondOrderODE, TermDecomposition, decompose, eliminate_first_derivative,
+    reproduce_dw, solve_params_inverse_sqrt, solve_params_quantsys,
+    substitute, transformed_system,
 )
 from .oracle import (
     FDHamiltonian, eigenvalues_below, fd_hamiltonian, integrate, residual,
@@ -74,10 +73,10 @@ __all__ = [
     "SecondOrderODE", "SigmaCase", "SingularPoint", "SolvableError",
     "SpecialFunction", "TermDecomposition", "Unimplemented",
     "UnsupportedCorrespondence", "VariableMap", "apply_hm", "classical_match",
-    "compose", "cuberoot_potential", "cutoff", "decompose", "differentiate",
+    "compose", "cutoff", "decompose", "differentiate",
     "eigenvalue", "eigenvalues_below", "eliminate_first_derivative",
     "evaluate", "fd_hamiltonian", "hermite_value", "hm_operator", "integrate",
-    "inverse_sqrt_potential", "jacobi_value", "laguerre_value", "parse",
+    "jacobi_value", "laguerre_value", "parse",
     "phi", "phi_rodrigues", "potential", "power_terms", "print_expr",
     "reproduce_dw", "residual", "residual_norm", "richardson_eigenvalues",
     "scalar_product", "simplify", "solve_params_inverse_sqrt",

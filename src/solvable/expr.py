@@ -540,9 +540,10 @@ def power_terms(e: Expr):
 
     Returns ``{exponent: coefficient}`` with Fraction keys, or None if
     any term is not a constant multiple of a pure power of the variable
-    (after distributing products over sums).
+    (after distributing products over sums, where e is not such a sum
+    as it stands).
     """
-    out = _power_terms_direct(simplify(e))
+    out = _power_terms_direct(e)
     if out is None:
         out = _power_terms_direct(expand(e))
     return out
@@ -568,7 +569,7 @@ def _power_terms_direct(e: Expr):
 # --- printing ------------------------------------------------------------
 
 def _fmt_const(c: float) -> str:
-    if c == int(c) and abs(c) < 1e15:
+    if c.is_integer() and abs(c) < 1e15:  # never for inf or NaN
         return str(int(c))
     return repr(c)
 

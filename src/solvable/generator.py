@@ -23,36 +23,39 @@ Pipeline, in order:
    E = -(coefficient of the map-defining term); the result holds the
    map, W, E and the gauge, read from the decomposition alone.
 
-4. solve_params_*: invert the parameter identifications to produce
-   closed-form eigenpairs of the two target potentials
+4. solve_params_*: invert the parameter identifications of the two
+   target potentials
 
      c1 (3r/2)^(2/3) + c2 (2/(3r))^(2/3) - 5/(36 r^2)      (cube root)
      c1 / sqrt(2r)   + c2 / (2r)         - 3/(16 r^2)      (square root)
 
    via explicit square roots (first case) or the one negative root of a
    real cubic in alpha, found by a monotone Newton iteration (second
-   case, E = -alpha^2/4).  Both carry H_n of a changed variable, from
-   the sigma = 1 family with tau = -2s, whose monic phi is H_n / 2^n.
+   case), then return transformed_system of the sigma = 1 family at
+   (alpha, beta), ell = n and m = 0, with k = +1 (E = -alpha beta/2) or
+   k = -1 (E = -alpha^2/4): its W has the target coefficients up to
+   rounding.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import (
     Inadmissible, InvalidParameter, MapNotClosedForm, NoAdmissibleRoot,
-    NonIntegrableGauge, Unimplemented, require_finite,
+    NonFiniteValue, NonIntegrableGauge, Unimplemented, require_finite,
 )
 from .expr import (
-    VAR, Const, Expr, add, as_fraction, compose, differentiate, evaluate,
-    exp_, fun_, mul, pow_, power_terms, print_expr, simplify,
+    VAR, Add, Const, Exp, Expr, Mul, add, as_fraction, compose,
+    differentiate, evaluate, exp_, fun_, mul, pow_, power_terms, print_expr,
+    simplify,
 )
 from .families import FamilySpec, SigmaCase
-from .polynomials import phi
 from .schrodinger import Provenance, SchrodingerSystem, wavefunction
 
 __all__ = [
@@ -63,7 +66,6 @@ __all__ = [
 ]
 
 INF = math.inf
-_HERMITE = FamilySpec(SigmaCase.ONE, -2.0, 0.0)  # phi(_HERMITE, n) = H_n/2^n
 
 
 @dataclass(frozen=True)
@@ -159,9 +161,9 @@ def decompose(family: FamilySpec, m: int, ell: int) -> TermDecomposition:
     return TermDecomposition(
         i_plus=pow_(VAR, 2),
         i_minus=VAR,
-        c_plus=al * al / 4.0,
-        c_minus=al * be / 2.0,
-        c_zero=be * be / 4.0 + al / 2.0 - al * m + al * ell)
+        c_plus=(0.5 * al) * (0.5 * al),  # alpha^2 alone may overflow
+        c_minus=(0.5 * al) * be,
+        c_zero=(0.5 * be) * (0.5 * be) + al / 2.0 - al * m + al * ell)
 
 
 def _solve_monomial_map(i_map: Expr) -> Expr:
@@ -204,7 +206,9 @@ def substitute(dec: TermDecomposition, k: int,
     oscillator decomposition these are x = (3r/2)^(2/3) and x = sqrt(2r)
     with corrections -5/(36 r^2) and -3/(16 r^2) respectively.  W is
     (C_k I_k(x) + C0)/I(x) - (5/16) I'(x)^2/I(x)^3 + (1/4) I''(x)/I(x)^2
-    at x = x(r), I the map-defining term.
+    at x = x(r), I the map-defining term.  A non-finite coefficient of
+    W raises NonFiniteValue naming its term, a non-finite E
+    InvalidParameter.
     """
     if k not in (1, -1):
         raise InvalidParameter("k must be +1 or -1")
@@ -212,17 +216,24 @@ def substitute(dec: TermDecomposition, k: int,
     c_keep, i_keep = dec.term(k)
     if x_of_r is None:
         x_of_r = _solve_monomial_map(i_map)
-    # a caller's x_of_r may be a raw node tree; compose passes it through
-    x_of_r = simplify(x_of_r)
+    else:  # a caller's x_of_r may be a raw node tree
+        x_of_r = simplify(x_of_r)
     ix = compose(i_map, x_of_r)
+    inv = pow_(ix, -1)
     d1x = compose(differentiate(i_map), x_of_r)
     d2x = compose(differentiate(differentiate(i_map)), x_of_r)
     w = add(
-        mul(c_keep, compose(i_keep, x_of_r), pow_(ix, -1)),
-        mul(dec.c_zero, pow_(ix, -1)),
+        mul(c_keep, compose(i_keep, x_of_r), inv),
+        mul(dec.c_zero, inv),
         mul(Fraction(-5, 16), pow_(d1x, 2), pow_(ix, -3)),
         mul(Fraction(1, 4), d2x, pow_(ix, -2)),
     )
+    for term in w.terms if isinstance(w, Add) else (w,):
+        head = term.factors[0] if isinstance(term, Mul) else term
+        if isinstance(head, Const) and not math.isfinite(head.value):
+            raise NonFiniteValue(f"W has a non-finite coefficient in its "
+                                 f"term {print_expr(term, 'r')}")
+    require_finite(("E", -c_map))
     return SubstitutionResult(k, x_of_r, i_map, -c_map,
                               pow_(ix, Fraction(1, 4)), w)
 
@@ -230,29 +241,18 @@ def substitute(dec: TermDecomposition, k: int,
 def transformed_system(family: FamilySpec, ell: int, m: int,
                        k: int) -> SchrodingerSystem:
     """Run decompose + substitute on a family eigenpair; the returned
-    psi = gauge * Psi_{ell,m}(x(r)) solves -psi'' + W psi = E psi."""
+    psi = gauge * Psi_{ell,m}(x(r)) solves -psi'' + W psi = E psi.  Its
+    constant factor rides in the exponent as log: in front, it would give
+    every product-rule term of psi'' a coefficient other than 1, which
+    costs ``add`` a rebuilt core (a fifth of the residual's work)."""
     sub = substitute(decompose(family, m, ell), k)
-    psi_x = wavefunction(family, ell, m)
-    psi_r = mul(sub.gauge, compose(psi_x, sub.x_of_r))
+    psi = mul(sub.gauge, compose(wavefunction(family, ell, m), sub.x_of_r))
+    scale, *rest, env = psi.factors  # the gauge's power, Psi's exp
+    if isinstance(scale, Const) and scale.value > 0 and isinstance(env, Exp):
+        psi = mul(*rest, exp_(add(math.log(scale.value), env.arg)))
     return SchrodingerSystem(
-        sub.potential, (0.0, INF), ((sub.energy, psi_r),),
+        sub.potential, (0.0, INF), ((sub.energy, psi),),
         Provenance(family.alpha, family.beta, gauge=sub.gauge))
-
-
-def cuberoot_potential(c1: float, c2: float) -> Expr:
-    """c1 (3r/2)^(2/3) + c2 (2/(3r))^(2/3) - 5/(36 r^2)."""
-    return add(
-        mul(c1, pow_(mul(Fraction(3, 2), VAR), Fraction(2, 3))),
-        mul(c2, pow_(mul(Fraction(3, 2), VAR), Fraction(-2, 3))),
-        mul(Fraction(-5, 36), pow_(VAR, -2)))
-
-
-def inverse_sqrt_potential(c1: float, c2: float) -> Expr:
-    """c1 / sqrt(2r) + c2 / (2r) - 3/(16 r^2)."""
-    return add(
-        mul(c1, pow_(mul(2, VAR), Fraction(-1, 2))),
-        mul(c2 / 2.0, pow_(VAR, -1)),
-        mul(Fraction(-3, 16), pow_(VAR, -2)))
 
 
 def solve_params_quantsys(c1: float, c2: float, n: int,
@@ -260,8 +260,10 @@ def solve_params_quantsys(c1: float, c2: float, n: int,
     """The cube-root system on (0, inf) with its closed-form eigenpair.
 
     alpha = -2 sqrt(c1), beta = sign * 2 sqrt(c2 + sqrt(c1)(1+2n)),
-    E = sign * 2 sqrt(c1 c2 + c1 sqrt(c1) (1+2n)); admissible when the
-    inner radicand is nonnegative, i.e. n >= -c2/(2 sqrt(c1)) - 1/2.
+    admissible when the inner radicand is nonnegative, i.e.
+    n >= -c2/(2 sqrt(c1)) - 1/2; the system is transformed_system at
+    ell = n, m = 0, k = +1, so E = -alpha beta/2
+    = sign * 2 sqrt(c1 c2 + c1 sqrt(c1) (1+2n)).
     """
     if not c1 > 0:
         raise InvalidParameter("c1 must be positive")
@@ -276,27 +278,11 @@ def solve_params_quantsys(c1: float, c2: float, n: int,
         raise Inadmissible(
             f"c2 + sqrt(c1)(1+2n) = {rad:g} < 0 for n={n}; "
             f"need n >= {-c2 / (2 * math.sqrt(c1)) - 0.5:g}")
-    alpha = -2.0 * math.sqrt(c1)
-    beta = sign * 2.0 * math.sqrt(rad)
-    # equals c1 * rad exactly; may round below zero at the boundary
-    rad2 = max(c1 * c2 + c1 * math.sqrt(c1) * (1 + 2 * n), 0.0)
-    require_finite(("c1 c2 + c1^(3/2) (1+2n)", rad2))
-    energy = sign * 2.0 * math.sqrt(rad2)
-    # r^{1/6} exp(-A r^{4/3} + sign B r^{2/3}) H_n(q r^{2/3} - sign d)
-    amp_a = 0.75 * (1.5 ** (1.0 / 3.0)) * math.sqrt(c1)
-    amp_b = (2.25 ** (1.0 / 3.0)) * math.sqrt(rad)
-    herm_q = (c1 ** 0.25) * (2.25 ** (1.0 / 3.0))
-    herm_d = math.sqrt(rad) / (c1 ** 0.25)
-    r23 = pow_(VAR, Fraction(2, 3))
-    psi = mul(
-        pow_(VAR, Fraction(1, 6)),
-        exp_(add(mul(-amp_a, pow_(VAR, Fraction(4, 3))),
-                 mul(sign * amp_b, r23))),
-        compose((2.0 ** n * phi(_HERMITE, n)).to_expr(),
-                add(mul(herm_q, r23), -sign * herm_d)))
-    return SchrodingerSystem(
-        cuberoot_potential(c1, c2), (0.0, INF), ((energy, psi),),
-        Provenance(alpha, beta, "+" if sign > 0 else "-"))
+    system = transformed_system(FamilySpec(
+        SigmaCase.ONE, -2.0 * math.sqrt(c1), sign * 2.0 * math.sqrt(rad)),
+        n, 0, +1)
+    return replace(system, provenance=replace(system.provenance,
+                                              branch=branch))
 
 
 def _negative_root(c1: float, c2: float, a: float) -> float:
@@ -334,7 +320,8 @@ def solve_params_inverse_sqrt(c1: float, c2: float,
     f(-inf) = -inf; f increases on (-inf, min(a*, 0)], where
     a* = 2 c2/(3n + 3/2) is its other critical point, and on
     [min(a*, 0), 0) it falls to f(0) > 0 without a zero.  That root gives
-    the system on (0, inf) with the eigenpair E = -alpha^2/4.  c1 = 0
+    the system on (0, inf), transformed_system at ell = n, m = 0, k = -1,
+    with E = -alpha^2/4 and the sign of beta as its branch.  c1 = 0
     degenerates to the pure beta = 0 branch alpha = c2/(n + 1/2) (cubic
     factor alpha^2), flagged in the provenance, which has no admissible
     root for c2 >= 0.
@@ -351,23 +338,19 @@ def solve_params_inverse_sqrt(c1: float, c2: float,
                 f"n={n}")
     else:
         alpha = _negative_root(c1, c2, n + 0.5)
-        # a root that underflows to 0 leaves beta = 2 c1/alpha infinite
-        beta = 2.0 * c1 / alpha if alpha < 0.0 else INF
+        # a root below the normal floats is refused as beta = inf: there
+        # the shift beta/sqrt(-2 alpha) in H_n's argument can overflow
+        beta = 2.0 * c1 / alpha if -alpha >= sys.float_info.min else INF
     energy = -(0.5 * alpha) * (0.5 * alpha)  # alpha^2 may overflow
     if not all(map(math.isfinite, (alpha, beta, energy))):
         raise InvalidParameter(
             f"alpha, beta and E must be finite; the parameter cubic "
             f"overflows for c1={c1:g}, c2={c2:g}, n={n}")
-    # r^{1/4} exp(alpha r/2 + (beta/sqrt 2) sqrt r) H_n(...)
-    sqr = pow_(VAR, Fraction(1, 2))
-    arg = add(mul(math.sqrt(-alpha), sqr), -beta / math.sqrt(-2.0 * alpha))
-    psi = mul(
-        pow_(VAR, Fraction(1, 4)),
-        exp_(add(mul(alpha / 2.0, VAR), mul(beta / math.sqrt(2.0), sqr))),
-        compose((2.0 ** n * phi(_HERMITE, n)).to_expr(), arg))
-    return SchrodingerSystem(
-        inverse_sqrt_potential(c1, c2), (0.0, INF), ((energy, psi),),
-        Provenance(alpha, beta, "+" if beta >= 0 else "-", degenerate))
+    system = transformed_system(FamilySpec(SigmaCase.ONE, alpha, beta),
+                                n, 0, -1)
+    return replace(system, provenance=replace(
+        system.provenance, branch="+" if beta >= 0 else "-",
+        degenerate=degenerate))
 
 
 def reproduce_dw(theta: float, rho_coeff: float, lam: float, which: int,
@@ -389,18 +372,11 @@ def reproduce_dw(theta: float, rho_coeff: float, lam: float, which: int,
                    ("theta^2", theta * theta))
     k = -1 if which == 1 else 1
     i_plus, i_minus = pow_(VAR, 2), VAR
-    if i_map is not None:
-        if k == -1:
-            i_plus = i_map
-        else:
-            i_minus = i_map
-    dec = TermDecomposition(
-        i_plus=i_plus, i_minus=i_minus,
-        c_plus=theta * theta, c_minus=rho_coeff,
-        c_zero=lam)
-    sub = substitute(dec, k, x_of_r)
-    return SchrodingerSystem(sub.potential, (0.0, INF),
-                             ((sub.energy, None),),
+    if i_map is not None:  # in place of the map-defining term I_{-k}
+        i_plus, i_minus = (i_map, i_minus) if k == -1 else (i_plus, i_map)
+    sub = substitute(TermDecomposition(i_plus, i_minus, theta * theta,
+                                       rho_coeff, lam), k, x_of_r)
+    return SchrodingerSystem(sub.potential, (0.0, INF), ((sub.energy, None),),
                              Provenance(gauge=sub.gauge))
 
 

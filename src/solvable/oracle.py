@@ -821,10 +821,18 @@ def residual_norm(system, pair=None, n: int = 400) -> float:
 
     ``system`` needs ``potential`` (Expr) and ``interval`` attributes;
     ``pair`` is (lam, psi_expr), or None for the only known eigenpair of
-    a ``SchrodingerSystem`` (its ``energy`` and ``psi``).
+    a ``SchrodingerSystem`` (its ``energy`` and ``psi``).  NonFiniteValue
+    names the first grid point where the residual or lam psi is not finite.
     """
     lam, psi = (system.energy, system.psi) if pair is None else pair
     xs = residual_grid(system.interval, n)
     vals = residual(system.potential, lam, psi, xs)
-    scale = 1.0 + np.abs(lam * evaluate(psi, xs))
-    return float(np.max(np.abs(vals) / scale))
+    with np.errstate(over="ignore", invalid="ignore"):
+        lam_psi = lam * evaluate(psi, xs)
+    xs, vals, lam_psi = np.broadcast_arrays(xs, vals, lam_psi)
+    if not (finite := np.isfinite(vals) & np.isfinite(lam_psi)).all():
+        i = np.argmin(finite)
+        raise NonFiniteValue(
+            f"residual {vals[i]:g} and lam psi {lam_psi[i]:g} at "
+            f"x={xs[i]:g}: both must be finite")
+    return float(np.max(np.abs(vals) / (1.0 + np.abs(lam_psi))))

@@ -96,12 +96,13 @@ class Poly:
             cs = [j * cs[j] for j in range(1, len(cs))] or [0.0]
         return Poly(tuple(cs))
 
-    def to_expr(self) -> Expr:
+    def to_expr(self, at: Expr = VAR) -> Expr:
+        """The polynomial at ``at``: the tree compose(p.to_expr(), at)."""
         terms = []
         for j, c in enumerate(self.coeffs):
             if c == 0.0:
                 continue
-            terms.append(mul(c, pow_(VAR, j)) if j else expr.Const(c))
+            terms.append(mul(c, pow_(at, j)) if j else expr.Const(c))
         return add(*terms) if terms else expr.ZERO
 
 

@@ -32,6 +32,7 @@ __all__ = [
 ]
 
 INF = math.inf
+_HERMITE = FamilySpec(SigmaCase.ONE, -2.0, 0.0)  # phi(_HERMITE, n) = H_n/2^n
 
 
 @dataclass(frozen=True)
@@ -145,7 +146,20 @@ def potential(family: FamilySpec, m: int, attach_ells=()) -> SchrodingerSystem:
 def wavefunction(family: FamilySpec, ell: int, m: int) -> Expr:
     """Psi_{ell,m}(x) = sqrt(kappa rho) F_{ell,m} at s = s(x), square
     integrable on the image for ell below the cutoff; at two simple roots r,
-    sqrt(kappa rho) kappa^m = prod |s - r|^((m - 1/2 + tau(r)/sigma'(r))/2)."""
+    sqrt(kappa rho) kappa^m = prod |s - r|^((m - 1/2 + tau(r)/sigma'(r))/2).
+
+    At sigma = 1 it is built centred: phi_ell^(m)(x) = c^(m - ell)
+    (H_ell/2^ell)^(m)(c (x - s0)), c = sqrt(-alpha/2), s0 = -beta/alpha,
+    with (m - ell) log c in sqrt(rho)'s exponent: nothing overflows early."""
+    if family.sigma_case is SigmaCase.ONE:
+        al, be = family.alpha, family.beta
+        c = math.sqrt(-0.5 * al)
+        # validates ell and m as for the family: sigma = 1 has no cutoff
+        return mul(
+            exp_(add(mul(0.25 * al, pow_(VAR, 2)), mul(0.5 * be, VAR),
+                     (m - ell) * math.log(c))),
+            special_function(_HERMITE, ell, m).poly_part.to_expr(
+                add(mul(c, VAR), -be / math.sqrt(-2.0 * al))))
     sf = special_function(family, ell, m)  # validates ell and m
     vmap = variable_map(family)
     if not vmap.root_factors:
@@ -155,6 +169,6 @@ def wavefunction(family: FamilySpec, ell: int, m: int) -> Expr:
                   sf.poly_part.to_expr())
         return compose(amp, vmap.inverse)
     (fa, fb), a = family.exact, Fraction(family.sigma_coeffs[0])
-    return mul(compose(sf.poly_part.to_expr(), vmap.inverse), *(
+    return mul(sf.poly_part.to_expr(vmap.inverse), *(
         pow_(dist, (m - Fraction(1, 2) + (fa * r + fb) / (2 * a * r)) / 2)
         for r, dist in vmap.root_factors))

@@ -649,7 +649,9 @@ class TestGeneratorFuzz:
     traceback, print valid JSON, and report one root for --mode invsqrt.
     The draws drift with the source (see ``_examples``); the examples are
     the inputs that ended in a traceback, a wrong root count or invalid
-    JSON."""
+    JSON, and two whose eigenpairs hold constants near the ends of the
+    float range (c^(m - ell) = 1e375 at c1 = 1e-300, a shift of 6.9e76 in
+    H_4's argument)."""
 
     @settings(derandomize=True, max_examples=100, deadline=None)
     @given(st.sampled_from((["solve-params", "--mode", "quantsys"],
@@ -667,8 +669,10 @@ class TestGeneratorFuzz:
         (_SOLVE + ["invsqrt"], 1.4e154, 4.0, 0, "+"),
         (_SOLVE + ["invsqrt"], 1e300, 1.0, 0, "+"),
         (_SOLVE + ["invsqrt"], 21.92398293660021, 19.39880901019049, 1, "+"),
+        (_SOLVE + ["quantsys"], 1e-300, 0.0, 5, "+"),
         (_GENERATE + ["cuberoot"], 0.0, 0.0, 0, "+"),
         (_GENERATE + ["cuberoot"], 1.0, math.inf, 0, "+"),
+        (_GENERATE + ["cuberoot"], 1.0, 4.7403759540545894e+153, 4, "+"),
         (_GENERATE + ["sqrt"], 1.0, 1e300, 0, "+"))
     def test_exits_cleanly(self, command, c1, c2, n, branch):
         argv = command + [f"--c1={c1!r}", f"--c2={c2!r}", f"--n={n}"]
@@ -773,7 +777,9 @@ def _commands(draw):
 # each ended in a traceback: an OverflowError from a Python float power,
 # a ZeroDivisionError from an underflowing h^2, a TypeError from
 # iterating over one number, an OverflowError from a number literal past
-# the float range, or a RecursionError from 300 nested parentheses
+# the float range, a RecursionError from 300 nested parentheses, or an
+# OverflowError from printing the infinite coefficient that a finite but
+# huge exponent leaves in W
 _TRACEBACK_SEEDS = (
     (["eigenfunction", "--case", "s", "--alpha", "-7", "--beta", "1e300",
       "--ell", "1", "--m", "0", "--grid", "5"],
@@ -793,6 +799,9 @@ _TRACEBACK_SEEDS = (
     (["reproduce-dw", "--theta", "1", "--rho", "0", "--lambda", "-1",
       "--which", "1", "--Ik", "(" * 300 + "x^2" + ")" * 300],
      "more than 100 nested parentheses (at position 100)"),
+    (["reproduce-dw", "--theta", "1", "--rho", "0", "--lambda", "-1",
+      "--which", "2", "--Ik", "x^1e200"],
+     "W has a non-finite coefficient in its term inf*r^(-2)"),
 )
 
 # each printed a numpy RuntimeWarning ahead of its output: an overflow in
@@ -827,6 +836,8 @@ _DEFECT_COMMANDS = (
     "--grid 2 --smax 1e300",
     "families --alpha nan --beta 1",
     "reproduce-dw --theta 1 --rho 0 --lambda -1 --which 1 --Ik x^(1/0)",
+    "reproduce-dw --theta 1 --rho 0 --lambda -1 --which 1 --Ik x^1e200",
+    "reproduce-dw --theta 1 --rho 0 --lambda -1 --which 2 --Ik x^1e200",
     "reproduce-dw --theta 1 --rho 1 --lambda 1 --which 1 --Ik cosh(1000)*x^2",
     "reproduce-dw --theta 1 --rho 1 --lambda 1 --which 1 --Ik exp(800)*x^2",
     "reproduce-dw --theta 1e200 --rho 1 --lambda 1 --which 2",
@@ -895,7 +906,7 @@ class TestCommandFuzz:
 
     @pytest.mark.parametrize("argv,message", _TRACEBACK_SEEDS,
                              ids=["eigenfunction", "residual", "cuberoot",
-                                  "mesh", "literal", "nesting"])
+                                  "mesh", "literal", "nesting", "exponent"])
     def test_seed_exits_1_naming_the_value(self, argv, message):
         # in a fresh interpreter, so a numpy RuntimeWarning would reach
         # stderr ahead of the error line

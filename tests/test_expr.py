@@ -97,6 +97,14 @@ def test_print_parse_round_trip(e):
         assert evaluate(back, x) == pytest.approx(evaluate(e, x), rel=1e-12)
 
 
+@pytest.mark.parametrize("value,text", [
+    (math.inf, "inf"), (-math.inf, "-inf"), (math.nan, "nan"),
+    (3.0, "3"), (1e15, "1000000000000000.0"), (-0.5, "-0.5")])
+def test_print_constant(value, text):
+    # a non-finite constant prints by its repr instead of raising
+    assert print_expr(Const(value)) == text
+
+
 class TestParse:
     def test_power(self):
         assert parse("x^2") == Pow(X, Fraction(2))

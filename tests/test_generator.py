@@ -1,8 +1,10 @@
+import ast
 import math
 import pickle
 import sys
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -12,7 +14,7 @@ from hypothesis import strategies as st
 
 from solvable.errors import (
     Inadmissible, InvalidParameter, MapNotClosedForm, NoAdmissibleRoot,
-    NonIntegrableGauge, Unimplemented,
+    NonFiniteValue, NonIntegrableGauge, Unimplemented,
 )
 from solvable.expr import (
     VAR, add, differentiate, evaluate, exp_, mul, parse, pow_, power_terms,
@@ -20,9 +22,8 @@ from solvable.expr import (
 )
 from solvable.families import FamilySpec, SigmaCase
 from solvable.generator import (
-    SecondOrderODE, antiderivative_of_powers,
-    boundary_ratio, cuberoot_potential, decompose, eliminate_first_derivative,
-    inverse_sqrt_potential, reproduce_dw, solve_params_inverse_sqrt,
+    SecondOrderODE, antiderivative_of_powers, boundary_ratio, decompose,
+    eliminate_first_derivative, reproduce_dw, solve_params_inverse_sqrt,
     solve_params_quantsys, substitute, transformed_system,
 )
 from solvable.oracle import integrate, residual_norm
@@ -328,6 +329,64 @@ class TestInverseSqrtEigenpairs:
         prov = solve_params_inverse_sqrt(2.0, -3.0, 1).provenance
         assert prov.alpha * prov.beta / 2.0 == pytest.approx(2.0, rel=1e-10)
 
+    def test_root_below_the_normal_floats_is_refused(self):
+        # alpha = -1e-314: the shift beta/sqrt(-2 alpha) of H_1's argument
+        # is past the float range
+        with pytest.raises(InvalidParameter, match="must be finite"):
+            solve_params_inverse_sqrt(1e-160, 1e308, 1)
+
+
+class TestConditioning:
+    """High levels far from the origin, where a Hermite polynomial summed
+    in powers of x cancels its digits away."""
+
+    @pytest.mark.parametrize("c1,c2", [(0.5, 100.0), (1.0, 30.0)])
+    @pytest.mark.parametrize("branch", ["+", "-"])
+    def test_cuberoot_high_level(self, c1, c2, branch):
+        assert residual_norm(solve_params_quantsys(c1, c2, 15, branch)) \
+            <= 1e-8
+
+    def test_inverse_sqrt_high_level(self):
+        assert residual_norm(solve_params_inverse_sqrt(-1.0, -30.0, 15)) \
+            <= 1e-8
+
+    def test_energy_overflow_is_an_invalid_parameter(self):
+        # E = -(alpha/2) beta = 2 sqrt(c1 (c2 + sqrt(c1))) overflows
+        with pytest.raises(InvalidParameter, match="E must be finite"):
+            solve_params_quantsys(1e308, 1e308, 0, "+")
+
+
+class TestSinglePath:
+    """The pipeline is the only code that builds a generated eigenpair."""
+
+    def test_generator_builds_no_polynomial(self):
+        # no hand-built H_n: generator.py imports nothing from polynomials
+        source = (Path(__file__).resolve().parent.parent / "src" / "solvable"
+                  / "generator.py").read_text()
+        found = [node.lineno for node in ast.walk(ast.parse(source))
+                 if (isinstance(node, ast.ImportFrom)
+                     and (node.module or "").endswith("polynomials"))
+                 or (isinstance(node, ast.Import)
+                     and any(alias.name.endswith("polynomials")
+                             for alias in node.names))]
+        assert found == []
+
+    @pytest.mark.parametrize("branch", ["+", "-"])
+    def test_quantsys_is_the_transformed_system(self, branch):
+        p = solve_params_quantsys(1.7, 0.6, 3, branch)
+        fam = FamilySpec(SigmaCase.ONE, p.provenance.alpha,
+                         p.provenance.beta)
+        g = transformed_system(fam, 3, 0, +1)
+        assert (p.potential, p.known_eigenpairs) == (g.potential,
+                                                     g.known_eigenpairs)
+        assert p.provenance == replace(g.provenance, branch=branch)
+
+    def test_minus_branch_at_zero_radicand(self):
+        # rad = 0 makes beta = -0.0 on the "-" branch
+        p = solve_params_quantsys(1.0, -5.0, 2, "-")
+        assert math.copysign(1.0, p.provenance.beta) == -1.0
+        assert p.provenance.branch == "-"
+
 
 def _bisected_root(c1, c2, n):
     """The negative root of (n + 1/2) a^3 - c2 a^2 + c1^2 by bisection on
@@ -433,6 +492,13 @@ class TestNegativeRoot:
 
 
 class TestReproduceDW:
+    @pytest.mark.parametrize("which", [1, 2])
+    def test_infinite_coefficient_is_named(self, which):
+        # the exponent p = 1e200 is finite, but p^2 in I'^2 and
+        # p (p - 1) in I'' are not
+        with pytest.raises(NonFiniteValue, match=r"term inf\*r\^\(-2\)"):
+            reproduce_dw(1.0, 0.0, -1.0, which, i_map=parse("x^1e200"))
+
     def test_sqrt_route_pattern(self):
         g = reproduce_dw(1.0, 0.0, -1.0, which=1)
         t = terms_of(g.potential)
@@ -466,13 +532,13 @@ class TestReproduceDW:
 
 class TestTargetPotentials:
     def test_cuberoot_potential_terms(self):
-        t = terms_of(cuberoot_potential(1.0, 0.5))
+        t = terms_of(solve_params_quantsys(1.0, 0.5, 0, "+").potential)
         assert t[Fraction(2, 3)] == pytest.approx(1.5 ** (2 / 3))
         assert t[Fraction(-2, 3)] == pytest.approx(0.5 * (2 / 3) ** (2 / 3))
         assert t[Fraction(-2)] == pytest.approx(-5.0 / 36.0)
 
     def test_inverse_sqrt_potential_terms(self):
-        t = terms_of(inverse_sqrt_potential(3.0, -1.0))
+        t = terms_of(solve_params_inverse_sqrt(3.0, -1.0, 0).potential)
         assert t[Fraction(-1, 2)] == pytest.approx(3.0 / math.sqrt(2.0))
         assert t[Fraction(-1)] == pytest.approx(-0.5)
         assert t[Fraction(-2)] == pytest.approx(-3.0 / 16.0)

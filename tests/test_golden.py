@@ -33,9 +33,9 @@ README_COMMANDS = [
 ]
 
 ACCEPTANCE_DIGEST = (
-    "ba2560f535bb568b7540c0f929c8ae0e82ac9ca2f3ccba58aa2a56b501ecca72")
+    "ff42073e32b5e389b91989243f24409979789bbd941d4b3c66d0547c2af8e016")
 README_DIGEST = (
-    "af54f20a7de58b97203bef7b9861af7b863363a8d6533d7c046710b58065d042")
+    "5bdcdc7ccbc9e2770c4e008726bd1a62b674ca7ad8ae3e20ae49720fd54117d1")
 
 _ELAPSED = re.compile(r"\d+\.\d+s \(cap \d+s\)")
 
@@ -104,7 +104,7 @@ CLI_COMMANDS = [
 ]
 
 CLI_DIGEST = (
-    "a07f4004bcdf0684b20efc694c6db272ad45748e1583efd64d3fbb8d51b9ddc3")
+    "4fd27c5b7af4793082c0efa34117b650ae1b6838f88fc15f9626b0a22c961e45")
 
 
 
@@ -123,7 +123,7 @@ CUBEROOT_SPECTRUM_COMMANDS = [
 ]
 
 CUBEROOT_SPECTRUM_DIGEST = (
-    "f5200701cfcc2e8ca485cf085b2a6f240642bd84cfb267a23916265b8a44e6c7")
+    "dc7b9eb137855953aaf5abf1203154e01e02b7e499df3447a79d9dc16dd46d64")
 
 
 def test_cuberoot_spectrum_commands_unchanged():

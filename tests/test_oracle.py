@@ -383,10 +383,10 @@ class TestFDHamiltonian:
 
 
 def _cuberoot_graded(n_sub, ratio=0.0):
-    from solvable.generator import cuberoot_potential
+    from solvable.generator import solve_params_quantsys
 
-    return fd_hamiltonian(cuberoot_potential(1.0, 0.0), 1e-3, 40.0, n_sub,
-                          left_ratio=ratio,
+    return fd_hamiltonian(solve_params_quantsys(1.0, 0.0, 0, "+").potential,
+                          1e-3, 40.0, n_sub, left_ratio=ratio,
                           grading=indicial_grading(1.0 / 6.0))
 
 
@@ -538,6 +538,15 @@ class TestResidualNorm:
 
         pair = solve_params_quantsys(1.0, 0.0, 0, "+")
         assert residual_norm(pair) < 1e-8
+
+    def test_overflowing_pair_names_the_point(self):
+        # psi ~ exp(131 r^(2/3)) overflows inside [1e-3, 30]; lam psi
+        # overflowed outside errstate and the norm read NaN
+        from solvable.generator import solve_params_quantsys
+
+        pair = solve_params_quantsys(2.0, 1e4, 3, "+")
+        with pytest.raises(NonFiniteValue, match=r"at x=13\.0833: both"):
+            residual_norm(pair)
 
 
 class TestResidual:

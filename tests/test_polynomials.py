@@ -8,11 +8,11 @@ from solvable.expr import evaluate
 from solvable.families import (
     ALL_CASES, FamilySpec, SigmaCase, cutoff, eigenvalue, sample_points,
 )
-from solvable.generator import _HERMITE
 from solvable.polynomials import (
     Poly, classical_match, hermite_value, jacobi_value,
     laguerre_value, phi, phi_rodrigues,
 )
+from solvable.schrodinger import _HERMITE
 from .test_families import make
 
 
@@ -134,7 +134,7 @@ class TestClassicalRecurrences:
         assert np.allclose(hermite_value(3, xs), 8 * xs ** 3 - 12 * xs)
 
     def test_hermite_poly_coefficients(self):
-        # the generator's H_n is 2^n times phi of sigma = 1, tau = -2s
+        # the sigma = 1 wavefunction's H_n is 2^n times phi of tau = -2s
         def hermite(n):
             return 2.0 ** n * phi(_HERMITE, n)
 
