@@ -36,7 +36,7 @@ from .expr import (
 )
 from .families import (
     ALL_CASES, FamilyCutoff, FamilySpec, SigmaCase, cutoff, eigenvalue,
-    weight,
+    weight, weight_function,
 )
 from .polynomials import (
     Poly, classical_match, hermite_value, jacobi_value, laguerre_value,
@@ -82,4 +82,5 @@ __all__ = [
     "scalar_product", "simplify", "solve_params_inverse_sqrt",
     "solve_params_quantsys", "special_function", "substitute",
     "transformed_system", "variable_map", "wavefunction", "weight",
+    "weight_function",
 ]

@@ -47,6 +47,7 @@ __all__ = [
     "as_expr", "as_fraction", "add", "mul", "pow_", "exp_", "fun_",
     "differentiate", "evaluate", "simplify", "compose",
     "parse", "print_expr", "power_terms", "expand",
+    "QUIET", "power",
 ]
 
 
@@ -401,6 +402,10 @@ def _derivative(e: Expr) -> Expr:
     raise TypeError(f"cannot differentiate {e!r}")
 
 
+# the errstate ``evaluate`` runs under
+QUIET = dict(over="ignore", under="ignore", invalid="ignore")
+
+
 def evaluate(e: Expr, value):
     """Evaluate at a scalar or numpy array; raises DomainError outside
     the mathematical domain.  Overflow, underflow and inf * 0 or inf - inf
@@ -413,7 +418,7 @@ def evaluate(e: Expr, value):
     when that minimum is not positive, so also on NaN and on an empty
     array.
     """
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+    with np.errstate(**QUIET):
         return _eval(e, value)
 
 
@@ -440,8 +445,13 @@ def _eval_mul(e, x):
 
 
 def _eval_pow(e, x):
-    b = _eval(e.base, x)
-    q = e.exponent
+    return power(_eval(e.base, x), e.exponent)
+
+
+def power(b, q: Fraction):
+    """b^q as ``evaluate`` computes a Pow node whose base evaluated to b:
+    DomainError outside the domain, else b raised to q rounded once.  Call
+    it under evaluate's errstate, ``QUIET``."""
     if q.denominator == 1:
         p = q.numerator
         if p < 0 and np.any(np.asarray(b) == 0.0):

@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from .errors import InvalidParameter
 from .expr import VAR, Expr, add, compose, exp_, fun_, mul, pow_
-from .families import FamilySpec, SigmaCase, check_degree, eigenvalue, weight
+from .families import FamilySpec, SigmaCase, check_degree, eigenvalue
 from .specfun import special_function
 
 __all__ = [
@@ -145,14 +145,23 @@ def potential(family: FamilySpec, m: int, attach_ells=()) -> SchrodingerSystem:
 
 def wavefunction(family: FamilySpec, ell: int, m: int) -> Expr:
     """Psi_{ell,m}(x) = sqrt(kappa rho) F_{ell,m} at s = s(x), square
-    integrable on the image for ell below the cutoff; at two simple roots r,
+    integrable on the image for ell below the cutoff, built directly in x
+    with each exponent an exact fraction rounded once:
+
+        s:      (x^2/4)^q exp(alpha x^2/8) p(x^2/4),  q = (2 beta - 1)/4 + m/2
+        s^2:    exp(((alpha - 1)/2 + m) x - (beta/2) e^-x) p(e^x)
+        s^2+1:  (1 + sinh^2 x)^((alpha - 1)/4 + m/2)
+                    exp((beta/2) arctan(sinh x)) p(sinh x)
+
+    with p = P_ell^(m).  At two simple roots r,
     sqrt(kappa rho) kappa^m = prod |s - r|^((m - 1/2 + tau(r)/sigma'(r))/2).
 
     At sigma = 1 it is built centred: phi_ell^(m)(x) = c^(m - ell)
     (H_ell/2^ell)^(m)(c (x - s0)), c = sqrt(-alpha/2), s0 = -beta/alpha,
     with (m - ell) log c in sqrt(rho)'s exponent: nothing overflows early."""
-    if family.sigma_case is SigmaCase.ONE:
-        al, be = family.alpha, family.beta
+    al, be = family.alpha, family.beta
+    case = family.sigma_case
+    if case is SigmaCase.ONE:
         c = math.sqrt(-0.5 * al)
         # validates ell and m as for the family: sigma = 1 has no cutoff
         return mul(
@@ -162,13 +171,19 @@ def wavefunction(family: FamilySpec, ell: int, m: int) -> Expr:
                 add(mul(c, VAR), -be / math.sqrt(-2.0 * al))))
     sf = special_function(family, ell, m)  # validates ell and m
     vmap = variable_map(family)
-    if not vmap.root_factors:
-        amp = mul(pow_(mul(pow_(family.sigma_expr, Fraction(1, 2)),
-                           weight(family)), Fraction(1, 2)),
-                  pow_(family.sigma_expr, Fraction(m, 2)),
-                  sf.poly_part.to_expr())
-        return compose(amp, vmap.inverse)
-    (fa, fb), a = family.exact, Fraction(family.sigma_coeffs[0])
-    return mul(sf.poly_part.to_expr(vmap.inverse), *(
+    s = vmap.inverse
+    p = sf.poly_part.to_expr(s)
+    (fa, fb), half_m = family.exact, Fraction(m, 2)
+    if case is SigmaCase.S:
+        return mul(pow_(s, (2 * fb - 1) / 4 + half_m),
+                   exp_(mul(0.5 * al, s)), p)
+    if case is SigmaCase.S2:
+        return mul(exp_(add(mul((fa - 1) / 2 + m, VAR),
+                            mul(-0.5 * be, exp_(mul(-1, VAR))))), p)
+    if case is SigmaCase.S2_PLUS_1:
+        return mul(pow_(add(1, pow_(s, 2)), (fa - 1) / 4 + half_m),
+                   exp_(mul(0.5 * be, fun_("arctan", s))), p)
+    a = Fraction(family.sigma_coeffs[0])
+    return mul(p, *(
         pow_(dist, (m - Fraction(1, 2) + (fa * r + fb) / (2 * a * r)) / 2)
         for r, dist in vmap.root_factors))

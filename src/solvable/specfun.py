@@ -25,9 +25,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidParameter, OrderExceedsDegree, SingularPoint
+from .errors import (
+    DomainError, InvalidParameter, OrderExceedsDegree, SingularPoint,
+)
 from .expr import Expr, add, differentiate, evaluate, mul, pow_
-from .families import FamilySpec, weight
+from .families import FamilySpec, weight_function
 from .oracle import _as_array_function, integrate
 from .polynomials import Poly, phi
 
@@ -48,7 +50,20 @@ class SpecialFunction:
     poly_part: Poly
 
     def __call__(self, s):
-        return self.family.sigma(s) ** (self.m / 2.0) * self.poly_part(s)
+        """F at a scalar or array s: poly_part(s) at m = 0; for odd m,
+        DomainError naming the first s where sigma(s) < 0, where
+        kappa^m = sigma^(m/2) is not real."""
+        if not self.m:
+            return self.poly_part(s)
+        sig = self.family.sigma(s)
+        if self.m % 2:
+            negative = np.asarray(sig) < 0.0
+            if negative.any():
+                raise DomainError(
+                    f"sigma(s) < 0 at s={np.asarray(s)[negative][0]:g}, so "
+                    f"sigma^({self.m}/2) is a negative base with a "
+                    f"fractional exponent")
+        return sig ** (self.m / 2.0) * self.poly_part(s)
 
     @cached_property
     def expr(self) -> Expr:
@@ -114,14 +129,19 @@ def scalar_product(family: FamilySpec, f, g):
     f``) evaluates f once per call and squares it, the floats two
     evaluations of f would give.  Raises QuadratureNoConverge when the
     adaptive error estimate cannot be brought below 1e-9.
+
+    rho is ``weight_function(family)``, made once per call: the floats
+    of the weight's Expr, with neither that tree built nor walked.  Only
+    rho's own arithmetic runs under evaluate's errstate, so f and g warn
+    as they would on their own.
     """
-    rho = weight(family)
+    rho = weight_function(family)
     fc = _as_array_function(f)
     if g is f:
         def integrand(s):
             v = fc(s)
-            return v * v * evaluate(rho, s)
+            return v * v * rho(s)
     else:
         gc = _as_array_function(g)
-        integrand = lambda s: fc(s) * gc(s) * evaluate(rho, s)
+        integrand = lambda s: fc(s) * gc(s) * rho(s)
     return integrate(integrand, family.interval, 1e-9).value

@@ -83,6 +83,21 @@ class TestPoly:
             "error: ell must be a nonnegative integer\n")
 
 
+class TestSpecfunEval:
+    def test_negative_sigma_is_named(self, capsys):
+        # sigma = 1 - s^2 < 0 at s = 1.25 and 2, where kappa = sqrt(sigma)
+        # is not real: it exited 1 with "nan in column value of the row
+        # with s=1.25", which named no constraint
+        code, text = invoke(["specfun", "eval", "--case", "1-s^2",
+                             "--alpha", "-5", "--beta", "1", "--ell", "1",
+                             "--m", "1", "--smin", "0.5", "--smax", "2",
+                             "--grid", "3"])
+        assert (code, text) == (1, "")
+        assert capsys.readouterr().err == (
+            "error: sigma(s) < 0 at s=1.25, so sigma^(1/2) is a negative "
+            "base with a fractional exponent\n")
+
+
 class TestAcceptanceOnly:
     def test_reaches_run_all_as_a_set(self, monkeypatch):
         calls = []
@@ -834,6 +849,8 @@ _DEFECT_COMMANDS = (
     "specfun eval --case s --alpha -1 --beta 2 --ell 2 --m 1 --smin=-inf",
     "specfun eval --case s^2 --alpha -1e300 --beta 1e300 --ell 0 --m 0 "
     "--grid 2 --smax 1e300",
+    "specfun eval --case 1-s^2 --alpha -5 --beta 1 --ell 1 --m 1 --smin 0.5 "
+    "--smax 2 --grid 3",
     "families --alpha nan --beta 1",
     "reproduce-dw --theta 1 --rho 0 --lambda -1 --which 1 --Ik x^(1/0)",
     "reproduce-dw --theta 1 --rho 0 --lambda -1 --which 1 --Ik x^1e200",

@@ -5,11 +5,24 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from solvable.errors import DegreeBeyondCutoff, FamilyConstraintError
+from solvable.acceptance import ACCEPTANCE_FAMILIES
+from solvable.errors import (
+    DegreeBeyondCutoff, DomainError, FamilyConstraintError,
+)
 from solvable.expr import as_fraction, differentiate, evaluate, mul, parse
 from solvable.families import (
     ALL_CASES, FamilySpec, SigmaCase, cutoff, eigenvalue, sample_points,
-    weight,
+    weight, weight_function,
+)
+
+# the acceptance rows and five rows whose alpha and beta are not binary
+# fractions, so their exact values come from a short continued fraction
+TREE_ROWS = ACCEPTANCE_FAMILIES + (
+    (SigmaCase.S, -1.3, 2.1),
+    (SigmaCase.ONE_MINUS_S2, -5.3, 0.7),
+    (SigmaCase.S2_MINUS_1, -6.1, 9.7),
+    (SigmaCase.S2, -6.05, 1.04),
+    (SigmaCase.S2_PLUS_1, -4.9, 0.3),
 )
 
 # representative admissible parameters, one per case
@@ -97,6 +110,54 @@ class TestWeight:
         for s in sample_points(fam, 200):
             assert fam.sigma(s) > 0
             assert evaluate(rho, s) > 0
+
+
+def same_floats(got, want):
+    """got and want hold the same float64 bits, NaNs included."""
+    return (np.asarray(got, float).tobytes()
+            == np.asarray(want, float).tobytes())
+
+
+# TREE_ROWS and an s^2 row where alpha - 2 taken in floats
+# (-8.969999999999999) is not the exact alpha - 2 rounded once (-8.97)
+PARITY_ROWS = TREE_ROWS + ((SigmaCase.S2, -6.97, 1.0),)
+PARITY_IDS = [f"{case.value}:{alpha}:{beta}" for case, alpha, beta
+              in PARITY_ROWS]
+
+
+class TestWeightFunction:
+    """weight_function against evaluate(weight(fam), s): the same bits on
+    arrays and scalars, and the same DomainError at the finite ends."""
+
+    @pytest.mark.parametrize("row", PARITY_ROWS, ids=PARITY_IDS)
+    def test_same_floats_as_the_tree(self, row):
+        fam = FamilySpec(*row)
+        rho, tree = weight_function(fam), weight(fam)
+        lo, hi = fam.interval
+        # the next float inside each finite end, where a pole or a
+        # vanishing factor is steepest (inf * 0 = NaN at s^2's 5e-324)
+        near_ends = [np.nextafter(end, inward) for end, inward
+                     in ((lo, hi), (hi, lo)) if math.isfinite(end)]
+        s = np.concatenate([sample_points(fam, 101), near_ends])
+        assert same_floats(rho(s), evaluate(tree, s))
+        for point in s.tolist():
+            assert same_floats(rho(point), evaluate(tree, point))
+
+    @pytest.mark.parametrize("row", PARITY_ROWS, ids=PARITY_IDS)
+    def test_same_domain_error_at_the_ends(self, row):
+        fam = FamilySpec(*row)
+        rho, tree = weight_function(fam), weight(fam)
+        mid = sample_points(fam, 1)[0]
+        for end in (e for e in fam.interval if math.isfinite(e)):
+            for s in (end, np.array([mid, end])):
+                try:
+                    want = evaluate(tree, s)
+                except DomainError as exc:
+                    with pytest.raises(DomainError) as got:
+                        rho(s)
+                    assert str(got.value) == str(exc)
+                else:
+                    assert same_floats(rho(s), want)
 
 
 def boundary_sequence(fam, endpoint, ks):

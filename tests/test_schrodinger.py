@@ -9,7 +9,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from solvable.acceptance import ACCEPTANCE_FAMILIES
 from solvable.errors import DegreeBeyondCutoff, InvalidParameter
 from solvable.expr import (
     Add, Const, Exp, Fun, Mul, Pow, Var, add, compose, differentiate,
@@ -31,7 +30,7 @@ from solvable.schrodinger import (
     SchrodingerSystem, potential, variable_map, wavefunction,
 )
 from solvable.specfun import multiplication_part
-from .test_families import make
+from .test_families import TREE_ROWS, make
 
 # x(s) through numpy's inverse functions, independent of the library's maps
 X_OF_S = {
@@ -225,19 +224,9 @@ class TestWavefunction:
             assert math.isfinite(res.value) and res.value > 0
 
 
-# the acceptance rows and five rows whose alpha and beta are not binary
-# fractions, so their exact values come from a short continued fraction
-TREE_ROWS = ACCEPTANCE_FAMILIES + (
-    (SigmaCase.S, -1.3, 2.1),
-    (SigmaCase.ONE_MINUS_S2, -5.3, 0.7),
-    (SigmaCase.S2_MINUS_1, -6.1, 9.7),
-    (SigmaCase.S2, -6.05, 1.04),
-    (SigmaCase.S2_PLUS_1, -4.9, 0.3),
-)
-
-# captured once the sigma = 1 Psi rows were built centred
+# captured once the s^2 and s^2+1 Psi rows were built directly in x
 TREES_DIGEST = (
-    "a413c55ee6911cd82079cba39becca02cedf55ab2398fd3e786b2dd86447df13")
+    "252ac1491bac243e234689efbc488aeffe0faeaf5f857743c9e809d5fff55d0d")
 
 
 def trees_digest():
@@ -494,3 +483,36 @@ class TestClosedFormsAgainstMpmath:
             SigmaCase.S, SigmaCase.S2_MINUS_1) else 1.0)
         for m in range(cutoff(fam).top_degree(3) + 1):
             assert tree_nodes(potential(fam, m).potential) <= 25
+
+
+def composed_wavefunction(family, ell, m):
+    """Psi_{ell,m} as it was built before the direct forms: (sigma^(1/2)
+    rho)^(1/2) sigma^(m/2) P_ell^(m) as an expression in s, composed with
+    s(x)."""
+    sig = family.sigma_expr
+    amp = mul(pow_(mul(pow_(sig, Fraction(1, 2)), weight(family)),
+                   Fraction(1, 2)),
+              pow_(sig, Fraction(m, 2)), phi(family, ell).deriv(m).to_expr())
+    return compose(amp, variable_map(family).inverse)
+
+
+class TestDirectWavefunction:
+    """The Psi built directly in x for sigma = s, s^2 and s^2+1 against
+    the composed one.  Both hold the same tree for P_ell^(m)(s(x)); only
+    the envelope's exponents are rounded differently (once, against once
+    per constructor that folds them), so the two agree to rtol 1e-13 in
+    the sample window (the worst of 900 draws was 1.8e-15, at s^2)."""
+
+    @pytest.mark.parametrize("case", [SigmaCase.S, SigmaCase.S2,
+                                      SigmaCase.S2_PLUS_1])
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_matches_the_composed_wavefunction(self, case, data):
+        fam = FamilySpec(case, *data.draw(_PARAMETERS[case]))
+        ell = data.draw(st.integers(0, cutoff(fam).top_degree(4)))
+        m = data.draw(st.integers(0, ell))
+        xs = interior_points(fam, 25)
+        np.testing.assert_allclose(
+            evaluate(wavefunction(fam, ell, m), xs),
+            evaluate(composed_wavefunction(fam, ell, m), xs),
+            rtol=1e-13, atol=0.0)

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from solvable.acceptance import ACCEPTANCE_FAMILIES
+from solvable import expr, families, oracle, specfun
 from solvable.errors import (
-    DegreeBeyondCutoff, OrderExceedsDegree, SingularPoint,
+    DegreeBeyondCutoff, DomainError, OrderExceedsDegree, SingularPoint,
 )
 from solvable.expr import ZERO, Const
 from solvable.families import (
@@ -52,6 +53,28 @@ class TestSpecialFunction:
         fam = FamilySpec(SigmaCase.S2, -7.0, 1.0)
         with pytest.raises(DegreeBeyondCutoff):
             special_function(fam, 4, 0)
+
+    def test_order_zero_is_the_polynomial_part(self):
+        sf = special_function(make(SigmaCase.S2_PLUS_1), 2, 0)
+        s = np.linspace(-3.0, 3.0, 13)
+        assert sf(s).tobytes() == sf.poly_part(s).tobytes()
+
+    def test_negative_sigma_at_odd_order_is_named(self):
+        # kappa = sqrt(1 - s^2) is not real past s = 1: a scalar gave
+        # (1.06e-16+1.73j), an array NaN with a RuntimeWarning
+        sf = special_function(FamilySpec(SigmaCase.ONE_MINUS_S2, -5, 1), 1, 1)
+        with pytest.raises(DomainError, match=r"sigma\(s\) < 0 at s=2,"):
+            sf(2.0)
+        with pytest.raises(DomainError, match=r"sigma\(s\) < 0 at s=1.25,"):
+            sf(np.array([0.5, 1.25, 2.0]))
+        assert sf(0.5) == pytest.approx(math.sqrt(0.75) * sf.poly_part(0.5))
+
+    def test_negative_sigma_at_even_order_is_real(self):
+        # kappa^2 = sigma is a polynomial, real wherever sigma is
+        sf = special_function(FamilySpec(SigmaCase.ONE_MINUS_S2, -5, 1), 2, 2)
+        value = sf(2.0)
+        assert isinstance(value, float)
+        assert value == -3.0 * sf.poly_part(2.0)
 
 
 class TestHmOperator:
@@ -141,6 +164,28 @@ class TestScalarProduct:
             pair = scalar_product(fam, f, lambda s: f(s))
             assert norm.hex() == pair.hex()
             assert f.calls - once == 2 * once
+
+    def test_builds_and_walks_no_expr(self, monkeypatch):
+        # the weight is weight_function's floats: neither weight() nor
+        # evaluate runs, wherever either name was imported
+        def products():
+            out = []
+            for row in ACCEPTANCE_FAMILIES:
+                fam = FamilySpec(*row)
+                f, g = (special_function(fam, ell, 1) for ell in (1, 2))
+                out += [scalar_product(fam, f, f), scalar_product(fam, f, g)]
+            return out
+
+        def refuse(*args):
+            raise AssertionError("scalar_product built or walked an Expr")
+
+        want = products()
+        originals = {"weight": families.weight, "evaluate": expr.evaluate}
+        for module in (expr, families, oracle, specfun):
+            for name, fn in originals.items():
+                if getattr(module, name, None) is fn:
+                    monkeypatch.setattr(module, name, refuse)
+        assert products() == want
 
     def test_gaussian_normalization(self):
         fam = FamilySpec(SigmaCase.ONE, -2.0, 0.0)
