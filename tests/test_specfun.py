@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from solvable.acceptance import ACCEPTANCE_FAMILIES
 from solvable import expr, families, oracle, specfun
+from solvable.acceptance import ACCEPTANCE_FAMILIES
 from solvable.errors import (
     DegreeBeyondCutoff, DomainError, OrderExceedsDegree, SingularPoint,
 )
