@@ -26,9 +26,9 @@ Quick start
 from .errors import (
     BisectionNoConverge, DegenerateRecursion, DegreeBeyondCutoff, DomainError,
     ExprSyntaxError, FamilyConstraintError, Inadmissible, InvalidParameter,
-    MapNotClosedForm, NoAdmissibleRoot, NonFiniteValue, NonIntegrableGauge,
-    NonRationalExponent, OrderExceedsDegree, QuadratureNoConverge,
-    SingularPoint, SolvableError, Unimplemented, UnsupportedCorrespondence,
+    MapNotClosedForm, NoAdmissibleRoot, NonFiniteValue, NonRationalExponent,
+    OrderExceedsDegree, QuadratureNoConverge, SingularPoint, SolvableError,
+    Unimplemented, UnsupportedCorrespondence,
 )
 from .expr import (
     Expr, compose, differentiate, evaluate, parse, power_terms, print_expr,
@@ -51,9 +51,8 @@ from .schrodinger import (
     wavefunction,
 )
 from .generator import (
-    SecondOrderODE, TermDecomposition, decompose, eliminate_first_derivative,
-    reproduce_dw, solve_params_inverse_sqrt, solve_params_quantsys,
-    substitute, transformed_system,
+    TermDecomposition, decompose, reproduce_dw, solve_params_inverse_sqrt,
+    solve_params_quantsys, substitute, transformed_system,
 )
 from .oracle import (
     FDHamiltonian, eigenvalues_below, fd_hamiltonian, integrate, residual,
@@ -67,16 +66,14 @@ __all__ = [
     "DegreeBeyondCutoff", "DomainError", "Expr", "ExprSyntaxError",
     "FDHamiltonian", "FamilyConstraintError", "FamilyCutoff", "FamilySpec",
     "HmOperator", "Inadmissible", "InvalidParameter", "MapNotClosedForm",
-    "NoAdmissibleRoot", "NonFiniteValue", "NonIntegrableGauge",
-    "NonRationalExponent", "OrderExceedsDegree", "Poly",
-    "Provenance", "QuadratureNoConverge", "SchrodingerSystem",
-    "SecondOrderODE", "SigmaCase", "SingularPoint", "SolvableError",
+    "NoAdmissibleRoot", "NonFiniteValue", "NonRationalExponent",
+    "OrderExceedsDegree", "Poly", "Provenance", "QuadratureNoConverge",
+    "SchrodingerSystem", "SigmaCase", "SingularPoint", "SolvableError",
     "SpecialFunction", "TermDecomposition", "Unimplemented",
     "UnsupportedCorrespondence", "VariableMap", "apply_hm", "classical_match",
-    "compose", "cutoff", "decompose", "differentiate",
-    "eigenvalue", "eigenvalues_below", "eliminate_first_derivative",
-    "evaluate", "fd_hamiltonian", "hermite_value", "hm_operator", "integrate",
-    "jacobi_value", "laguerre_value", "parse",
+    "compose", "cutoff", "decompose", "differentiate", "eigenvalue",
+    "eigenvalues_below", "evaluate", "fd_hamiltonian", "hermite_value",
+    "hm_operator", "integrate", "jacobi_value", "laguerre_value", "parse",
     "phi", "phi_rodrigues", "potential", "power_terms", "print_expr",
     "reproduce_dw", "residual", "residual_norm", "richardson_eigenvalues",
     "scalar_product", "simplify", "solve_params_inverse_sqrt",

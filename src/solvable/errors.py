@@ -85,10 +85,6 @@ class UnsupportedCorrespondence(SolvableError):
     """No real-parameter classical counterpart for this family."""
 
 
-class NonIntegrableGauge(SolvableError):
-    """No closed-form antiderivative available for B/(2A)."""
-
-
 class MapNotClosedForm(SolvableError):
     """The change of variable x'(r) = 1/sqrt(I(x)) has no closed form
     within the expression IR."""

@@ -2,28 +2,25 @@
 
 Pipeline, in order:
 
-1. eliminate_first_derivative: gauge away the B d/dr term of
-   [A d^2/dr^2 + B d/dr + C] psi = 0 with h = exp(integral B/(2A)),
-   leaving [d^2/dr^2 + Q] (h psi) = 0,
-   Q = (4AC - 2AB' + 2BA' - B^2)/(4A^2).
-
-2. decompose: write the oscillator-family Schrodinger equation at the
+1. decompose: write the oscillator-family Schrodinger equation at the
    eigenvalue of degree ell as
    [-d^2/dx^2 + C1*I1(x) + Cm1*Im1(x) + C0] Psi = 0 with I1 = x^2,
    Im1 = x, C1 = alpha^2/4, Cm1 = alpha*beta/2,
    C0 = beta^2/4 + alpha/2 - alpha*m + alpha*ell, a number once ell is
-   fixed.
+   fixed.  The C's are read from V_m's exact coefficients
+   (schrodinger.potential_coefficients), each rounded once.
 
-3. substitute: apply r -> x(r) with x'(r) = 1/sqrt(I(x(r))) for the
+2. substitute: apply r -> x(r) with x'(r) = 1/sqrt(I(x(r))) for the
    term of index -k (the index k names the term that SURVIVES in the
    transformed potential: k=+1 gives the cube-root map
    x = (3r/2)^(2/3) and correction -5/(36 r^2); k=-1 gives x = sqrt(2r)
-   and correction -3/(16 r^2)).  The transformed function
-   (I(x(r)))^(1/4) Psi(x(r)) solves -u'' + W(r) u = E u with
-   E = -(coefficient of the map-defining term); the result holds the
-   map, W, E and the gauge, read from the decomposition alone.
+   and correction -3/(16 r^2)).  W is formed in x and mapped to r once.
+   The transformed function (I(x(r)))^(1/4) Psi(x(r)) solves
+   -u'' + W(r) u = E u with E = -(coefficient of the map-defining term);
+   the result holds the map, W, E and the gauge, read from the
+   decomposition alone.
 
-4. solve_params_*: invert the parameter identifications of the two
+3. solve_params_*: invert the parameter identifications of the two
    target potentials
 
      c1 (3r/2)^(2/3) + c2 (2/(3r))^(2/3) - 5/(36 r^2)      (cube root)
@@ -48,84 +45,25 @@ import numpy as np
 
 from .errors import (
     Inadmissible, InvalidParameter, MapNotClosedForm, NoAdmissibleRoot,
-    NonFiniteValue, NonIntegrableGauge, Unimplemented, require_finite,
+    NonFiniteValue, Unimplemented, require_finite,
 )
 from .expr import (
-    VAR, Add, Const, Exp, Expr, Mul, add, as_fraction, compose,
-    differentiate, evaluate, exp_, fun_, mul, pow_, power_terms, print_expr,
-    simplify,
+    VAR, Add, Const, Exp, Expr, Mul, add, compose, differentiate, evaluate,
+    exp_, mul, pow_, power_terms, print_expr, simplify,
 )
 from .families import FamilySpec, SigmaCase
-from .schrodinger import Provenance, SchrodingerSystem, wavefunction
+from .schrodinger import (
+    Provenance, SchrodingerSystem, potential_coefficients, rounded,
+    wavefunction,
+)
 
 __all__ = [
-    "SecondOrderODE", "EliminationResult", "TermDecomposition",
-    "SubstitutionResult", "eliminate_first_derivative",
-    "decompose", "substitute", "transformed_system", "solve_params_quantsys",
+    "TermDecomposition", "SubstitutionResult", "decompose", "substitute",
+    "transformed_system", "solve_params_quantsys",
     "solve_params_inverse_sqrt", "reproduce_dw", "boundary_ratio",
 ]
 
 INF = math.inf
-
-
-@dataclass(frozen=True)
-class SecondOrderODE:
-    """[A(r) d^2/dr^2 + B(r) d/dr + C(r)] psi = 0 with A nonvanishing."""
-
-    a: Expr
-    b: Expr
-    c: Expr
-
-
-@dataclass(frozen=True)
-class EliminationResult:
-    gauge: Expr                 # h(r) = exp(integral B/(2A))
-    normalized_potential: Expr  # Q(r); [d^2/dr^2 + Q](h psi) = 0
-
-
-def antiderivative_of_powers(e: Expr):
-    """Closed-form antiderivative of a sum of constant multiples of
-    rational powers of the variable (the 1/r term integrates to log r);
-    None when e is not of that shape."""
-    terms = power_terms(e)
-    if terms is None:
-        return None
-    parts = []
-    for q, c in terms.items():
-        if c == 0.0:
-            continue
-        if q == -1:
-            parts.append(mul(c, fun_("log", VAR)))
-        else:
-            parts.append(mul(c / float(q + 1), pow_(VAR, q + 1)))
-    return add(*parts) if parts else Const(0.0)
-
-
-def eliminate_first_derivative(ode: SecondOrderODE,
-                               antiderivative: Expr | None = None
-                               ) -> EliminationResult:
-    """Remove the first-order term by the gauge factor h = exp(int B/2A).
-
-    The integral is found symbolically for B/(2A) a sum of rational
-    powers of r; for anything else the caller must supply the
-    antiderivative or NonIntegrableGauge is raised.
-    """
-    g = mul(ode.b, pow_(mul(2, ode.a), -1))
-    primitive = antiderivative if antiderivative is not None \
-        else antiderivative_of_powers(g)
-    if primitive is None:
-        raise NonIntegrableGauge(
-            "no closed-form antiderivative for B/(2A); supply one")
-    # A, B, C and the antiderivative are the caller's trees, which may be
-    # raw node trees; the stored gauge and Q are in normal form
-    gauge = simplify(exp_(primitive))
-    da = differentiate(ode.a)
-    db = differentiate(ode.b)
-    q = simplify(mul(
-        add(mul(4, ode.a, ode.c), mul(-2, ode.a, db), mul(2, ode.b, da),
-            mul(-1, pow_(ode.b, 2))),
-        pow_(mul(4, pow_(ode.a, 2)), -1)))
-    return EliminationResult(gauge, q)
 
 
 @dataclass(frozen=True)
@@ -151,23 +89,24 @@ def decompose(family: FamilySpec, m: int, ell: int) -> TermDecomposition:
     """Term decomposition of the family's Schrodinger equation for V_m at
     the eigenvalue of degree ell.
 
-    Shipped for the constant-sigma (oscillator) case; the other five
-    families would need their own I/C tables.
+    At sigma = 1, V_m = const + (n0 + n1 x + n2 x^2)/16 exactly
+    (potential_coefficients), so C1 = n2/16, Cm1 = n1/16 and
+    C0 = const + n0/16 - lambda_ell with lambda_ell = -alpha ell, each
+    rounded once.  Shipped for the constant-sigma (oscillator) case only.
     """
     if family.sigma_case is not SigmaCase.ONE:
         raise Unimplemented(
             "term decomposition is only shipped for the sigma = 1 case")
-    al, be = family.alpha, family.beta
+    const, (n0, n1, n2) = potential_coefficients(family, m)
     return TermDecomposition(
-        i_plus=pow_(VAR, 2),
-        i_minus=VAR,
-        c_plus=(0.5 * al) * (0.5 * al),  # alpha^2 alone may overflow
-        c_minus=(0.5 * al) * be,
-        c_zero=(0.5 * be) * (0.5 * be) + al / 2.0 - al * m + al * ell)
+        i_plus=pow_(VAR, 2), i_minus=VAR,
+        c_plus=rounded(n2 / 16), c_minus=rounded(n1 / 16),
+        c_zero=rounded(const + n0 / 16 + family.exact[0] * ell))
 
 
-def _solve_monomial_map(i_map: Expr) -> Expr:
-    """Closed-form x(r) solving x' = 1/sqrt(i_map(x)) for i_map = x^p."""
+def _monomial_map(i_map: Expr) -> tuple:
+    """x(r) solving x' = 1/sqrt(i_map(x)) for i_map = x^p, as its two
+    stages x = u^(2/(p+2)) and u = ((p+2)/2) r."""
     terms = power_terms(i_map)
     if terms is None:
         raise MapNotClosedForm(
@@ -179,9 +118,8 @@ def _solve_monomial_map(i_map: Expr) -> Expr:
     if c != 1.0 or p == -2:
         raise MapNotClosedForm(
             "map solvable only for a monic monomial with exponent != -2")
-    # x^{p/2} dx = dr  =>  x = (((p+2)/2) r)^{2/(p+2)}
-    scale = as_fraction(p + 2) / 2
-    return pow_(mul(scale, VAR), 2 / as_fraction(p + 2))
+    # x^{p/2} dx = dr  =>  x = u^{2/(p+2)} with u = ((p+2)/2) r
+    return pow_(VAR, 2 / (p + 2)), mul((p + 2) / 2, VAR)
 
 
 @dataclass(frozen=True)
@@ -205,37 +143,35 @@ def substitute(dec: TermDecomposition, k: int,
     k = -1 keeps C_{-1}*I_{-1} and uses x' = 1/sqrt(I_{+1}).  For the
     oscillator decomposition these are x = (3r/2)^(2/3) and x = sqrt(2r)
     with corrections -5/(36 r^2) and -3/(16 r^2) respectively.  W is
-    (C_k I_k(x) + C0)/I(x) - (5/16) I'(x)^2/I(x)^3 + (1/4) I''(x)/I(x)^2
-    at x = x(r), I the map-defining term.  A non-finite coefficient of
-    W raises NonFiniteValue naming its term, a non-finite E
-    InvalidParameter.
+    (C_k I_k(x) + C0)/I(x) - (5/16) I'(x)^2/I(x)^3 + (1/4) I''(x)/I(x)^2,
+    I the map-defining term, formed in x and then mapped to r once: a
+    caller's x_of_r in one stage, the map of I = x^p in two,
+    x = u^(2/(p+2)) and u = ((p+2)/2) r, so that each coefficient takes
+    one power of (p+2)/2.  A non-finite coefficient of W raises
+    NonFiniteValue naming its term, a non-finite E InvalidParameter.
     """
     if k not in (1, -1):
         raise InvalidParameter("k must be +1 or -1")
     c_map, i_map = dec.term(-k)
     c_keep, i_keep = dec.term(k)
-    if x_of_r is None:
-        x_of_r = _solve_monomial_map(i_map)
-    else:  # a caller's x_of_r may be a raw node tree
-        x_of_r = simplify(x_of_r)
-    ix = compose(i_map, x_of_r)
-    inv = pow_(ix, -1)
-    d1x = compose(differentiate(i_map), x_of_r)
-    d2x = compose(differentiate(differentiate(i_map)), x_of_r)
-    w = add(
-        mul(c_keep, compose(i_keep, x_of_r), inv),
-        mul(dec.c_zero, inv),
-        mul(Fraction(-5, 16), pow_(d1x, 2), pow_(ix, -3)),
-        mul(Fraction(1, 4), d2x, pow_(ix, -2)),
-    )
+    # a caller's x_of_r may be a raw node tree
+    stages = _monomial_map(i_map) if x_of_r is None else (simplify(x_of_r),)
+    d1, inv = differentiate(i_map), pow_(i_map, -1)
+    w = add(mul(c_keep, i_keep, inv), mul(dec.c_zero, inv),
+            mul(Fraction(-5, 16), pow_(d1, 2), pow_(i_map, -3)),
+            mul(Fraction(1, 4), differentiate(d1), pow_(i_map, -2)))
+    x_of_r = VAR
+    for stage in stages:
+        w, x_of_r = compose(w, stage), compose(x_of_r, stage)
     for term in w.terms if isinstance(w, Add) else (w,):
         head = term.factors[0] if isinstance(term, Mul) else term
         if isinstance(head, Const) and not math.isfinite(head.value):
             raise NonFiniteValue(f"W has a non-finite coefficient in its "
                                  f"term {print_expr(term, 'r')}")
-    require_finite(("E", -c_map))
-    return SubstitutionResult(k, x_of_r, i_map, -c_map,
-                              pow_(ix, Fraction(1, 4)), w)
+    energy = 0.0 - c_map  # +0.0, not -0.0, where the coefficient is 0
+    require_finite(("E", energy))
+    gauge = pow_(compose(i_map, x_of_r), Fraction(1, 4))
+    return SubstitutionResult(k, x_of_r, i_map, energy, gauge, w)
 
 
 def transformed_system(family: FamilySpec, ell: int, m: int,

@@ -17,7 +17,6 @@ in an exact half-angle form, so V and Psi keep their digits at the ends.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -28,7 +27,7 @@ from .specfun import special_function
 
 __all__ = [
     "VariableMap", "Provenance", "SchrodingerSystem", "variable_map",
-    "potential", "wavefunction",
+    "potential", "potential_coefficients", "rounded", "wavefunction",
 ]
 
 INF = math.inf
@@ -111,33 +110,53 @@ class SchrodingerSystem:
         return self._only_pair()[1]
 
 
+def rounded(q) -> float:
+    """The nearest float to the fraction q, +-inf past the float range."""
+    try:
+        return float(q)
+    except OverflowError:
+        return INF if q > 0 else -INF
+
+
+def potential_coefficients(family: FamilySpec, m: int):
+    """V_m = const + (n0 + n1 s + n2 s^2)/(16 sigma(s)) in exact fractions:
+    (const, (n0, n1, n2)), where N_m = lead sigma + n0 + n1 s + n2 s^2
+    and const = c_m + lead/16.  With d = sigma' and t = tau,
+    N_m = (2m - 1)(2m - 3) d^2 + 8(m - 1) d t + 4 t^2."""
+    a, b, c = map(int, family.sigma_coeffs)  # each is 0 or +-1
+    fa, fb = family.exact
+    n = [4 * fb * fb, 8 * fa * fb, 4 * fa * fa]  # 4 t^2
+    if a or b:  # the d^2 and d t terms
+        p, q = (2 * m - 1) * (2 * m - 3), 8 * (m - 1)
+        n[0] += p * b * b + q * b * fb
+        n[1] += 4 * p * a * b + q * (2 * a * fb + b * fa)
+        n[2] += 4 * p * a * a + 2 * q * a * fa
+    const = (fa * (1 - 2 * m) - a * (1 + 2 * m * (m - 2))) / 2  # c_m
+    if a:
+        lead = n[2] / a
+        const += lead / 16
+        n = [nj - lead * qj for nj, qj in zip(n, (c, b, a))]
+    return const, tuple(n)
+
+
 def potential(family: FamilySpec, m: int, attach_ells=()) -> SchrodingerSystem:
     """The m-th potential as an expression in x, with eigenpairs
     (lambda_ell, Psi_{ell,m}) attached for the requested ell values; each
-    coefficient is exact until rounded once, so no residue cancels."""
+    coefficient of ``potential_coefficients`` is rounded once, so no
+    residue cancels."""
     check_degree(family, m, "m")
     vmap = variable_map(family)
-    a, b, c = map(Fraction, family.sigma_coeffs)
-    fa, fb = family.exact
-    def rounded(q):  # to the nearest float, +-inf past the float range
-        big = abs(q) > sys.float_info.max
-        return (INF if q > 0 else -INF) if big else float(q)
-    def n_at(s):  # N_m(s) at a rational s
-        ds, tau = 2 * a * s + b, fa * s + fb
-        return (ds - 2 * tau) * (3 * ds - 2 * tau) \
-            + 4 * m * (m - 2) * ds * ds + 8 * m * tau * ds
-    n0, n1, n_1 = n_at(0), n_at(1), n_at(-1)
-    coeffs = (n0, (n1 - n_1) / 2, (n1 + n_1) / 2 - n0)
-    lead = coeffs[2] / a if a else 0  # N_m = lead sigma + rem
+    const, n = potential_coefficients(family, m)
     if vmap.root_factors:  # N_m(r)/(16 sigma'(r)) over s - r = +-|s - r|
-        rest = [(n_at(r) / (32 * a * r) * (-1) ** (r > family.interval[0]),
-                 pow_(dist, -1)) for r, dist in vmap.root_factors]
+        a = int(family.sigma_coeffs[0])  # n2 is 0: sigma is quadratic
+        rest = [((n[0] + n[1] * r) / (32 * a * r)
+                 * (-1) ** (r > family.interval[0]), pow_(dist, -1))
+                for r, dist in vmap.root_factors]
     else:
-        rest = [((k - lead * q) / 16, compose(mul(
+        rest = [(nj / 16, compose(mul(
             pow_(VAR, j), pow_(family.sigma_expr, -1)), vmap.inverse))
-            for j, (k, q) in enumerate(zip(coeffs, (c, b, a)))]
-    v_x = add(rounded((fa - a) / 2 - m * (m - 2) * a - m * fa + lead / 16),
-              *(mul(rounded(k), term) for k, term in rest))
+            for j, nj in enumerate(n)]
+    v_x = add(rounded(const), *(mul(rounded(k), term) for k, term in rest))
     pairs = tuple((eigenvalue(family, ell), wavefunction(family, ell, m))
                   for ell in attach_ells)
     return SchrodingerSystem(v_x, vmap.image, pairs)

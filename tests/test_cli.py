@@ -816,7 +816,7 @@ _TRACEBACK_SEEDS = (
      "more than 100 nested parentheses (at position 100)"),
     (["reproduce-dw", "--theta", "1", "--rho", "0", "--lambda", "-1",
       "--which", "2", "--Ik", "x^1e200"],
-     "W has a non-finite coefficient in its term inf*r^(-2)"),
+     "W has a non-finite coefficient in its term inf*5e+199^(-2)*r^(-2)"),
 )
 
 # each printed a numpy RuntimeWarning ahead of its output: an overflow in

@@ -33,9 +33,9 @@ README_COMMANDS = [
 ]
 
 ACCEPTANCE_DIGEST = (
-    "ff42073e32b5e389b91989243f24409979789bbd941d4b3c66d0547c2af8e016")
+    "095faa577daf3982871a762494432be6899897384019ca12aff9eefcd4eae5d2")
 README_DIGEST = (
-    "5bdcdc7ccbc9e2770c4e008726bd1a62b674ca7ad8ae3e20ae49720fd54117d1")
+    "2f75eaeef9e4423490dcd346c18eac1dc86538e3c70d1a65bdc4539bb69ac938")
 
 _ELAPSED = re.compile(r"\d+\.\d+s \(cap \d+s\)")
 
@@ -104,7 +104,7 @@ CLI_COMMANDS = [
 ]
 
 CLI_DIGEST = (
-    "4fd27c5b7af4793082c0efa34117b650ae1b6838f88fc15f9626b0a22c961e45")
+    "1a2490714d4c8df7d120884b24f185ab8718f86946f3ed5a6398b246806eab15")
 
 
 

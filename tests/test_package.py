@@ -11,7 +11,7 @@ def test_every_error_is_exported():
     # could not be imported from the package
     found = {name for name, obj in vars(errors).items()
              if inspect.isclass(obj) and issubclass(obj, errors.SolvableError)}
-    assert len(found) == 19
+    assert len(found) == 18
     for name in found:
         assert name in solvable.__all__
         assert getattr(solvable, name) is getattr(errors, name)
