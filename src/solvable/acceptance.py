@@ -31,7 +31,9 @@ from .oracle import (
     integrate, residual_norm,
 )
 from .polynomials import phi, phi_rodrigues
-from .schrodinger import potential, variable_map, wavefunction
+from .schrodinger import (
+    potential, potential_coefficients, rounded, variable_map, wavefunction,
+)
 from .specfun import apply_hm, hm_operator, scalar_product, special_function
 
 __all__ = ["CriterionResult", "run_all", "CRITERIA", "ACCEPTANCE_FAMILIES",
@@ -66,8 +68,9 @@ def family_spectrum(fam, m, lo, hi, n_sub, e_max=None):
     """(i, E_numeric, nearest lambda_ell, |difference|) for each FD
     eigenvalue of V_m on [lo, hi] with n_sub subintervals below e_max;
     the closed forms are lambda_ell for the first 16 ell below the cutoff,
-    and e_max defaults to half a unit above the sixth of them.  The window
-    must lie strictly inside the family's x interval."""
+    and e_max defaults to half a unit above the sixth of them, or to the
+    edge of the continuum, V_m's limit as s -> +inf for quadratic sigma, if
+    lower.  The window must lie strictly inside the family's x interval."""
     system = potential(fam, m)
     a, b = system.interval
     if not (a < lo and hi < b):
@@ -79,6 +82,8 @@ def family_spectrum(fam, m, lo, hi, n_sub, e_max=None):
                 for ell in range(cutoff(fam).top_degree(15) + 1)]
     if e_max is None:
         e_max = analytic[min(5, len(analytic) - 1)] + 0.5
+        if fam.sigma_coeffs[0] and fam.interval[1] == math.inf:
+            e_max = min(e_max, rounded(potential_coefficients(fam, m)[0]))
     rows = []
     for i, e in enumerate(eigenvalues_below(ham, e_max)):
         nearest = min(analytic, key=lambda a: abs(a - e))

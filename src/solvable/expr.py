@@ -2,10 +2,10 @@
 
 Immutable trees over one variable with node kinds Const, Var, Add, Mul,
 Pow (rational exponent), Exp, and a small registry of named unary
-functions (sin, cosh, log, ...) needed by the closed-form changes of
-variable.  Supports symbolic differentiation, conservative
-simplification, substitution, parsing, printing, and pointwise
-evaluation on scalars or numpy arrays.
+functions (sin, cos, sinh, cosh and arctan for the variable maps and
+weights, log and arcsin for parsed input).  Supports symbolic
+differentiation, conservative simplification, substitution, parsing,
+printing, and pointwise evaluation on scalars or numpy arrays.
 
 Nodes never change after construction, so each one carries write-once
 caches of values that depend only on its structure: its hash (equal to
@@ -26,9 +26,9 @@ The normal form is deliberately conservative: sums and products are
 flattened, constants folded (unless the value would overflow, or a power
 underflow to zero), powers of structurally equal bases merged, integer
 powers of powers collapsed and exp factors combined.  Products are never
-expanded over sums and no domain is extended, so
-``evaluate(simplify(e), x) == evaluate(e, x)`` wherever both sides are
-defined.
+distributed over sums, exp(log u) is kept as written and no domain is
+extended, so ``evaluate(simplify(e), x) == evaluate(e, x)`` wherever
+both sides are defined.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ __all__ = [
     "VAR", "ZERO", "ONE",
     "as_expr", "as_fraction", "add", "mul", "pow_", "exp_", "fun_",
     "differentiate", "evaluate", "simplify", "compose",
-    "parse", "print_expr", "power_terms", "expand",
+    "parse", "print_expr", "power_terms",
     "QUIET", "power",
 ]
 
@@ -293,7 +293,7 @@ def pow_(base, exponent) -> Expr:
         c = base.value
         if c > 0 or (c != 0 and q.denominator == 1):
             try:
-                v = c ** float(q) if q.denominator > 1 else c ** int(q)
+                v = c ** float(q)
             except OverflowError:
                 return Pow(base, q)
             # a power that underflows stays symbolic too: folded to 0 it
@@ -329,25 +329,8 @@ def pow_(base, exponent) -> Expr:
 
 def exp_(arg) -> Expr:
     arg = as_expr(arg)
-    if isinstance(arg, Const):
-        if arg.value < 700.0:
-            return Const(math.exp(arg.value))
-        return Exp(arg)  # avoid folding to inf
-    # pull rational multiples of log(u) out as powers of u
-    terms = arg.terms if isinstance(arg, Add) else (arg,)
-    pows = []
-    rest = []
-    for t in terms:
-        c, core = _split_coeff(t)
-        if isinstance(core, Fun) and core.name == "log":
-            pows.append(pow_(core.arg, as_fraction(c)))
-        else:
-            rest.append(t)
-    if pows:
-        tail = add(*rest) if rest else ZERO
-        if isinstance(tail, Const) and tail.value == 0.0:
-            return mul(*pows)
-        return mul(*pows, exp_(tail))
+    if isinstance(arg, Const) and arg.value < 700.0:  # never fold to inf
+        return Const(math.exp(arg.value))
     return Exp(arg)
 
 
@@ -503,63 +486,25 @@ def compose(outer: Expr, inner) -> Expr:
 
 
 def simplify(e: Expr) -> Expr:
-    """Bottom-up rebuild through the normalizing constructors."""
+    """Bottom-up rebuild through the normalizing constructors.
+
+    >>> print_expr(simplify(Exp(Mul((Const(2.0), Fun("log", VAR))))))
+    'exp(2*log(x))'
+    """
     return compose(e, VAR)
 
 
-def expand(e: Expr) -> Expr:
-    """Distribute products over sums (and small positive integer powers
-    of sums); value-preserving, used where a sum-of-terms shape is
-    needed rather than for general simplification."""
-    return _expand(simplify(e))
-
-
-def _expand(e: Expr) -> Expr:
-    # e and every tree built here come from the constructors, so each is
-    # in normal form already
-    if isinstance(e, Add):
-        return add(*(_expand(t) for t in e.terms))
-    if isinstance(e, Mul):
-        factors = [_expand(f) for f in e.factors]
-        for i, f in enumerate(factors):
-            if isinstance(f, Add):
-                rest = factors[:i] + factors[i + 1:]
-                return add(*(_expand(mul(*rest, t)) for t in f.terms))
-        return mul(*factors)
-    if isinstance(e, Pow):
-        base = _expand(e.base)
-        q = e.exponent
-        if isinstance(base, Add) and q.denominator == 1 and 1 < q <= 6:
-            out = base
-            for _ in range(int(q) - 1):
-                # term by term: mul(out, base) folds back into a power
-                terms = out.terms if isinstance(out, Add) else (out,)
-                out = add(*(_expand(mul(t, u)) for t in terms
-                            for u in base.terms))
-            return out
-        return pow_(base, q)
-    if isinstance(e, Exp):
-        return exp_(_expand(e.arg))
-    if isinstance(e, Fun):
-        return fun_(e.name, _expand(e.arg))
-    return e
-
-
 def power_terms(e: Expr):
-    """Decompose a simplified expression as sum_q c_q * x^q.
+    """Read a normal-form expression as sum_q c_q * x^q.
 
     Returns ``{exponent: coefficient}`` with Fraction keys, or None if
-    any term is not a constant multiple of a pure power of the variable
-    (after distributing products over sums, where e is not such a sum
-    as it stands).
+    any term is not a constant multiple of a pure power of the variable.
+
+    >>> power_terms(parse("2*x^2 - 3*x + 4"))
+    {Fraction(0, 1): 4.0, Fraction(2, 1): 2.0, Fraction(1, 1): -3.0}
+    >>> power_terms(parse("(1 + x)^2")) is None
+    True
     """
-    out = _power_terms_direct(e)
-    if out is None:
-        out = _power_terms_direct(expand(e))
-    return out
-
-
-def _power_terms_direct(e: Expr):
     terms = e.terms if isinstance(e, Add) else (e,)
     out = {}
     for t in terms:

@@ -511,11 +511,9 @@ def _rows(ham):
     """The rows of ``ham``; NonFiniteValue names its first NaN entry, which
     would count as "not below" at every shift.
 
-    With every coupling equal the bracket is min/max(d_i -+ 2|o|), from
-    which the pinned uniform-mesh eigenvalues were bisected; otherwise it
-    is row-wise, min/max(d_i -+ (|o_(i-1)| + |o_i|)), since
-    on a graded mesh min(d) - 2 max|o| would sit near -1/h_0^2 and cost
-    dozens of extra bisection passes."""
+    The bracket is row-wise, min/max(d_i -+ (|o_(i-1)| + |o_i|)), on every
+    mesh: on a graded one min(d) - 2 max|o| would sit near -1/h_0^2 and
+    cost dozens of extra bisection passes."""
     diag, off = ham.diag, ham.off
     for name, values in (("diagonal", diag), ("off-diagonal", off)):
         nan = np.isnan(values)
@@ -530,13 +528,10 @@ def _rows(ham):
         if a.size and (off == off[0]).all():
             o2 = float(off[0]) * float(off[0])
             off2 = [o2] * a.size
-            bracket = (float(np.min(diag - 2.0 * a[0])),
-                       float(np.max(diag + 2.0 * a[0])))
         else:
             o2 = None
             off2 = (off * off).tolist()
-            bracket = (float(np.min(low)),
-                       float(np.max(diag + a_in + a_out)))
+        bracket = (float(np.min(low)), float(np.max(diag + a_in + a_out)))
     safe = (a == 0.0) | ((a >= _SAFE_OFF[0]) & (a <= _SAFE_OFF[1]))
     bound[~(np.isfinite(bound) & np.append(True, safe)
             & np.append(safe, True))] = -math.inf

@@ -219,6 +219,20 @@ class TestVerify:
         assert len(rows) >= 3
         assert max(float(row[3]) for row in rows) <= 5e-4
 
+    @pytest.mark.parametrize("m", ["0", "1", "2"])
+    def test_spectrum_family_default_emax_below_continuum(self, m):
+        # V_m tends to ((1 - alpha)/2)^2 = 12.425625 as s -> +inf, below
+        # lambda_3 + 0.5: above it the box holds continuum states
+        code, text = invoke(["verify", "spectrum", "--system", "family",
+                             "--case", "s^2", "--alpha", "-6.05",
+                             "--beta", "1.04", "--m", m, "--grid", "4000"])
+        assert code == 0
+        rows = [line.split(",") for line in text.strip().splitlines()[1:]]
+        assert rows
+        for row in rows:
+            assert float(row[1]) < 12.425625
+            assert float(row[3]) <= 5e-4
+
     @pytest.mark.parametrize("c1,c2,levels", [
         (1.5, 0.7, [0, 1, 2]),
         # n = 0, 1 are inadmissible; the first admissible level is n = 2
@@ -290,7 +304,16 @@ class TestReproduceDW:
         assert code == 1
         assert text == ""
         assert capsys.readouterr().err == (
-            "error: map-defining term must be a single monomial\n")
+            "error: cannot solve x' = 1/sqrt(I) for I = (1 + x)^2\n")
+
+    def test_exp_of_log_is_not_a_monomial(self, capsys):
+        code, text = invoke(["reproduce-dw", "--theta", "1", "--rho", "1",
+                             "--lambda", "1", "--which", "1",
+                             "--Ik", "exp(2*log(x))"])
+        assert code == 1
+        assert text == ""
+        assert capsys.readouterr().err == (
+            "error: cannot solve x' = 1/sqrt(I) for I = exp(2*log(x))\n")
 
     def test_family_flag_alias(self):
         code, text = invoke(["verify", "spectrum", "--family", "one",

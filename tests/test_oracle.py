@@ -645,17 +645,14 @@ def reference_counts(ham, shifts):
 def reference_eigenvalues_below(ham, e_max, rtol=1e-10):
     """Plain Sturm bisection, every midpoint counted by
     ``reference_counts``: the loop that ``eigenvalues_below`` replays,
-    kept here as its reference.  Its bracket runs from the Gershgorin
-    lower bound to e_max or, if lower, the Gershgorin upper bound: the
-    bounds d_i -+ 2|o| when every coupling o is equal, else row-wise."""
+    kept here as its reference.  Its bracket runs from the row-wise
+    Gershgorin lower bound to e_max or, if lower, the row-wise Gershgorin
+    upper bound."""
     k = int(reference_counts(ham, e_max)[0])
     if k == 0:
         return []
     a = np.abs(ham.off)
-    if a.size and np.all(ham.off == ham.off[0]):
-        a_in, a_out = 0.0, 2.0 * a[0]
-    else:
-        a_in, a_out = np.append(0.0, a), np.append(a, 0.0)
+    a_in, a_out = np.append(0.0, a), np.append(a, 0.0)
     lo0 = float(np.min(ham.diag - a_in - a_out))
     top = float(np.max(ham.diag + a_in + a_out))
     lo = np.full(k, lo0)
