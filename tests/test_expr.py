@@ -52,6 +52,8 @@ CORPUS = [
     mul(fun_("log", X), pow_(X, -1)),
     add(mul(3, pow_(X, Fraction(4, 3))), mul(-2, pow_(X, Fraction(1, 3)))),
     mul(add(X, 1), add(X, -1), X),
+    # (x^(1/2))^2 folds back to the variable (integer outer exponent)
+    pow_(pow_(X, Fraction(1, 2)), 2),
     exp_(fun_("log", X)),
 ]
 
