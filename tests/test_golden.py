@@ -8,6 +8,7 @@ seconds are stripped from the acceptance details; the README's
 ``README_COMMANDS`` must be the README's other examples, in its order.
 """
 
+import contextlib
 import hashlib
 import io
 import re
@@ -129,3 +130,55 @@ CUBEROOT_SPECTRUM_DIGEST = (
 def test_cuberoot_spectrum_commands_unchanged():
     assert commands_digest(CUBEROOT_SPECTRUM_COMMANDS) == \
         CUBEROOT_SPECTRUM_DIGEST
+
+
+# failing commands and refusals: exit status 1 with the violated constraint
+# on stderr, or exit status 0 with an "admissible": false entry.  One or more
+# per kind of failure the CLI can reach: inadmissible family parameters, an
+# order m above the degree, a negative base under a fractional power, a
+# map-defining term with no closed-form map, a non-rational or malformed
+# exponent, no admissible root of either generated system, a parameter
+# cubic degenerate at c1 = 0, no admissible cube-root level and an
+# orthogonality request with no pair of degrees
+ERROR_COMMANDS = [
+    "poly --case s^2-1 --alpha -7 --beta 1 --ell 1",
+    "families --alpha 1 --beta 1",
+    "eigenfunction --case one --alpha -2 --beta 0 --ell 1 --m 3",
+    "specfun eval --case 1-s^2 --alpha -5 --beta 1 --ell 2 --m 1 "
+    "--smin -2 --smax 0",
+    "reproduce-dw --theta 1 --rho 0 --lambda -1 --which 1 --Ik (1+x)^2",
+    "reproduce-dw --theta 1 --rho 0 --lambda -1 --which 1 --Ik x^(-2)",
+    "reproduce-dw --theta 1 --rho 0 --lambda -1 --which 2 --Ik exp(x)",
+    "reproduce-dw --theta 1 --rho 0 --lambda -1 --which 1 --Ik x^y",
+    "reproduce-dw --theta 1 --rho 0 --lambda -1 --which 1 --Ik x^(y)",
+    "reproduce-dw --theta 1 --rho 0 --lambda -1 --which 1 --Ik x^(1/y)",
+    "reproduce-dw --theta 1 --rho 0 --lambda -1 --which 1 --Ik x^(1/0)",
+    "verify residual --system sqrt --c1 0 --c2 1",
+    "verify residual --system sqrt --c1 1 --c2 3 --n 0 --branch +",
+    "verify residual --system cuberoot --c1 1 --c2 -5 --n 0",
+    "verify spectrum --system cuberoot --c1 1 --c2 -100 --grid 100",
+    "verify orthogonality --case s^2 --alpha -7 --beta 1 --m 3",
+    "generate --which sqrt --c1 -1 --c2 3 --n 0 --branch -",
+    "generate --which sqrt --c1 0 --c2 1 --n 0",
+    "generate --c1 1 --c2 -5 --n 1",
+    "solve-params --mode invsqrt --c1 0 --c2 1 --n 0",
+    "solve-params --mode quantsys --c1 1 --c2 -5 --n 0",
+]
+
+ERRORS_DIGEST = (
+    "68fbb7fa5749e8eda6a80911b7233458de7c9b970f9af5e95db80b38cb16db2d")
+
+
+def errors_digest(commands):
+    """Digest of each command with its exit status, stdout and stderr."""
+    h = hashlib.sha256()
+    for cmd in commands:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = run(cmd.split(), out)
+        h.update(f"{cmd}|{code}|{out.getvalue()}|{err.getvalue()}".encode())
+    return h.hexdigest()
+
+
+def test_error_commands_unchanged():
+    assert errors_digest(ERROR_COMMANDS) == ERRORS_DIGEST
