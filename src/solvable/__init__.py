@@ -24,11 +24,9 @@ Quick start
 """
 
 from .errors import (
-    BisectionNoConverge, DegenerateRecursion, DegreeBeyondCutoff, DomainError,
-    ExprSyntaxError, FamilyConstraintError, Inadmissible, InvalidParameter,
-    MapNotClosedForm, NoAdmissibleRoot, NonFiniteValue, NonRationalExponent,
-    OrderExceedsDegree, QuadratureNoConverge, SingularPoint, SolvableError,
-    Unimplemented, UnsupportedCorrespondence,
+    BisectionNoConverge, DegreeBeyondCutoff, DomainError, ExprSyntaxError,
+    Inadmissible, InvalidParameter, NonFiniteValue, QuadratureNoConverge,
+    SolvableError,
 )
 from .expr import (
     Expr, compose, differentiate, evaluate, parse, power_terms, print_expr,
@@ -62,15 +60,12 @@ from .oracle import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ALL_CASES", "BisectionNoConverge", "DegenerateRecursion",
-    "DegreeBeyondCutoff", "DomainError", "Expr", "ExprSyntaxError",
-    "FDHamiltonian", "FamilyConstraintError", "FamilyCutoff", "FamilySpec",
-    "HmOperator", "Inadmissible", "InvalidParameter", "MapNotClosedForm",
-    "NoAdmissibleRoot", "NonFiniteValue", "NonRationalExponent",
-    "OrderExceedsDegree", "Poly", "Provenance", "QuadratureNoConverge",
-    "SchrodingerSystem", "SigmaCase", "SingularPoint", "SolvableError",
-    "SpecialFunction", "TermDecomposition", "Unimplemented",
-    "UnsupportedCorrespondence", "VariableMap", "apply_hm", "classical_match",
+    "ALL_CASES", "BisectionNoConverge", "DegreeBeyondCutoff", "DomainError",
+    "Expr", "ExprSyntaxError", "FDHamiltonian", "FamilyCutoff", "FamilySpec",
+    "HmOperator", "Inadmissible", "InvalidParameter", "NonFiniteValue",
+    "Poly", "Provenance", "QuadratureNoConverge", "SchrodingerSystem",
+    "SigmaCase", "SolvableError", "SpecialFunction", "TermDecomposition",
+    "VariableMap", "apply_hm", "classical_match",
     "compose", "cutoff", "decompose", "differentiate", "eigenvalue",
     "eigenvalues_below", "evaluate", "fd_hamiltonian", "hermite_value",
     "hm_operator", "integrate", "jacobi_value", "laguerre_value", "parse",

@@ -23,7 +23,7 @@ from .errors import (
 from .expr import evaluate, power_terms, mul, pow_, exp_, VAR
 from .families import FamilySpec, SigmaCase, cutoff, eigenvalue, sample_points
 from .generator import (
-    boundary_ratio, reproduce_dw, solve_params_inverse_sqrt,
+    boundary_ratio, decompose, reproduce_dw, solve_params_inverse_sqrt,
     solve_params_quantsys,
 )
 from .oracle import (
@@ -70,7 +70,8 @@ def family_spectrum(fam, m, lo, hi, n_sub, e_max=None):
     the closed forms are lambda_ell for the first 16 ell below the cutoff,
     and e_max defaults to half a unit above the sixth of them, or to the
     edge of the continuum, V_m's limit as s -> +inf for quadratic sigma, if
-    lower.  The window must lie strictly inside the family's x interval."""
+    lower.  The window must lie strictly inside the family's x interval,
+    and some eigenvalue must lie below e_max."""
     system = potential(fam, m)
     a, b = system.interval
     if not (a < lo and hi < b):
@@ -88,6 +89,9 @@ def family_spectrum(fam, m, lo, hi, n_sub, e_max=None):
     for i, e in enumerate(eigenvalues_below(ham, e_max)):
         nearest = min(analytic, key=lambda a: abs(a - e))
         rows.append((i, e, nearest, abs(e - nearest)))
+    if not rows:
+        raise InvalidParameter(
+            f"no finite-difference eigenvalue lies below e_max={e_max:g}")
     return rows
 
 
@@ -242,9 +246,9 @@ def criterion_7_dw_reproduction():
 def criterion_8_cubic_round_trip():
     """(alpha=-2, beta=1, m=0, ell=3) -> (c1=-1, c2=-6.75) -> recover
     alpha=-2 within 1e-10 and E=-1 within 1e-12."""
-    alpha, beta, m, ell = -2.0, 1.0, 0, 3
-    c1 = alpha * beta / 2.0
-    c2 = beta ** 2 / 4.0 + alpha / 2.0 - alpha * m + alpha * ell
+    m, ell = 0, 3
+    dec = decompose(FamilySpec(SigmaCase.ONE, -2.0, 1.0), m, ell)
+    c1, c2 = dec.c_minus, dec.c_zero
     system = solve_params_inverse_sqrt(c1, c2, n=ell - m)
     got = system.provenance.alpha
     ok = (c1, c2) == (-1.0, -6.75) and abs(got + 2.0) <= 1e-10 \
@@ -263,7 +267,7 @@ def cuberoot_containment(c1, c2, e_max=None, lo=1e-3, hi=40.0, n_sub=8000):
     nearest E_n^+ of the cube-root potential on [lo, hi] with n_sub
     subintervals.  The levels are the first three admissible n < 16, or,
     given e_max, every admissible n < 16 with E_n^+ below it; Inadmissible
-    is raised when no n < 16 is admissible.
+    is raised when no n < 16 is admissible, or none has E_n^+ below e_max.
 
     Each closed-form eigenfunction carries its own admixture of the second
     indicial solution r^(5/6) at the limit-circle endpoint r = 0, so the
@@ -284,6 +288,9 @@ def cuberoot_containment(c1, c2, e_max=None, lo=1e-3, hi=40.0, n_sub=8000):
         levels = admissible[:3]
     else:
         levels = [(n, pair) for n, pair in admissible if pair.energy < e_max]
+        if not levels:
+            raise Inadmissible(f"no admissible level n < 16 has E_n^+ below "
+                               f"e_max={e_max:g} for c1={c1:g}, c2={c2:g}")
     grading = indicial_grading(CUBEROOT_GAMMA)
     r1 = fd_nodes(lo, hi, n_sub, grading)[1]
     found = []

@@ -20,8 +20,8 @@ import threading
 import numpy as np
 
 from .errors import (
-    Inadmissible, InvalidParameter, NoAdmissibleRoot, NonFiniteValue,
-    SolvableError, require_finite,
+    Inadmissible, InvalidParameter, NonFiniteValue, SolvableError,
+    require_finite,
 )
 from .expr import evaluate, parse, power_terms, print_expr
 from .families import (
@@ -233,12 +233,12 @@ def cmd_eigenfunction(args, out):
 def _generated_pair(which, c1, c2, n, branch):
     """The generated system on the branch: the cube-root eigenpair, or the
     inverse-sqrt system when its beta has the branch's sign; raises
-    Inadmissible or NoAdmissibleRoot when there is none."""
+    Inadmissible when there is none."""
     if which == "cuberoot":
         return solve_params_quantsys(c1, c2, n, branch)
     system = solve_params_inverse_sqrt(c1, c2, n)
     if system.provenance.branch != branch:
-        raise NoAdmissibleRoot(f"no root on branch {branch}")
+        raise Inadmissible(f"no root on branch {branch}")
     return system
 
 
@@ -246,7 +246,7 @@ def cmd_generate(args, out):
     try:
         pair = _generated_pair(args.which, args.c1, args.c2, args.n,
                                args.branch)
-    except (Inadmissible, NoAdmissibleRoot) as exc:
+    except Inadmissible as exc:
         emit_json({"admissible": False, "reason": str(exc)}, out)
         return 0
     prov = pair.provenance
@@ -279,7 +279,7 @@ def cmd_solve_params(args, out):
                             "energy": p.energy, "branch": prov.branch,
                             "degenerate": prov.degenerate,
                             "admissible": True})
-        except NoAdmissibleRoot as exc:
+        except Inadmissible as exc:
             entries.append({"admissible": False, "reason": str(exc)})
     emit_json(entries, out)
     return 0

@@ -1,4 +1,9 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package: one class per kind of
+failure, so no two classes name the same kind, and the message names the
+violated constraint.  The nine kinds are SolvableError (the base, which
+the CLI reports with exit status 1), InvalidParameter, ExprSyntaxError,
+DomainError, Inadmissible, DegreeBeyondCutoff, NonFiniteValue,
+QuadratureNoConverge and BisectionNoConverge."""
 
 import math
 
@@ -9,9 +14,9 @@ class SolvableError(Exception):
 
 class InvalidParameter(SolvableError, ValueError):
     """An argument lies outside the values the function accepts (a
-    non-positive c1, too few finite-difference subintervals, ...); the
-    message names the constraint.  Also a ValueError, so callers that
-    catch ValueError keep working."""
+    non-positive c1, an order m above the degree, a map-defining term with
+    no closed-form map, ...); the message names the constraint.  Also a
+    ValueError, so callers that catch ValueError keep working."""
 
 
 def require_finite(*named):
@@ -22,49 +27,22 @@ def require_finite(*named):
 
 
 class ExprSyntaxError(SolvableError):
-    """Malformed expression text; carries the offending position."""
+    """Malformed expression text, a non-rational exponent among it;
+    carries the offending position."""
 
     def __init__(self, message, position):
         super().__init__(f"{message} (at position {position})")
         self.position = position
 
 
-class NonRationalExponent(ExprSyntaxError):
-    """``^`` was not followed by a rational literal exponent."""
-
-
 class DomainError(SolvableError):
     """Evaluation outside the mathematical domain (negative fractional
-    power, pole, log of a non-positive value, ...)."""
-
-
-class FamilyConstraintError(SolvableError):
-    """Parameters violate the admissibility constraints of the chosen
-    weight family; the message names the violated constraint."""
-
-    def __init__(self, constraint, alpha, beta):
-        super().__init__(
-            f"inadmissible parameters alpha={alpha:g}, beta={beta:g}: "
-            f"requires {constraint}"
-        )
-        self.constraint = constraint
+    power, pole, log of a non-positive value, a singular point of an
+    operator or potential, ...)."""
 
 
 class DegreeBeyondCutoff(SolvableError):
     """Requested degree is at or beyond the square-integrability cutoff."""
-
-
-class DegenerateRecursion(SolvableError):
-    """A denominator of the coefficient recursion vanished, so the
-    polynomial of the requested degree is not determined by it."""
-
-
-class OrderExceedsDegree(SolvableError):
-    """Derivative order m exceeds the polynomial degree ell."""
-
-
-class SingularPoint(SolvableError):
-    """Operator or potential evaluated at a singular point."""
 
 
 class NonFiniteValue(SolvableError):
@@ -81,22 +59,7 @@ class BisectionNoConverge(SolvableError):
     pass limit."""
 
 
-class UnsupportedCorrespondence(SolvableError):
-    """No real-parameter classical counterpart for this family."""
-
-
-class MapNotClosedForm(SolvableError):
-    """The change of variable x'(r) = 1/sqrt(I(x)) has no closed form
-    within the expression IR."""
-
-
-class Unimplemented(SolvableError):
-    """Decomposition not shipped for this family case."""
-
-
 class Inadmissible(SolvableError):
-    """Closed-form eigenpair parameters violate the admissibility bound."""
-
-
-class NoAdmissibleRoot(SolvableError):
-    """The parameter cubic has no real root with alpha < 0."""
+    """Parameters violate an admissibility bound: a weight family's
+    constraint on alpha and beta, or a generated system's bound on its
+    eigenpair parameters; the message names the bound."""

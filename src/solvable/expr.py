@@ -39,7 +39,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DomainError, ExprSyntaxError, NonRationalExponent
+from .errors import DomainError, ExprSyntaxError
 
 __all__ = [
     "Expr", "Const", "Var", "Add", "Mul", "Pow", "Exp", "Fun",
@@ -677,15 +677,14 @@ def _parse_exponent(tk: _Tokenizer) -> Fraction:
             sign = -1
             kind, text, pos = tk.next()
         if kind != "num":
-            raise NonRationalExponent(
-                "exponent must be a rational literal", pos)
+            raise ExprSyntaxError("exponent must be a rational literal", pos)
         q = _parse_number(text, pos)
         kind, text, pos = tk.peek()
         if kind == "/":
             tk.next()
             kind, text, pos = tk.next()
             if kind != "num":
-                raise NonRationalExponent(
+                raise ExprSyntaxError(
                     "exponent denominator must be a number", pos)
             den = _parse_number(text, pos)
             if den == 0:
@@ -693,10 +692,9 @@ def _parse_exponent(tk: _Tokenizer) -> Fraction:
             q = q / den
         kind, text, pos = tk.next()
         if kind != ")":
-            raise NonRationalExponent(
-                "exponent must be a rational literal", pos)
+            raise ExprSyntaxError("exponent must be a rational literal", pos)
         return sign * q
-    raise NonRationalExponent("exponent must be a rational literal", pos)
+    raise ExprSyntaxError("exponent must be a rational literal", pos)
 
 
 def _parse_sum(tk):

@@ -24,8 +24,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (
-    DegreeBeyondCutoff, FamilyConstraintError, InvalidParameter,
-    require_finite,
+    DegreeBeyondCutoff, Inadmissible, InvalidParameter, require_finite,
 )
 from .expr import (
     QUIET, VAR, Expr, add, as_fraction, exp_, fun_, mul, pow_, power,
@@ -127,8 +126,10 @@ class FamilySpec:
         require_finite(("alpha", self.alpha), ("beta", self.beta))
         case = self.sigma_case
         if not _CASES[case].admissible(self.alpha, self.beta):
-            raise FamilyConstraintError(
-                f"case {case.value}: {case.constraint}", self.alpha, self.beta)
+            raise Inadmissible(
+                f"inadmissible parameters alpha={self.alpha:g}, "
+                f"beta={self.beta:g}: requires case {case.value}: "
+                f"{case.constraint}")
 
     @cached_property
     def exact(self) -> tuple[Fraction, Fraction]:

@@ -17,8 +17,9 @@ Pipeline, in order:
    and correction -3/(16 r^2)).  W is formed in x and mapped to r once.
    The transformed function (I(x(r)))^(1/4) Psi(x(r)) solves
    -u'' + W(r) u = E u with E = -(coefficient of the map-defining term);
-   the result holds the map, W, E and the gauge, read from the
-   decomposition alone.
+   the result is a SchrodingerSystem holding W and (E, None), with the
+   gauge and the map in its provenance, read from the decomposition
+   alone.
 
 3. solve_params_*: invert the parameter identifications of the two
    target potentials
@@ -44,8 +45,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import (
-    Inadmissible, InvalidParameter, MapNotClosedForm, NoAdmissibleRoot,
-    NonFiniteValue, Unimplemented, require_finite,
+    Inadmissible, InvalidParameter, NonFiniteValue, require_finite,
 )
 from .expr import (
     VAR, Add, Const, Exp, Expr, Mul, add, compose, differentiate, evaluate,
@@ -58,7 +58,7 @@ from .schrodinger import (
 )
 
 __all__ = [
-    "TermDecomposition", "SubstitutionResult", "decompose", "substitute",
+    "TermDecomposition", "decompose", "substitute",
     "transformed_system", "solve_params_quantsys",
     "solve_params_inverse_sqrt", "reproduce_dw", "boundary_ratio",
 ]
@@ -95,7 +95,7 @@ def decompose(family: FamilySpec, m: int, ell: int) -> TermDecomposition:
     rounded once.  Shipped for the constant-sigma (oscillator) case only.
     """
     if family.sigma_case is not SigmaCase.ONE:
-        raise Unimplemented(
+        raise InvalidParameter(
             "term decomposition is only shipped for the sigma = 1 case")
     const, (n0, n1, n2) = potential_coefficients(family, m)
     return TermDecomposition(
@@ -109,35 +109,25 @@ def _monomial_map(i_map: Expr) -> tuple:
     stages x = u^(2/(p+2)) and u = ((p+2)/2) r."""
     terms = power_terms(i_map)
     if terms is None:
-        raise MapNotClosedForm(
+        raise InvalidParameter(
             f"cannot solve x' = 1/sqrt(I) for I = {print_expr(i_map)}")
     live = {q: c for q, c in terms.items() if c != 0.0}
     if len(live) != 1:
-        raise MapNotClosedForm("map-defining term must be a single monomial")
+        raise InvalidParameter("map-defining term must be a single monomial")
     (p, c), = live.items()
     if c != 1.0 or p == -2:
-        raise MapNotClosedForm(
+        raise InvalidParameter(
             "map solvable only for a monic monomial with exponent != -2")
     # x^{p/2} dx = dr  =>  x = u^{2/(p+2)} with u = ((p+2)/2) r
     return pow_(VAR, 2 / (p + 2)), mul((p + 2) / 2, VAR)
 
 
-@dataclass(frozen=True)
-class SubstitutionResult:
-    """The map r -> x(r) with x'(r) = 1/sqrt(I(x(r))) for the map-defining
-    term, and the potential, energy and gauge it leaves."""
-
-    k: int                  # index of the SURVIVING term
-    x_of_r: Expr
-    i_map: Expr             # I_{-k}, the map-defining term
-    energy: float           # E = -(coefficient of the map-defining term)
-    gauge: Expr             # (I(x(r)))^{1/4}
-    potential: Expr         # W(r)
-
-
 def substitute(dec: TermDecomposition, k: int,
-               x_of_r: Expr | None = None) -> SubstitutionResult:
-    """Change of variable killing the index -k term.
+               x_of_r: Expr | None = None) -> SchrodingerSystem:
+    """Change of variable killing the index -k term: the system
+    -u'' + W(r) u = E u on (0, inf) with the one eigenpair (E, None),
+    E = -(coefficient of the map-defining term), and the gauge
+    (I(x(r)))^(1/4) and the map x(r) in its provenance.
 
     k = +1 keeps C1*I1 and uses the map solving x' = 1/sqrt(I_{-1});
     k = -1 keeps C_{-1}*I_{-1} and uses x' = 1/sqrt(I_{+1}).  For the
@@ -171,7 +161,8 @@ def substitute(dec: TermDecomposition, k: int,
     energy = 0.0 - c_map  # +0.0, not -0.0, where the coefficient is 0
     require_finite(("E", energy))
     gauge = pow_(compose(i_map, x_of_r), Fraction(1, 4))
-    return SubstitutionResult(k, x_of_r, i_map, energy, gauge, w)
+    return SchrodingerSystem(w, (0.0, INF), ((energy, None),),
+                             Provenance(gauge=gauge, x_of_r=x_of_r))
 
 
 def transformed_system(family: FamilySpec, ell: int, m: int,
@@ -182,13 +173,14 @@ def transformed_system(family: FamilySpec, ell: int, m: int,
     every product-rule term of psi'' a coefficient other than 1, which
     costs ``add`` a rebuilt core (a fifth of the residual's work)."""
     sub = substitute(decompose(family, m, ell), k)
-    psi = mul(sub.gauge, compose(wavefunction(family, ell, m), sub.x_of_r))
+    prov = sub.provenance
+    psi = mul(prov.gauge, compose(wavefunction(family, ell, m), prov.x_of_r))
     scale, *rest, env = psi.factors  # the gauge's power, Psi's exp
     if isinstance(scale, Const) and scale.value > 0 and isinstance(env, Exp):
         psi = mul(*rest, exp_(add(math.log(scale.value), env.arg)))
-    return SchrodingerSystem(
-        sub.potential, (0.0, INF), ((sub.energy, psi),),
-        Provenance(family.alpha, family.beta, gauge=sub.gauge))
+    return replace(sub, known_eigenpairs=((sub.energy, psi),),
+                   provenance=replace(prov, alpha=family.alpha,
+                                      beta=family.beta))
 
 
 def solve_params_quantsys(c1: float, c2: float, n: int,
@@ -269,7 +261,7 @@ def solve_params_inverse_sqrt(c1: float, c2: float,
     if degenerate:
         alpha, beta = c2 / (n + 0.5), 0.0
         if not alpha < 0.0:
-            raise NoAdmissibleRoot(
+            raise Inadmissible(
                 f"no real root with alpha < 0 for c1={c1:g}, c2={c2:g}, "
                 f"n={n}")
     else:
@@ -310,10 +302,8 @@ def reproduce_dw(theta: float, rho_coeff: float, lam: float, which: int,
     i_plus, i_minus = pow_(VAR, 2), VAR
     if i_map is not None:  # in place of the map-defining term I_{-k}
         i_plus, i_minus = (i_map, i_minus) if k == -1 else (i_plus, i_map)
-    sub = substitute(TermDecomposition(i_plus, i_minus, theta * theta,
-                                       rho_coeff, lam), k, x_of_r)
-    return SchrodingerSystem(sub.potential, (0.0, INF), ((sub.energy, None),),
-                             Provenance(gauge=sub.gauge))
+    return substitute(TermDecomposition(i_plus, i_minus, theta * theta,
+                                        rho_coeff, lam), k, x_of_r)
 
 
 def boundary_ratio(pair, r0: float, r1: float) -> float:

@@ -51,7 +51,7 @@ import numpy as np
 
 from .errors import (
     BisectionNoConverge, DomainError, InvalidParameter, NonFiniteValue,
-    QuadratureNoConverge, SingularPoint, require_finite,
+    QuadratureNoConverge, require_finite,
 )
 from .expr import Expr, differentiate, evaluate
 
@@ -798,15 +798,11 @@ def residual_grid(interval, n: int = 400):
 
 def residual(potential: Expr, lam: float, psi: Expr, x):
     """-psi''(x) + V(x) psi(x) - lam psi(x) at a point or an array of
-    points, with psi'' computed symbolically; raises SingularPoint where
+    points, with psi'' computed symbolically; raises DomainError where
     V or psi is undefined.  Like ``evaluate``, it lets inf * 0 pass as
     NaN without a warning."""
     psi2 = differentiate(differentiate(psi))
-    try:
-        pv = evaluate(psi, x)
-        d2, v = evaluate(psi2, x), evaluate(potential, x)
-    except DomainError as exc:
-        raise SingularPoint(str(exc)) from exc
+    pv, d2, v = evaluate(psi, x), evaluate(psi2, x), evaluate(potential, x)
     with np.errstate(over="ignore", invalid="ignore"):
         return -d2 + v * pv - lam * pv
 

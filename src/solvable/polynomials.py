@@ -12,9 +12,10 @@ tau = alpha s + beta, matching the coefficient of s^j gives
     D_j     = a (j (j-1) - ell (ell-1)) + alpha (j - ell)
 
 for j = ell-1 .. 0, which is an O(ell) exact construction.  D_j equals
-lambda_ell - lambda_j, so it can only vanish when two eigenvalues
-coincide; that degenerate case is surfaced as an error instead of
-silently returning a lower-degree solution.
+lambda_ell - lambda_j = (j - ell)(a (j + ell - 1) + alpha), which for
+j < ell vanishes only at alpha = -a (j + ell - 1): never for an admissible
+family, where alpha < 0 for a = 0 or a = -1 and ell < (1 - alpha)/2 for
+a = 1.
 
 An independent route to the same polynomials (up to normalization) is the
 Rodrigues construction (1/rho) d^ell/ds^ell [sigma^ell rho], computed here
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expr
-from .errors import DegenerateRecursion, UnsupportedCorrespondence
+from .errors import InvalidParameter
 from .expr import VAR, Expr, add, differentiate, evaluate, mul, pow_
 from .families import (
     FamilySpec, SigmaCase, check_degree, sample_window, weight,
@@ -66,30 +67,6 @@ class Poly:
             acc = acc * s + c
         return acc
 
-    def __add__(self, other):
-        other = other if isinstance(other, Poly) else Poly((float(other),))
-        n = max(len(self.coeffs), len(other.coeffs))
-        out = [0.0] * n
-        for i, c in enumerate(self.coeffs):
-            out[i] += c
-        for i, c in enumerate(other.coeffs):
-            out[i] += c
-        return Poly(tuple(out))
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return Poly(tuple(other * c for c in self.coeffs))
-        out = [0.0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Poly(tuple(out))
-
-    __rmul__ = __mul__
-
-    def __sub__(self, other):
-        return self + (-1.0) * other
-
     def deriv(self, order: int = 1) -> "Poly":
         cs = list(self.coeffs)
         for _ in range(order):
@@ -115,9 +92,6 @@ def phi(family: FamilySpec, ell: int) -> Poly:
     cs[ell] = 1.0
     for j in range(ell - 1, -1, -1):
         denom = a * (j * (j - 1) - ell * (ell - 1)) + alpha * (j - ell)
-        if denom == 0.0:
-            raise DegenerateRecursion(
-                f"eigenvalue collision at j={j} for ell={ell}")
         num = (b * j * (j + 1) + beta * (j + 1)) * cs[j + 1]
         if j + 2 <= ell:
             num += c * (j + 2) * (j + 1) * cs[j + 2]
@@ -213,7 +187,7 @@ def _classical_values(family: FamilySpec, ell: int, xs):
     if case is SigmaCase.S2:
         return (xs / be) ** ell * laguerre_value(
             ell, 1.0 - al - 2.0 * ell, be / xs)
-    raise UnsupportedCorrespondence(
+    raise InvalidParameter(
         "the s^2+1 case maps to Jacobi polynomials with complex parameters")
 
 

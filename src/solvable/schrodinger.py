@@ -70,13 +70,15 @@ def variable_map(family: FamilySpec) -> VariableMap:
 class Provenance:
     """The parameters a generated system came from: the oscillator's
     alpha and beta, the branch (the sign of beta), whether the parameter
-    cubic degenerated (c1 = 0), and the gauge factor of the transform."""
+    cubic degenerated (c1 = 0), and the gauge factor and the map x(r) of
+    the transform."""
 
     alpha: float | None = None
     beta: float | None = None
     branch: str | None = None
     degenerate: bool = False
     gauge: Expr | None = None
+    x_of_r: Expr | None = None
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ and it satisfies H_m F_{ell,m} = lambda_ell F_{ell,m} with the operator
           - m(m-2)/2 sigma'' - m tau'.
 
 The multiplication part has a genuine pole where sigma vanishes (the
-interval endpoints); evaluating there raises SingularPoint.  For each
+interval endpoints); evaluating there raises DomainError.  For each
 fixed m the functions with different ell are orthogonal under the
 weighted scalar product <f, g> = integral f g rho ds.
 """
@@ -25,9 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    DomainError, InvalidParameter, OrderExceedsDegree, SingularPoint,
-)
+from .errors import DomainError, InvalidParameter
 from .expr import Expr, add, differentiate, evaluate, mul, pow_
 from .families import FamilySpec, weight_function
 from .oracle import _as_array_function, integrate
@@ -75,7 +73,7 @@ def special_function(family: FamilySpec, ell: int, m: int) -> SpecialFunction:
     if not 0 <= m:
         raise InvalidParameter("m must be a nonnegative integer")
     if m > ell:
-        raise OrderExceedsDegree(f"m={m} exceeds ell={ell}")
+        raise InvalidParameter(f"m={m} exceeds ell={ell}")
     return SpecialFunction(family, ell, m, phi(family, ell).deriv(m))
 
 
@@ -110,7 +108,7 @@ def apply_hm(op: HmOperator, f, s):
     differences.  f may be an Expr or a SpecialFunction; s may be a
     scalar or an array."""
     if np.any(np.asarray(op.family.sigma(s)) == 0.0):
-        raise SingularPoint(f"sigma vanishes at s={s}")
+        raise DomainError(f"sigma vanishes at s={s}")
     if isinstance(f, SpecialFunction):
         f = f.expr
     d1 = differentiate(f)

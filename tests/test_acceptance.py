@@ -56,7 +56,8 @@ class TestCuberootContainment:
         # E_n^+ = 2 sqrt(1 + 2n): 2, 3.46, 4.47, ...
         rows = cuberoot_containment(1.0, 0.0, 4.0, n_sub=500)
         assert [n for n, _, _ in rows] == [0, 1]
-        assert cuberoot_containment(1.0, 0.0, 1.0, n_sub=500) == []
+        with pytest.raises(Inadmissible, match="below e_max=1 "):
+            cuberoot_containment(1.0, 0.0, 1.0, n_sub=500)
 
     def test_no_admissible_level_raises(self):
         with pytest.raises(Inadmissible, match="no level n < 16"):

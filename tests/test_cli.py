@@ -393,6 +393,21 @@ class TestInvalidParameters:
         assert text == ""
         assert constraint in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv,stderr", [
+        # E_0^+ = 2 exactly
+        (["verify", "spectrum", "--system", "cuberoot", "--c1", "1", "--c2",
+          "0", "--emax", "2", "--grid", "100"],
+         "error: no admissible level n < 16 has E_n^+ below e_max=2 for "
+         "c1=1, c2=0\n"),
+        (["verify", "spectrum", "--family", "one", "--alpha", "-2", "--beta",
+          "0", "--emax", "-1", "--grid", "100"],
+         "error: no finite-difference eigenvalue lies below e_max=-1\n"),
+    ], ids=["cuberoot", "family"])
+    def test_nothing_below_emax(self, argv, stderr, capsys):
+        # these printed the header line alone and exited 0
+        code, text = invoke(argv)
+        assert (code, text, capsys.readouterr().err) == (1, "", stderr)
+
     def test_nan_rows_print_only_the_error_line(self):
         # in a fresh interpreter, so a numpy RuntimeWarning would reach
         # stderr ahead of the error line

@@ -6,9 +6,7 @@ import numpy as np
 import pytest
 
 from solvable.acceptance import ACCEPTANCE_FAMILIES
-from solvable.errors import (
-    DegreeBeyondCutoff, DomainError, FamilyConstraintError,
-)
+from solvable.errors import DegreeBeyondCutoff, DomainError, Inadmissible
 from solvable.expr import as_fraction, differentiate, evaluate, mul, parse
 from solvable.families import (
     ALL_CASES, FamilySpec, SigmaCase, cutoff, eigenvalue, sample_points,
@@ -64,11 +62,11 @@ class TestConstraints:
         (SigmaCase.S2_PLUS_1, 0.0, 1.0),
     ])
     def test_violations_rejected(self, case, alpha, beta):
-        with pytest.raises(FamilyConstraintError):
+        with pytest.raises(Inadmissible):
             FamilySpec(case, alpha, beta)
 
     def test_violation_names_constraint(self):
-        with pytest.raises(FamilyConstraintError, match="-beta < alpha < 0"):
+        with pytest.raises(Inadmissible, match="-beta < alpha < 0"):
             FamilySpec(SigmaCase.S2_MINUS_1, -3.0, 1.0)
 
 

@@ -1,5 +1,6 @@
 """Golden outputs: digests of the acceptance detail lines, of the stdout
-of the README's command-line examples and of further CLI commands.
+of the README's command-line examples and of further CLI commands, and of
+the exit status, stdout and stderr of failing and refused commands.
 
 The digests pin the exact bytes, so a change to how expressions are built,
 cached or simplified that alters any printed digit shows here.  Elapsed

@@ -13,7 +13,7 @@ from scipy.linalg import eigh_tridiagonal
 from solvable import FamilySpec, SigmaCase, acceptance, specfun
 from solvable.errors import (
     BisectionNoConverge, DomainError, InvalidParameter, NonFiniteValue,
-    QuadratureNoConverge, SingularPoint,
+    QuadratureNoConverge,
 )
 from solvable.expr import evaluate, parse
 from solvable.schrodinger import potential, variable_map, wavefunction
@@ -561,7 +561,7 @@ class TestResidual:
             math.exp(-0.5))
 
     def test_singular_point_raises(self):
-        with pytest.raises(SingularPoint):
+        with pytest.raises(DomainError):
             residual(parse("1/x"), 0.0, parse("x"), 0.0)
 
 

@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.polynomial.polynomial import polyadd, polymul
 
-from solvable.errors import (
-    DegreeBeyondCutoff, InvalidParameter, UnsupportedCorrespondence,
-)
+from solvable.errors import DegreeBeyondCutoff, InvalidParameter
 from solvable.expr import evaluate
 from solvable.families import (
     ALL_CASES, FamilySpec, SigmaCase, cutoff, eigenvalue, sample_points,
@@ -25,12 +28,6 @@ class TestPoly:
     def test_eval_horner(self):
         p = Poly((1.0, -3.0, 2.0))
         assert p(2.0) == 1.0 - 6.0 + 8.0
-
-    def test_arithmetic(self):
-        p = Poly((1.0, 1.0))
-        q = Poly((-1.0, 1.0))
-        assert (p * q).coeffs == (-1.0, 0.0, 1.0)
-        assert (p + q).coeffs == (0.0, 2.0)
 
     def test_derivative_drops_degree_by_one(self):
         p = Poly((5.0, 0.0, 3.0, 7.0))
@@ -77,14 +74,45 @@ class TestPhi:
         cap = cutoff(fam)
         top = min(cap.max_degree if cap.max_degree is not None else 8, 8)
         a, b, c = fam.sigma_coeffs
-        sigma = Poly((c, b, a))
-        tau = Poly((fam.beta, fam.alpha))
+        sigma = (c, b, a)
+        tau = (fam.beta, fam.alpha)
         for ell in range(top + 1):
             p = phi(fam, ell)
             lam = eigenvalue(fam, ell)
-            res = sigma * p.deriv(2) + tau * p.deriv() + lam * p
+            res = polyadd(polyadd(polymul(sigma, p.deriv(2).coeffs),
+                                  polymul(tau, p.deriv().coeffs)),
+                          lam * np.array(p.coeffs))
             bound = 1e-10 * (1.0 + max(abs(x) for x in p.coeffs))
-            assert all(abs(x) <= bound for x in res.coeffs)
+            assert all(abs(x) <= bound for x in res)
+
+    # the recursion's denominator (j - ell)(a (j + ell - 1) + alpha) is
+    # nonzero for j < ell below the cutoff, even at alpha one ulp from the
+    # integers where it could vanish for a = 1
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(case=st.sampled_from((SigmaCase.S2_MINUS_1, SigmaCase.S2,
+                                 SigmaCase.S2_PLUS_1)),
+           k=st.integers(1, 9), step=st.sampled_from((-1, 0, 1)))
+    def test_denominator_nonzero_below_cutoff(self, case, k, step):
+        alpha = float(-k)
+        if step:
+            alpha = math.nextafter(alpha, step * math.inf)
+        fam = FamilySpec(case, alpha, k + 2.0)  # admissible for all three
+        top = cutoff(fam).max_degree
+        for ell in range(top + 1):
+            p = phi(fam, ell)
+            assert p.degree == ell
+            assert all(map(math.isfinite, p.coeffs))
+        with pytest.raises(DegreeBeyondCutoff):
+            phi(fam, top + 1)
+
+    @pytest.mark.parametrize("case,beta", [
+        (SigmaCase.ONE, 1.0), (SigmaCase.S, 1.0),
+        (SigmaCase.ONE_MINUS_S2, 0.0)])
+    def test_denominator_nonzero_at_tiniest_alpha(self, case, beta):
+        # alpha * (j - ell) is a nonzero subnormal, never 0.0
+        fam = FamilySpec(case, -5e-324, beta)
+        for ell in range(9):
+            assert phi(fam, ell).degree == ell
 
     @pytest.mark.parametrize("case", ALL_CASES)
     def test_exact_degree(self, case):
@@ -136,7 +164,7 @@ class TestClassicalRecurrences:
     def test_hermite_poly_coefficients(self):
         # the sigma = 1 wavefunction's H_n is 2^n times phi of tau = -2s
         def hermite(n):
-            return 2.0 ** n * phi(_HERMITE, n)
+            return Poly(tuple(2.0 ** n * c for c in phi(_HERMITE, n).coeffs))
 
         assert hermite(0).coeffs == (1.0,)
         assert hermite(2).coeffs == (-2.0, 0.0, 4.0)
@@ -192,5 +220,5 @@ class TestClassicalMatch:
 
     def test_complex_parameter_case_rejected(self):
         fam = make(SigmaCase.S2_PLUS_1)
-        with pytest.raises(UnsupportedCorrespondence):
+        with pytest.raises(InvalidParameter, match="complex parameters"):
             classical_match(fam, 1)

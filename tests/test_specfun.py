@@ -5,9 +5,7 @@ import pytest
 
 from solvable import expr, families, oracle, specfun
 from solvable.acceptance import ACCEPTANCE_FAMILIES
-from solvable.errors import (
-    DegreeBeyondCutoff, DomainError, OrderExceedsDegree, SingularPoint,
-)
+from solvable.errors import DegreeBeyondCutoff, DomainError, InvalidParameter
 from solvable.expr import ZERO, Const
 from solvable.families import (
     ALL_CASES, FamilySpec, SigmaCase, cutoff, eigenvalue, sample_points,
@@ -46,7 +44,7 @@ class TestSpecialFunction:
 
     def test_order_exceeds_degree(self):
         fam = FamilySpec(SigmaCase.ONE, -2.0, 0.0)
-        with pytest.raises(OrderExceedsDegree):
+        with pytest.raises(InvalidParameter, match="m=2 exceeds ell=1"):
             special_function(fam, 1, 2)
 
     def test_beyond_cutoff(self):
@@ -105,7 +103,7 @@ class TestHmOperator:
         fam = make(SigmaCase.S)
         op = hm_operator(fam, 1)
         sf = special_function(fam, 1, 1)
-        with pytest.raises(SingularPoint):
+        with pytest.raises(DomainError, match="sigma vanishes"):
             apply_hm(op, sf, 0.0)
 
     @pytest.mark.parametrize("case", ALL_CASES)
