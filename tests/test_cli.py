@@ -404,7 +404,7 @@ class TestInvalidParameters:
          "error: no finite-difference eigenvalue lies below e_max=-1\n"),
     ], ids=["cuberoot", "family"])
     def test_nothing_below_emax(self, argv, stderr, capsys):
-        # these printed the header line alone and exited 0
+        # a header line alone would read as a spectrum without levels
         code, text = invoke(argv)
         assert (code, text, capsys.readouterr().err) == (1, "", stderr)
 

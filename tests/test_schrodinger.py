@@ -19,8 +19,8 @@ from solvable.families import (
     weight,
 )
 from solvable.generator import (
-    reproduce_dw, solve_params_inverse_sqrt, solve_params_quantsys,
-    transformed_system,
+    decompose, reproduce_dw, solve_params_inverse_sqrt,
+    solve_params_quantsys, substitute, transformed_system,
 )
 from solvable.oracle import (
     eigenvalues_below, fd_hamiltonian, integrate, residual, residual_norm,
@@ -52,6 +52,9 @@ def interior_points(family, n):
 # each constructor's systems, with one known eigenpair apiece
 CONSTRUCTORS = {
     "potential": lambda: [potential(make(SigmaCase.S), 0, attach_ells=(0,))],
+    "substitute": lambda: [
+        substitute(decompose(FamilySpec(SigmaCase.ONE, -1.7, 0.9), 1, 2), k)
+        for k in (1, -1)],
     "transformed_system": lambda: [
         transformed_system(FamilySpec(SigmaCase.ONE, -1.7, 0.9), 2, 1, 1)],
     "reproduce_dw": lambda: [reproduce_dw(1.0, 0.0, -1.0, which=1)],
