@@ -3,7 +3,9 @@ of the README's command-line examples and of further CLI commands, and of
 the exit status, stdout and stderr of failing and refused commands.
 
 The digests pin the exact bytes, so a change to how expressions are built,
-cached or simplified that alters any printed digit shows here.  Elapsed
+cached or simplified that alters any printed digit shows here.  The
+outputs of the benchmark's first ``spectrum`` tasks are pinned the same
+way, through ``perfbench/`` imported read-only.  Elapsed
 seconds are stripped from the acceptance details; the README's
 ``acceptance`` example is covered by the criteria themselves.
 ``README_COMMANDS`` must be the README's other examples, in its order.
@@ -13,12 +15,18 @@ import contextlib
 import hashlib
 import io
 import re
+import sys
 from pathlib import Path
 
 from solvable.acceptance import CRITERIA
 from solvable.cli import run
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+import layers  # noqa: E402
+import workloads  # noqa: E402
 
 README_COMMANDS = [
     "families --alpha -7 --beta 1",
@@ -183,3 +191,20 @@ def errors_digest(commands):
 
 def test_error_commands_unchanged():
     assert errors_digest(ERROR_COMMANDS) == ERRORS_DIGEST
+
+
+# the outputs of the first 40 tasks of the benchmark's spectrum workload
+# (seed 7, the measured stream): eigenvalues from the library path and the
+# ``verify spectrum`` table, at grids 2000, 3000 and 4000
+SPECTRUM_TASKS = 40
+SPECTRUM_TASKS_DIGEST = (
+    "8b01748f1418266697dbb5677337e2068678c2e8c9ad7ed34d5192b69d560c16")
+
+
+def test_spectrum_task_outputs_unchanged():
+    make_task = workloads.WORKLOADS["spectrum"][0]
+    plain = layers.plain()
+    outputs = [make_task(7, workloads.MEASURE, index).run(plain)
+               for index in range(SPECTRUM_TASKS)]
+    digest = hashlib.sha256(repr(outputs).encode()).hexdigest()
+    assert digest == SPECTRUM_TASKS_DIGEST
