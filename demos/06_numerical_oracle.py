@@ -7,9 +7,7 @@ import math
 
 import numpy as np
 
-from solvable import (
-    eigenvalues_below, fd_hamiltonian, integrate, richardson_eigenvalues,
-)
+from solvable import eigenvalues_below, fd_hamiltonian, integrate
 from solvable.oracle import sturm_count
 
 print("quadrature against closed forms:")
@@ -41,8 +39,16 @@ for e in (0.5, 2.0, 5.0, 10.0):
 print()
 
 print("harmonic oscillator x^2 - 1: raw vs Richardson-extrapolated")
-fine, coarse, extrap = richardson_eigenvalues(
-    lambda x: x * x - 1.0, -10.0, 10.0, 2000, 7.0)
-for ell, (f_, e_) in enumerate(zip(fine, extrap)):
+
+
+def oscillator_levels(n):
+    return eigenvalues_below(
+        fd_hamiltonian(lambda x: x * x - 1.0, -10.0, 10.0, n), 7.0)
+
+
+fine, coarse = oscillator_levels(2000), oscillator_levels(1000)
+# the FD error falls as h^2, so (4 E_h - E_2h) / 3 cancels its leading term
+for ell, (f_, c_) in enumerate(zip(fine, coarse)):
+    e_ = (4.0 * f_ - c_) / 3.0
     print(f"  ell={ell}: raw {f_:.8f}  extrapolated {e_:.8f}  "
           f"(exact {2 * ell})")

@@ -54,7 +54,7 @@ from .generator import (
 )
 from .oracle import (
     FDHamiltonian, eigenvalues_below, fd_hamiltonian, integrate, residual,
-    residual_norm, richardson_eigenvalues,
+    residual_norm,
 )
 
 __version__ = "0.1.0"
@@ -70,9 +70,8 @@ __all__ = [
     "eigenvalues_below", "evaluate", "fd_hamiltonian", "hermite_value",
     "hm_operator", "integrate", "jacobi_value", "laguerre_value", "parse",
     "phi", "phi_rodrigues", "potential", "power_terms", "print_expr",
-    "reproduce_dw", "residual", "residual_norm", "richardson_eigenvalues",
-    "scalar_product", "simplify", "solve_params_inverse_sqrt",
-    "solve_params_quantsys", "special_function", "substitute",
-    "transformed_system", "variable_map", "wavefunction", "weight",
-    "weight_function",
+    "reproduce_dw", "residual", "residual_norm", "scalar_product",
+    "simplify", "solve_params_inverse_sqrt", "solve_params_quantsys",
+    "special_function", "substitute", "transformed_system", "variable_map",
+    "wavefunction", "weight", "weight_function",
 ]
