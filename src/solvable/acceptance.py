@@ -23,8 +23,7 @@ from .errors import (
 from .expr import evaluate, power_terms, mul, pow_, exp_, VAR
 from .families import FamilySpec, SigmaCase, cutoff, eigenvalue, sample_points
 from .generator import (
-    boundary_ratio, decompose, reproduce_dw, solve_params_inverse_sqrt,
-    solve_params_quantsys,
+    decompose, reproduce_dw, solve_params_inverse_sqrt, solve_params_quantsys,
 )
 from .oracle import (
     eigenvalues_below, fd_hamiltonian, fd_nodes, indicial_grading,
@@ -37,7 +36,8 @@ from .schrodinger import (
 from .specfun import apply_hm, hm_operator, scalar_product, special_function
 
 __all__ = ["CriterionResult", "run_all", "CRITERIA", "ACCEPTANCE_FAMILIES",
-           "cuberoot_containment", "family_spectrum", "orthogonality_rows"]
+           "boundary_ratio", "cuberoot_containment", "family_spectrum",
+           "orthogonality_rows"]
 
 # representative admissible parameters per family; the s^2-1 row is run
 # at beta = 10 because -beta < alpha < 0 fails for the nominal beta = 1
@@ -260,6 +260,15 @@ def criterion_8_cubic_round_trip():
 # psi ~ r^(1/6) at r -> 0: gamma (gamma - 1) = -5/36 is the coefficient of
 # the cube-root potential's r^-2 term, whatever c1 and c2
 CUBEROOT_GAMMA = 1.0 / 6.0
+
+
+def boundary_ratio(pair, r0: float, r1: float) -> float:
+    """psi(r0)/psi(r1) for matching a finite-difference wall to the known
+    near-origin behavior of a closed-form eigenfunction; NaN or +-inf,
+    without a warning, where psi overflows or vanishes at r1."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return float(np.divide(evaluate(pair.psi, r0),
+                               evaluate(pair.psi, r1)))
 
 
 def cuberoot_containment(c1, c2, e_max=None, lo=1e-3, hi=40.0, n_sub=8000):

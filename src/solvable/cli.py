@@ -179,16 +179,19 @@ def _require_finite_options(args, *names):
                      if getattr(args, name) is not None))
 
 
+def _window(args, lo_name, hi_name, default):
+    """The window of the options lo_name and hi_name, each end not given
+    taken from the (lo, hi) pair ``default``."""
+    _require_finite_options(args, lo_name, hi_name)
+    lo, hi = getattr(args, lo_name), getattr(args, hi_name)
+    return default[0] if lo is None else lo, default[1] if hi is None else hi
+
+
 def cmd_specfun(args, out):
     fam = _family_from(args)
     sf = special_function(fam, args.ell, args.m)
-    _require_finite_options(args, "smin", "smax")
-    lo, hi = args.smin, args.smax
-    if lo is None or hi is None:
-        wlo, whi = sample_window(fam)
-        lo = wlo if lo is None else lo
-        hi = whi if hi is None else hi
-    grid = np.linspace(lo, hi, args.grid)
+    grid = np.linspace(*_window(args, "smin", "smax", sample_window(fam)),
+                       args.grid)
     # emit_csv names a value that overflowed or turned NaN
     with np.errstate(over="ignore", invalid="ignore"):
         rows = [(s, sf(s)) for s in grid]
@@ -196,22 +199,11 @@ def cmd_specfun(args, out):
     return 0
 
 
-def _x_window(args, interval):
-    _require_finite_options(args, "xmin", "xmax")
-    lo = args.xmin
-    hi = args.xmax
-    if lo is None or hi is None:
-        g = residual_grid(interval, 2)
-        lo = g[0] if lo is None else lo
-        hi = g[-1] if hi is None else hi
-    return lo, hi
-
-
 def _tabulate(e, args, interval):
     """(x, e(x)) rows on the --grid points of the x window; an e that
     folded to a constant gives one number, repeated on every row."""
-    lo, hi = _x_window(args, interval)
-    grid = np.linspace(lo, hi, args.grid)
+    grid = np.linspace(*_window(args, "xmin", "xmax",
+                                residual_grid(interval, 2)), args.grid)
     return zip(grid, np.broadcast_to(evaluate(e, grid), grid.shape))
 
 
@@ -303,7 +295,8 @@ def cmd_verify_residual(args, out):
 def cmd_verify_spectrum(args, out):
     if args.system == "family":
         fam = _family_from(args)
-        lo, hi = _x_window(args, variable_map(fam).image)
+        lo, hi = _window(args, "xmin", "xmax",
+                         residual_grid(variable_map(fam).image, 2))
         rows = acceptance_mod.family_spectrum(fam, args.m, lo, hi, args.grid,
                                               args.emax)
     else:

@@ -5,7 +5,9 @@ Pow (rational exponent), Exp, and a small registry of named unary
 functions (sin, cos, sinh, cosh and arctan for the variable maps and
 weights, log and arcsin for parsed input).  Supports symbolic
 differentiation, conservative simplification, substitution, parsing,
-printing, and pointwise evaluation on scalars or numpy arrays.
+printing, and pointwise evaluation on scalars or numpy arrays;
+``as_function`` turns an Expr into the function of an array that the
+numerical oracle and the scalar product call, and passes a callable on.
 
 Nodes never change after construction, so each one carries write-once
 caches of values that depend only on its structure: its hash (equal to
@@ -45,7 +47,7 @@ __all__ = [
     "Expr", "Const", "Var", "Add", "Mul", "Pow", "Exp", "Fun",
     "VAR", "ZERO", "ONE",
     "as_expr", "as_fraction", "add", "mul", "pow_", "exp_", "fun_",
-    "differentiate", "evaluate", "simplify", "compose",
+    "differentiate", "evaluate", "as_function", "simplify", "compose",
     "parse", "print_expr", "power_terms",
     "QUIET", "power",
 ]
@@ -403,6 +405,14 @@ def evaluate(e: Expr, value):
     """
     with np.errstate(**QUIET):
         return _eval(e, value)
+
+
+def as_function(f):
+    """An Expr as a function of an array; a callable as it is, so it must
+    take an array of points."""
+    if isinstance(f, Expr):
+        return lambda xs: evaluate(f, xs)
+    return f
 
 
 def _eval(e, x):

@@ -42,14 +42,12 @@ import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import (
     Inadmissible, InvalidParameter, NonFiniteValue, require_finite,
 )
 from .expr import (
-    VAR, Add, Const, Exp, Expr, Mul, add, compose, differentiate, evaluate,
-    exp_, mul, pow_, power_terms, print_expr, simplify,
+    VAR, Add, Const, Exp, Expr, Mul, add, compose, differentiate, exp_, mul,
+    pow_, power_terms, print_expr, simplify,
 )
 from .families import FamilySpec, SigmaCase
 from .schrodinger import (
@@ -60,7 +58,7 @@ from .schrodinger import (
 __all__ = [
     "TermDecomposition", "decompose", "substitute",
     "transformed_system", "solve_params_quantsys",
-    "solve_params_inverse_sqrt", "reproduce_dw", "boundary_ratio",
+    "solve_params_inverse_sqrt", "reproduce_dw",
 ]
 
 INF = math.inf
@@ -76,13 +74,6 @@ class TermDecomposition:
     c_plus: float           # C_{+1}(alpha, beta, m)
     c_minus: float          # C_{-1}(alpha, beta, m)
     c_zero: float           # C_0(alpha, beta, m, ell)
-
-    def term(self, k: int):
-        if k == 1:
-            return self.c_plus, self.i_plus
-        if k == -1:
-            return self.c_minus, self.i_minus
-        raise InvalidParameter("k must be +1 or -1")
 
 
 def decompose(family: FamilySpec, m: int, ell: int) -> TermDecomposition:
@@ -142,8 +133,8 @@ def substitute(dec: TermDecomposition, k: int,
     """
     if k not in (1, -1):
         raise InvalidParameter("k must be +1 or -1")
-    c_map, i_map = dec.term(-k)
-    c_keep, i_keep = dec.term(k)
+    pairs = (dec.c_plus, dec.i_plus), (dec.c_minus, dec.i_minus)
+    (c_keep, i_keep), (c_map, i_map) = pairs if k == 1 else pairs[::-1]
     # a caller's x_of_r may be a raw node tree
     stages = _monomial_map(i_map) if x_of_r is None else (simplify(x_of_r),)
     d1, inv = differentiate(i_map), pow_(i_map, -1)
@@ -304,12 +295,3 @@ def reproduce_dw(theta: float, rho_coeff: float, lam: float, which: int,
         i_plus, i_minus = (i_map, i_minus) if k == -1 else (i_plus, i_map)
     return substitute(TermDecomposition(i_plus, i_minus, theta * theta,
                                         rho_coeff, lam), k, x_of_r)
-
-
-def boundary_ratio(pair, r0: float, r1: float) -> float:
-    """psi(r0)/psi(r1) for matching a finite-difference wall to the known
-    near-origin behavior of a closed-form eigenfunction; NaN or +-inf,
-    without a warning, where psi overflows or vanishes at r1."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return float(np.divide(evaluate(pair.psi, r0),
-                               evaluate(pair.psi, r1)))

@@ -55,7 +55,7 @@ from .errors import (
     BisectionNoConverge, DomainError, InvalidParameter, NonFiniteValue,
     QuadratureNoConverge, require_finite,
 )
-from .expr import Expr, differentiate, evaluate
+from .expr import Expr, as_function, differentiate, evaluate
 
 __all__ = [
     "QuadResult", "integrate", "FDHamiltonian", "fd_nodes", "fd_hamiltonian",
@@ -68,14 +68,6 @@ _GL8 = np.polynomial.legendre.leggauss(8)
 _NODES = np.concatenate([_GL16[0], _GL8[0]])  # of one panel on [-1, 1]
 # refinement stops once the panels hold this many nodes
 _MAX_NODES = 1 << 20
-
-
-def _as_array_function(f):
-    """An Expr as a function of an array; a callable as it is, so it must
-    take an array of points."""
-    if isinstance(f, Expr):
-        return lambda xs: evaluate(f, xs)
-    return f
 
 
 def _panels(f, bounds):
@@ -254,7 +246,7 @@ def integrate(f, interval, tol: float = 1e-10) -> QuadResult:
     allowed.
     """
     lo, hi = float(interval[0]), float(interval[1])
-    heap = _PanelHeap(_as_array_function(f))
+    heap = _PanelHeap(as_function(f))
 
     if math.isinf(lo) and math.isinf(hi):
         core = (-1.0, 1.0)
@@ -450,7 +442,7 @@ def fd_hamiltonian(potential, x_lo: float, x_hi: float, n: int,
             f"mesh spacing {h_max:g} is too large: its square overflows")
     require_finite(("left_ratio", left_ratio))
     grid = nodes[1:-1]
-    v = np.broadcast_to(np.asarray(_as_array_function(potential)(grid),
+    v = np.broadcast_to(np.asarray(as_function(potential)(grid),
                                    dtype=float), grid.shape)
     finite = np.isfinite(v)
     if not finite.all():

@@ -26,15 +26,17 @@ their three-term recurrences.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import expr
-from .errors import InvalidParameter
-from .expr import VAR, Expr, add, differentiate, evaluate, mul, pow_
+from .errors import InvalidParameter, NonFiniteValue
+from .expr import (
+    VAR, ZERO, Const, Expr, add, differentiate, evaluate, mul, pow_,
+)
 from .families import (
-    FamilySpec, SigmaCase, check_degree, sample_window, weight,
+    FamilySpec, SigmaCase, check_degree, sample_points, sample_window, weight,
 )
 
 __all__ = [
@@ -79,12 +81,15 @@ class Poly:
         for j, c in enumerate(self.coeffs):
             if c == 0.0:
                 continue
-            terms.append(mul(c, pow_(at, j)) if j else expr.Const(c))
-        return add(*terms) if terms else expr.ZERO
+            terms.append(mul(c, pow_(at, j)) if j else Const(c))
+        return add(*terms) if terms else ZERO
 
 
 def phi(family: FamilySpec, ell: int) -> Poly:
-    """Monic degree-ell polynomial solution of the family equation."""
+    """Monic degree-ell polynomial solution of the family equation.
+
+    Raises NonFiniteValue at the first coefficient that is NaN or
+    infinite, as when alpha is so near 0 that D_j is subnormal."""
     check_degree(family, ell)
     a, b, c = family.sigma_coeffs
     alpha, beta = family.alpha, family.beta
@@ -96,6 +101,10 @@ def phi(family: FamilySpec, ell: int) -> Poly:
         if j + 2 <= ell:
             num += c * (j + 2) * (j + 1) * cs[j + 2]
         cs[j] = -num / denom
+        if not math.isfinite(cs[j]):
+            raise NonFiniteValue(
+                f"coefficient c_{j} of phi at ell={ell} is {cs[j]:g} for "
+                f"alpha={alpha:g}, beta={beta:g}")
     return Poly(tuple(cs))
 
 
@@ -195,7 +204,7 @@ def classical_match(family: FamilySpec, ell: int) -> MatchReport:
     """Fit the single constant relating phi() to the classical
     Hermite/Laguerre/Jacobi counterpart; report the residual."""
     p = phi(family, ell)
-    xs = np.linspace(*sample_window(family), 50)
+    xs = sample_points(family, 50)
     ours = p(xs)
     theirs = _classical_values(family, ell, xs)
     constant = float(np.dot(theirs, ours) / np.dot(ours, ours))

@@ -26,9 +26,9 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError, InvalidParameter
-from .expr import Expr, add, differentiate, evaluate, mul, pow_
+from .expr import Expr, add, as_function, differentiate, evaluate, mul, pow_
 from .families import FamilySpec, weight_function
-from .oracle import _as_array_function, integrate
+from .oracle import integrate
 from .polynomials import Poly, phi
 
 __all__ = [
@@ -134,12 +134,12 @@ def scalar_product(family: FamilySpec, f, g):
     as they would on their own.
     """
     rho = weight_function(family)
-    fc = _as_array_function(f)
+    fc = as_function(f)
     if g is f:
         def integrand(s):
             v = fc(s)
             return v * v * rho(s)
     else:
-        gc = _as_array_function(g)
+        gc = as_function(g)
         integrand = lambda s: fc(s) * gc(s) * rho(s)
     return integrate(integrand, family.interval, 1e-9).value

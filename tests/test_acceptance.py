@@ -17,8 +17,12 @@ from collections import Counter
 import pytest
 
 from solvable import acceptance
-from solvable.acceptance import CRITERIA, CriterionResult, cuberoot_containment
+from solvable.acceptance import (
+    CRITERIA, CriterionResult, boundary_ratio, cuberoot_containment,
+)
 from solvable.errors import Inadmissible
+from solvable.expr import evaluate
+from solvable.generator import solve_params_quantsys
 
 
 @pytest.mark.parametrize(
@@ -62,3 +66,10 @@ class TestCuberootContainment:
     def test_no_admissible_level_raises(self):
         with pytest.raises(Inadmissible, match="no level n < 16"):
             cuberoot_containment(1.0, -100.0)
+
+    def test_boundary_ratio_matches_model(self):
+        p = solve_params_quantsys(1.0, 0.0, 0, "+")
+        r0, r1 = 1e-3, 2e-3
+        got = boundary_ratio(p, r0, r1)
+        assert got == pytest.approx(
+            evaluate(p.psi, r0) / evaluate(p.psi, r1), rel=1e-14)

@@ -19,8 +19,8 @@ from solvable.expr import (
 )
 from solvable.families import FamilySpec, SigmaCase
 from solvable.generator import (
-    boundary_ratio, decompose, reproduce_dw, solve_params_inverse_sqrt,
-    solve_params_quantsys, substitute, transformed_system,
+    decompose, reproduce_dw, solve_params_inverse_sqrt, solve_params_quantsys,
+    substitute, transformed_system,
 )
 from solvable.oracle import integrate, residual_norm
 from solvable.schrodinger import potential as family_potential
@@ -123,7 +123,7 @@ class TestSubstitute:
         # x'(r) = 1/sqrt(I(x(r))) for the map-defining term
         for k in (+1, -1):
             x_of_r = substitute(dec, k).provenance.x_of_r
-            _, i_map = dec.term(-k)
+            i_map = dec.i_minus if k == 1 else dec.i_plus
             dx = simplify(differentiate(x_of_r))
             for r in np.linspace(0.05, 10, 100):
                 ix = evaluate(i_map, evaluate(x_of_r, r))
@@ -502,10 +502,3 @@ class TestTargetPotentials:
         assert t[Fraction(-1, 2)] == pytest.approx(3.0 / math.sqrt(2.0))
         assert t[Fraction(-1)] == pytest.approx(-0.5)
         assert t[Fraction(-2)] == pytest.approx(-3.0 / 16.0)
-
-    def test_boundary_ratio_matches_model(self):
-        p = solve_params_quantsys(1.0, 0.0, 0, "+")
-        r0, r1 = 1e-3, 2e-3
-        got = boundary_ratio(p, r0, r1)
-        assert got == pytest.approx(
-            evaluate(p.psi, r0) / evaluate(p.psi, r1), rel=1e-14)

@@ -15,7 +15,7 @@ from solvable.errors import (
     BisectionNoConverge, DomainError, InvalidParameter, NonFiniteValue,
     QuadratureNoConverge,
 )
-from solvable.expr import evaluate, parse
+from solvable.expr import as_function, evaluate, parse
 from solvable.schrodinger import potential, variable_map, wavefunction
 from solvable import oracle
 from solvable.oracle import (
@@ -263,7 +263,7 @@ class TestIntegratePinned:
 def _recording_integrate(records):
     """``integrate`` that appends (result, points f got) to ``records``."""
     def wrapped(f, interval, tol=1e-10, **kwargs):
-        f = oracle._as_array_function(f)
+        f = as_function(f)
         points = [0]
 
         def counted(s):

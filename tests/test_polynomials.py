@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial.polynomial import polyadd, polymul
 
-from solvable.errors import DegreeBeyondCutoff, InvalidParameter
+from solvable.errors import (
+    DegreeBeyondCutoff, InvalidParameter, NonFiniteValue,
+)
 from solvable.expr import evaluate
 from solvable.families import (
     ALL_CASES, FamilySpec, SigmaCase, cutoff, eigenvalue, sample_points,
@@ -109,10 +111,32 @@ class TestPhi:
         (SigmaCase.ONE, 1.0), (SigmaCase.S, 1.0),
         (SigmaCase.ONE_MINUS_S2, 0.0)])
     def test_denominator_nonzero_at_tiniest_alpha(self, case, beta):
-        # alpha * (j - ell) is a nonzero subnormal, never 0.0
+        # alpha * (j - ell) is a nonzero subnormal, never 0.0: each degree
+        # is finite and exact, or refused as non-finite
         fam = FamilySpec(case, -5e-324, beta)
         for ell in range(9):
-            assert phi(fam, ell).degree == ell
+            try:
+                p = phi(fam, ell)
+            except NonFiniteValue:
+                continue
+            assert p.degree == ell
+            assert all(map(math.isfinite, p.coeffs))
+
+    @pytest.mark.parametrize("case", [SigmaCase.ONE, SigmaCase.S])
+    def test_non_finite_coefficient_raises(self, case):
+        # dividing by alpha (j - ell) overflows c_{ell-1} to -inf from
+        # ell = 1 on; phi names it rather than return a Poly of inf/NaN
+        fam = FamilySpec(case, -5e-324, 1.0)
+        for ell in range(1, 9):
+            with pytest.raises(NonFiniteValue, match=(
+                    rf"^coefficient c_{ell - 1} of phi at ell={ell} is -inf "
+                    rf"for alpha=-4.94066e-324, beta=1$")):
+                phi(fam, ell)
+
+    def test_tiniest_alpha_stays_finite_on_one_minus_s2(self):
+        fam = FamilySpec(SigmaCase.ONE_MINUS_S2, -5e-324, 0.0)
+        for ell in range(9):
+            assert all(map(math.isfinite, phi(fam, ell).coeffs))
 
     @pytest.mark.parametrize("case", ALL_CASES)
     def test_exact_degree(self, case):
