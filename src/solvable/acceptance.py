@@ -153,9 +153,10 @@ def criterion_3_rodrigues():
 
 
 def orthogonality_rows(fam, m, top):
-    """(ell, k, inner_s, inner_x) for m <= ell < k <= top: the inner
-    product of F_{ell,m} and F_{k,m} under the weight in s and of
-    Psi_{ell,m} and Psi_{k,m} in x, both divided by the norms in s."""
+    """(ell, k, inner_s, inner_x, route_gap) for m <= ell < k <= top: the
+    inner product of F_{ell,m} and F_{k,m} under the weight in s and of
+    Psi_{ell,m} and Psi_{k,m} in x, both divided by the norms in s, and
+    |inner_s - inner_x|."""
     ells = range(m, top + 1)
     fns = {ell: special_function(fam, ell, m) for ell in ells}
     norms = {ell: math.sqrt(scalar_product(fam, f, f))
@@ -176,7 +177,7 @@ def orthogonality_rows(fam, m, top):
             inner_x = integrate(
                 lambda x: evaluate(pe, x) * evaluate(pk, x) / scale,
                 image, 1e-9).value
-            rows.append((ell, k, inner_s, inner_x))
+            rows.append((ell, k, inner_s, inner_x, abs(inner_s - inner_x)))
     return rows
 
 
@@ -188,9 +189,9 @@ def criterion_4_orthogonality():
     for fam in _families():
         top = cutoff(fam).top_degree(6)
         for m in range(min(3, top) + 1):
-            for _, _, inner_s, inner_x in orthogonality_rows(fam, m, top):
+            for *_, inner_s, inner_x, gap in orthogonality_rows(fam, m, top):
                 worst_inner = max(worst_inner, abs(inner_s), abs(inner_x))
-                worst_gap = max(worst_gap, abs(inner_s - inner_x))
+                worst_gap = max(worst_gap, gap)
     ok = worst_inner <= 1e-8 and worst_gap <= 1e-8
     return ok, (f"worst normalized inner product {worst_inner:.2e}, "
                 f"route disagreement {worst_gap:.2e} (tol 1e-8)")
@@ -257,11 +258,6 @@ def criterion_8_cubic_round_trip():
                 f"E={system.energy:.12g}")
 
 
-# psi ~ r^(1/6) at r -> 0: gamma (gamma - 1) = -5/36 is the coefficient of
-# the cube-root potential's r^-2 term, whatever c1 and c2
-CUBEROOT_GAMMA = 1.0 / 6.0
-
-
 def boundary_ratio(pair, r0: float, r1: float) -> float:
     """psi(r0)/psi(r1) for matching a finite-difference wall to the known
     near-origin behavior of a closed-form eigenfunction; NaN or +-inf,
@@ -272,17 +268,20 @@ def boundary_ratio(pair, r0: float, r1: float) -> float:
 
 
 def cuberoot_containment(c1, c2, e_max=None, lo=1e-3, hi=40.0, n_sub=8000):
-    """(n, E_numeric, E_n^+) for each chosen level n: the FD eigenvalue
-    nearest E_n^+ of the cube-root potential on [lo, hi] with n_sub
-    subintervals.  The levels are the first three admissible n < 16, or,
-    given e_max, every admissible n < 16 with E_n^+ below it; Inadmissible
-    is raised when no n < 16 is admissible, or none has E_n^+ below e_max.
+    """(n, E_numeric, E_n^+, |difference|) for each chosen level n, with
+    E_numeric the FD eigenvalue nearest E_n^+ of the cube-root potential
+    on [lo, hi] with n_sub subintervals.  The levels are the first three
+    admissible n < 16, or, given e_max, every admissible n < 16 with E_n^+
+    below it; Inadmissible is raised when no n < 16 is admissible, or none
+    has E_n^+ below e_max.
 
     Each closed-form eigenfunction carries its own admixture of the second
     indicial solution r^(5/6) at the limit-circle endpoint r = 0, so the
     E_n^+ are not the spectrum of one self-adjoint extension: level n gets
     its own matched wall u_0 = (psi_n(r_0)/psi_n(r_1)) u_1.  The mesh is
-    graded toward the r^(1/6) cusp by ``indicial_grading``.
+    graded toward the cusp psi ~ r^gamma by ``indicial_grading``'s
+    p = 4/(1 + gamma), with gamma read off the level's gauge
+    (I(x(r)))^(1/4) = const * r^gamma: 1/6, so p = 24/7.
     """
     admissible = []
     for n in range(16):
@@ -300,7 +299,8 @@ def cuberoot_containment(c1, c2, e_max=None, lo=1e-3, hi=40.0, n_sub=8000):
         if not levels:
             raise Inadmissible(f"no admissible level n < 16 has E_n^+ below "
                                f"e_max={e_max:g} for c1={c1:g}, c2={c2:g}")
-    grading = indicial_grading(CUBEROOT_GAMMA)
+    (gamma,) = power_terms(levels[0][1].provenance.gauge)
+    grading = indicial_grading(float(gamma))
     r1 = fd_nodes(lo, hi, n_sub, grading)[1]
     found = []
     for n, pair in levels:
@@ -310,7 +310,7 @@ def cuberoot_containment(c1, c2, e_max=None, lo=1e-3, hi=40.0, n_sub=8000):
         spectrum = eigenvalues_below(ham, pair.energy + 1.5)
         nearest = min(spectrum, key=lambda e: abs(e - pair.energy),
                       default=math.nan)
-        found.append((n, nearest, pair.energy))
+        found.append((n, nearest, pair.energy, abs(nearest - pair.energy)))
     return found
 
 
@@ -318,8 +318,7 @@ def criterion_9_fd_containment():
     """FD spectrum on [1e-3, 40], N=8000 contains E_n^+ within 2e-3 for
     n = 0..2, each level under its own wall matched to psi_n, on a mesh
     graded toward the r^(1/6) cusp at r = 0."""
-    errs = [abs(e - want)
-            for _, e, want in cuberoot_containment(1.0, 0.0)]
+    errs = [err for *_, err in cuberoot_containment(1.0, 0.0)]
     ok = all(e <= 2e-3 for e in errs)
     return ok, ("containment errors " + ", ".join(f"{e:.2e}" for e in errs)
                 + " (tol 2e-3; per-level matched walls, graded mesh)")

@@ -306,10 +306,8 @@ def cmd_verify_spectrum(args, out):
         window = {name: v for name, v in (("lo", args.xmin),
                                           ("hi", args.xmax))
                   if v is not None}
-        rows = [(n, e, want, abs(e - want))
-                for n, e, want in acceptance_mod.cuberoot_containment(
-                    args.c1, args.c2, args.emax, n_sub=args.grid,
-                    **window)]
+        rows = acceptance_mod.cuberoot_containment(
+            args.c1, args.c2, args.emax, n_sub=args.grid, **window)
     emit_csv(("index", "E_numeric", "E_analytic", "abs_err"), rows, out)
     return 0
 
@@ -321,10 +319,8 @@ def cmd_verify_orthogonality(args, out):
         raise InvalidParameter(
             f"need m < min(lmax, L) for a pair m <= ell < k, got m={args.m}, "
             f"min(lmax, L)={top}")
-    rows = [(ell, k, inner_s, inner_x, abs(inner_s - inner_x))
-            for ell, k, inner_s, inner_x
-            in acceptance_mod.orthogonality_rows(fam, args.m, top)]
-    emit_csv(("ell", "k", "inner_s", "inner_x", "route_gap"), rows, out)
+    emit_csv(("ell", "k", "inner_s", "inner_x", "route_gap"),
+             acceptance_mod.orthogonality_rows(fam, args.m, top), out)
     return 0
 
 

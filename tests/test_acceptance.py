@@ -8,7 +8,8 @@ limit-circle endpoint r=0, so they do not belong to a single self-adjoint
 extension: each level n gets its own wall matched to psi_n.  A uniform
 three-point grid cannot resolve the r^(1/6) cusp (errors near 1e-1 for a
 plain potential, near 1e-2 with the indicial-fitted stencil); the mesh is
-graded toward r=0 by ``indicial_grading(1/6)``, see ``solvable.oracle``.
+graded toward r=0 by ``indicial_grading``, with gamma = 1/6 read off each
+level's gauge, see ``solvable.oracle``.
 """
 
 import dataclasses
@@ -53,13 +54,13 @@ class TestCuberootContainment:
         monkeypatch.setattr(acceptance, "solve_params_quantsys", counting)
         rows = cuberoot_containment(1.0, -5.0, n_sub=500)
         # n = 0, 1 are inadmissible; the first three admissible follow
-        assert [n for n, _, _ in rows] == [2, 3, 4]
+        assert [n for n, *_ in rows] == [2, 3, 4]
         assert set(solved.values()) == {1}
 
     def test_e_max_chooses_the_levels_below_it(self):
         # E_n^+ = 2 sqrt(1 + 2n): 2, 3.46, 4.47, ...
         rows = cuberoot_containment(1.0, 0.0, 4.0, n_sub=500)
-        assert [n for n, _, _ in rows] == [0, 1]
+        assert [n for n, *_ in rows] == [0, 1]
         with pytest.raises(Inadmissible, match="below e_max=1 "):
             cuberoot_containment(1.0, 0.0, 1.0, n_sub=500)
 

@@ -16,9 +16,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from solvable import cli
+from solvable import acceptance, cli
 from solvable.cli import run
 from solvable.expr import _MAX_NESTING
+from solvable.families import FamilySpec, SigmaCase
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -247,6 +248,28 @@ class TestVerify:
         assert [int(row[0]) for row in rows] == levels
         for row in rows:
             assert float(row[3]) <= 2e-3
+
+    @pytest.mark.parametrize("argv,header,routine", [
+        ("verify spectrum --system family --case one --alpha -2 --beta 0 "
+         "--m 0 --xmin -8 --xmax 8 --grid 400",
+         ("index", "E_numeric", "E_analytic", "abs_err"),
+         lambda: acceptance.family_spectrum(
+             FamilySpec(SigmaCase.ONE, -2.0, 0.0), 0, -8.0, 8.0, 400)),
+        ("verify spectrum --system cuberoot --c1 1 --c2 0 --emax 4 "
+         "--grid 500",
+         ("index", "E_numeric", "E_analytic", "abs_err"),
+         lambda: acceptance.cuberoot_containment(1.0, 0.0, 4.0, n_sub=500)),
+        ("verify orthogonality --case s --alpha -1 --beta 2 --m 0 "
+         "--lmax 2",
+         ("ell", "k", "inner_s", "inner_x", "route_gap"),
+         lambda: acceptance.orthogonality_rows(
+             FamilySpec(SigmaCase.S, -1.0, 2.0), 0, 2)),
+    ], ids=["family", "cuberoot", "orthogonality"])
+    def test_table_is_its_routines_rows(self, argv, header, routine):
+        # the command writes the routine's rows as returned, every column
+        want = io.StringIO()
+        cli.emit_csv(header, routine(), want)
+        assert invoke(argv.split()) == (0, want.getvalue())
 
     def test_residual_family(self):
         code, text = invoke(["verify", "residual", "--system", "family",

@@ -22,7 +22,7 @@ from solvable.generator import (
     decompose, reproduce_dw, solve_params_inverse_sqrt, solve_params_quantsys,
     substitute, transformed_system,
 )
-from solvable.oracle import integrate, residual_norm
+from solvable.oracle import indicial_grading, integrate, residual_norm
 from solvable.schrodinger import potential as family_potential
 
 
@@ -137,6 +137,14 @@ class TestSubstitute:
         sub2 = substitute(dec, -1)
         t2 = terms_of(sub2.provenance.gauge)
         assert set(t2) == {Fraction(1, 4)}
+        # the generated systems, whose gauge sets the containment's grading
+        for c1, c2, n in ((1.0, 0.0, 0), (2.0, -1.0, 2), (0.5, 3.0, 5)):
+            cube = solve_params_quantsys(c1, c2, n, "+")
+            (gamma,) = terms_of(cube.provenance.gauge)
+            assert gamma == Fraction(1, 6)
+            assert indicial_grading(float(gamma)) == indicial_grading(1 / 6)
+            root = solve_params_inverse_sqrt(c1, c2, n)
+            assert set(terms_of(root.provenance.gauge)) == {Fraction(1, 4)}
 
     def test_unsolvable_map_raises(self, dec):
         odd = type(dec)(i_plus=exp_(VAR), i_minus=VAR, c_plus=1.0,

@@ -503,8 +503,8 @@ class TestGradedMesh:
 
         err = {}
         for n_sub in (2000, 4000):
-            [(_, e, want)] = cuberoot_containment(1.0, 0.0, 3.0,
-                                                  n_sub=n_sub)
+            [(_, e, want, _)] = cuberoot_containment(1.0, 0.0, 3.0,
+                                                     n_sub=n_sub)
             err[n_sub] = abs(e - want)
         assert 3.0 <= err[2000] / err[4000] <= 5.0
 

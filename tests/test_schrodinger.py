@@ -27,7 +27,8 @@ from solvable.oracle import (
 )
 from solvable.polynomials import phi
 from solvable.schrodinger import (
-    SchrodingerSystem, potential, variable_map, wavefunction,
+    SchrodingerSystem, potential, potential_coefficients, variable_map,
+    wavefunction,
 )
 from solvable.specfun import multiplication_part
 from .test_families import TREE_ROWS, make
@@ -190,6 +191,46 @@ class TestPotential:
         fam = FamilySpec(SigmaCase.S2, -7.0, 1.0)
         with pytest.raises(DegreeBeyondCutoff):
             potential(fam, 0, attach_ells=(4,))
+
+
+# rational points, at least two inside each family's interval
+EXACT_POINTS = tuple(map(Fraction, ("-5/2", "-1/3", "1/7", "2/3", "3/2",
+                                    "7/2")))
+
+
+class TestPotentialCoefficients:
+    """The exact table that ``potential`` and ``decompose`` round, in
+    Fractions against the module docstring's V_m = c_m + N_m/(16 sigma)."""
+
+    def test_table_is_the_docstring_potential(self):
+        for case, alpha, beta in TREE_ROWS:
+            fam = FamilySpec(case, alpha, beta)
+            al, be = fam.exact
+            a, b, c = map(Fraction, fam.sigma_coeffs)
+            lo, hi = fam.interval
+            points = [s for s in EXACT_POINTS if lo < s < hi]
+            assert len(points) >= 2
+            for m in range(4):
+                const, (n0, n1, n2) = potential_coefficients(fam, m)
+                c_m = (al - a) / 2 - m * (m - 2) * a - m * al
+                for s in points:
+                    sigma = (a * s + b) * s + c
+                    d, t = 2 * a * s + b, al * s + be  # sigma', tau
+                    n_m = ((d - 2 * t) * (3 * d - 2 * t)
+                           + 4 * m * (m - 2) * d * d + 8 * m * t * d)
+                    got = const + (n0 + n1 * s + n2 * s * s) / (16 * sigma)
+                    assert got == c_m + n_m / (16 * sigma), (case, m, s)
+
+    def test_continuum_edge_is_lambda_squared(self):
+        # V_m's limit as s -> +inf, where family_spectrum caps e_max: the
+        # square of the cutoff Lambda = (1 - alpha)/2, whatever m
+        quadratic = (SigmaCase.S2_MINUS_1, SigmaCase.S2, SigmaCase.S2_PLUS_1)
+        for case, alpha, beta in TREE_ROWS:
+            if case in quadratic:
+                fam = FamilySpec(case, alpha, beta)
+                edge = ((1 - fam.exact[0]) / 2) ** 2
+                for m in range(4):
+                    assert potential_coefficients(fam, m)[0] == edge, (case, m)
 
 
 class TestWavefunction:
