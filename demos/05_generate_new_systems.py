@@ -1,5 +1,6 @@
 # Generating new explicitly solvable systems.  The oscillator equation
-# decomposes as C1 x^2 + C_{-1} x + C0; a change of variable with
+# decomposes as C1 x^2 + C_{-1} x + C0, the mapping
+# {1: (C1, x^2), -1: (C_{-1}, x), 0: (C0, 1)}; a change of variable with
 # x'(r) = 1/sqrt(I(x)) for either term turns it into a new Schrodinger
 # equation on (0, inf) whose gauge-dressed solutions are explicit:
 #
@@ -11,8 +12,8 @@ import math
 import numpy as np
 
 from solvable import (
-    reproduce_dw, residual_norm, solve_params_inverse_sqrt,
-    solve_params_quantsys,
+    FamilySpec, SigmaCase, decompose, reproduce_dw, residual_norm,
+    solve_params_inverse_sqrt, solve_params_quantsys,
 )
 from solvable.errors import Inadmissible
 from solvable.expr import evaluate, power_terms, print_expr
@@ -44,9 +45,9 @@ for n in range(4):
 print()
 
 print("inverse-sqrt system: recovering parameters through the cubic")
-alpha, beta, m, ell = -2.0, 1.0, 0, 3
-c1 = alpha * beta / 2.0
-c2 = beta ** 2 / 4.0 + alpha / 2.0 - alpha * m + alpha * ell
+m, ell = 0, 3
+terms = decompose(FamilySpec(SigmaCase.ONE, -2.0, 1.0), m, ell)
+(c1, _), (c2, _) = terms[-1], terms[0]  # C_(-1) x and the constant C_0
 print(f"  forward map: (alpha, beta, m, ell) = (-2, 1, 0, 3) "
       f"-> (c1, c2) = ({c1:g}, {c2:g})")
 pair = solve_params_inverse_sqrt(c1, c2, n=ell - m)

@@ -49,8 +49,8 @@ from .schrodinger import (
     wavefunction,
 )
 from .generator import (
-    TermDecomposition, decompose, reproduce_dw, solve_params_inverse_sqrt,
-    solve_params_quantsys, substitute, transformed_system,
+    decompose, reproduce_dw, solve_params_inverse_sqrt, solve_params_quantsys,
+    substitute, transformed_system,
 )
 from .oracle import (
     FDHamiltonian, eigenvalues_below, fd_hamiltonian, integrate, residual,
@@ -64,13 +64,13 @@ __all__ = [
     "Expr", "ExprSyntaxError", "FDHamiltonian", "FamilyCutoff", "FamilySpec",
     "HmOperator", "Inadmissible", "InvalidParameter", "NonFiniteValue",
     "Poly", "Provenance", "QuadratureNoConverge", "SchrodingerSystem",
-    "SigmaCase", "SolvableError", "SpecialFunction", "TermDecomposition",
-    "VariableMap", "apply_hm", "classical_match",
-    "compose", "cutoff", "decompose", "differentiate", "eigenvalue",
-    "eigenvalues_below", "evaluate", "fd_hamiltonian", "hermite_value",
-    "hm_operator", "integrate", "jacobi_value", "laguerre_value", "parse",
-    "phi", "phi_rodrigues", "potential", "power_terms", "print_expr",
-    "reproduce_dw", "residual", "residual_norm", "scalar_product",
+    "SigmaCase", "SolvableError", "SpecialFunction", "VariableMap",
+    "apply_hm", "classical_match", "compose", "cutoff", "decompose",
+    "differentiate", "eigenvalue", "eigenvalues_below", "evaluate",
+    "fd_hamiltonian", "hermite_value", "hm_operator", "integrate",
+    "jacobi_value", "laguerre_value", "parse", "phi", "phi_rodrigues",
+    "potential", "power_terms", "print_expr", "reproduce_dw", "residual",
+    "residual_norm", "scalar_product",
     "simplify", "solve_params_inverse_sqrt", "solve_params_quantsys",
     "special_function", "substitute", "transformed_system", "variable_map",
     "wavefunction", "weight", "weight_function",

@@ -249,7 +249,7 @@ def criterion_8_cubic_round_trip():
     alpha=-2 within 1e-10 and E=-1 within 1e-12."""
     m, ell = 0, 3
     dec = decompose(FamilySpec(SigmaCase.ONE, -2.0, 1.0), m, ell)
-    c1, c2 = dec.c_minus, dec.c_zero
+    (c1, _), (c2, _) = dec[-1], dec[0]
     system = solve_params_inverse_sqrt(c1, c2, n=ell - m)
     got = system.provenance.alpha
     ok = (c1, c2) == (-1.0, -6.75) and abs(got + 2.0) <= 1e-10 \
@@ -273,7 +273,7 @@ def cuberoot_containment(c1, c2, e_max=None, lo=1e-3, hi=40.0, n_sub=8000):
     on [lo, hi] with n_sub subintervals.  The levels are the first three
     admissible n < 16, or, given e_max, every admissible n < 16 with E_n^+
     below it; Inadmissible is raised when no n < 16 is admissible, or none
-    has E_n^+ below e_max.
+    has E_n^+ below e_max.  No level past the last chosen one is solved.
 
     Each closed-form eigenfunction carries its own admixture of the second
     indicial solution r^(5/6) at the limit-circle endpoint r = 0, so the
@@ -283,22 +283,25 @@ def cuberoot_containment(c1, c2, e_max=None, lo=1e-3, hi=40.0, n_sub=8000):
     p = 4/(1 + gamma), with gamma read off the level's gauge
     (I(x(r)))^(1/4) = const * r^gamma: 1/6, so p = 24/7.
     """
-    admissible = []
+    levels, admitted = [], False
     for n in range(16):
         try:
-            admissible.append((n, solve_params_quantsys(c1, c2, n, "+")))
+            pair = solve_params_quantsys(c1, c2, n, "+")
         except Inadmissible:
             continue
-    if not admissible:
+        admitted = True
+        # E_n^+ never falls as n grows, so no later level is below e_max
+        if e_max is not None and not pair.energy < e_max:
+            break
+        levels.append((n, pair))
+        if e_max is None and len(levels) == 3:
+            break
+    if not admitted:
         raise Inadmissible(f"no level n < 16 is admissible for "
                            f"c1={c1:g}, c2={c2:g}")
-    if e_max is None:
-        levels = admissible[:3]
-    else:
-        levels = [(n, pair) for n, pair in admissible if pair.energy < e_max]
-        if not levels:
-            raise Inadmissible(f"no admissible level n < 16 has E_n^+ below "
-                               f"e_max={e_max:g} for c1={c1:g}, c2={c2:g}")
+    if not levels:
+        raise Inadmissible(f"no admissible level n < 16 has E_n^+ below "
+                           f"e_max={e_max:g} for c1={c1:g}, c2={c2:g}")
     (gamma,) = power_terms(levels[0][1].provenance.gauge)
     grading = indicial_grading(float(gamma))
     r1 = fd_nodes(lo, hi, n_sub, grading)[1]

@@ -3,18 +3,20 @@
 Pipeline, in order:
 
 1. decompose: write the oscillator-family Schrodinger equation at the
-   eigenvalue of degree ell as
-   [-d^2/dx^2 + C1*I1(x) + Cm1*Im1(x) + C0] Psi = 0 with I1 = x^2,
-   Im1 = x, C1 = alpha^2/4, Cm1 = alpha*beta/2,
+   eigenvalue of degree ell as [-d^2/dx^2 + sum_k C_k I_k(x)] Psi = 0,
+   returned as the mapping {k: (C_k, I_k)} = {1: (C1, x^2),
+   -1: (Cm1, x), 0: (C0, 1)} with C1 = alpha^2/4, Cm1 = alpha*beta/2,
    C0 = beta^2/4 + alpha/2 - alpha*m + alpha*ell, a number once ell is
    fixed.  The C's are read from V_m's exact coefficients
    (schrodinger.potential_coefficients), each rounded once.
 
 2. substitute: apply r -> x(r) with x'(r) = 1/sqrt(I(x(r))) for the
-   term of index -k (the index k names the term that SURVIVES in the
-   transformed potential: k=+1 gives the cube-root map
-   x = (3r/2)^(2/3) and correction -5/(36 r^2); k=-1 gives x = sqrt(2r)
-   and correction -3/(16 r^2)).  W is formed in x and mapped to r once.
+   term of index -k (the index k names the term that SURVIVES beside
+   the constant in the transformed potential: k=+1 gives the cube-root
+   map x = (3r/2)^(2/3) and correction -5/(36 r^2); k=-1 gives
+   x = sqrt(2r) and correction -3/(16 r^2)).  W is one sum, each other
+   term C_j I_j divided by I_(-k) plus the two correction terms, formed
+   in x and mapped to r once.
    The transformed function (I(x(r)))^(1/4) Psi(x(r)) solves
    -u'' + W(r) u = E u with E = -(coefficient of the map-defining term);
    the result is a SchrodingerSystem holding W and (E, None), with the
@@ -39,15 +41,15 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from fractions import Fraction
 
 from .errors import (
     Inadmissible, InvalidParameter, NonFiniteValue, require_finite,
 )
 from .expr import (
-    VAR, Add, Const, Exp, Expr, Mul, add, compose, differentiate, exp_, mul,
-    pow_, power_terms, print_expr, simplify,
+    ONE, VAR, Add, Const, Exp, Expr, Mul, add, compose, differentiate, exp_,
+    mul, pow_, power_terms, print_expr, simplify,
 )
 from .families import FamilySpec, SigmaCase
 from .schrodinger import (
@@ -56,43 +58,29 @@ from .schrodinger import (
 )
 
 __all__ = [
-    "TermDecomposition", "decompose", "substitute",
-    "transformed_system", "solve_params_quantsys",
-    "solve_params_inverse_sqrt", "reproduce_dw",
+    "decompose", "substitute", "transformed_system",
+    "solve_params_quantsys", "solve_params_inverse_sqrt", "reproduce_dw",
 ]
 
 INF = math.inf
 
 
-@dataclass(frozen=True)
-class TermDecomposition:
-    """C1*I1(x) + Cm1*Im1(x) + C0 at one eigenvalue; x is the variable of
-    i_plus/i_minus."""
-
-    i_plus: Expr            # I_{+1}(x)
-    i_minus: Expr           # I_{-1}(x)
-    c_plus: float           # C_{+1}(alpha, beta, m)
-    c_minus: float          # C_{-1}(alpha, beta, m)
-    c_zero: float           # C_0(alpha, beta, m, ell)
-
-
-def decompose(family: FamilySpec, m: int, ell: int) -> TermDecomposition:
-    """Term decomposition of the family's Schrodinger equation for V_m at
-    the eigenvalue of degree ell.
+def decompose(family: FamilySpec, m: int, ell: int) -> dict:
+    """Term decomposition {k: (C_k, I_k(x))} of the family's Schrodinger
+    equation for V_m at the eigenvalue of degree ell.
 
     At sigma = 1, V_m = const + (n0 + n1 x + n2 x^2)/16 exactly
-    (potential_coefficients), so C1 = n2/16, Cm1 = n1/16 and
-    C0 = const + n0/16 - lambda_ell with lambda_ell = -alpha ell, each
-    rounded once.  Shipped for the constant-sigma (oscillator) case only.
+    (potential_coefficients), so {1: (n2/16, x^2), -1: (n1/16, x),
+    0: (const + n0/16 - lambda_ell, 1)} with lambda_ell = -alpha ell,
+    each C rounded once.  Shipped for the constant-sigma (oscillator)
+    case only.
     """
     if family.sigma_case is not SigmaCase.ONE:
         raise InvalidParameter(
             "term decomposition is only shipped for the sigma = 1 case")
     const, (n0, n1, n2) = potential_coefficients(family, m)
-    return TermDecomposition(
-        i_plus=pow_(VAR, 2), i_minus=VAR,
-        c_plus=rounded(n2 / 16), c_minus=rounded(n1 / 16),
-        c_zero=rounded(const + n0 / 16 + family.exact[0] * ell))
+    return {1: (rounded(n2 / 16), pow_(VAR, 2)), -1: (rounded(n1 / 16), VAR),
+            0: (rounded(const + n0 / 16 + family.exact[0] * ell), ONE)}
 
 
 def _monomial_map(i_map: Expr) -> tuple:
@@ -113,32 +101,35 @@ def _monomial_map(i_map: Expr) -> tuple:
     return pow_(VAR, 2 / (p + 2)), mul((p + 2) / 2, VAR)
 
 
-def substitute(dec: TermDecomposition, k: int,
+def substitute(terms: dict, k: int,
                x_of_r: Expr | None = None) -> SchrodingerSystem:
-    """Change of variable killing the index -k term: the system
-    -u'' + W(r) u = E u on (0, inf) with the one eigenpair (E, None),
-    E = -(coefficient of the map-defining term), and the gauge
+    """Change of variable killing the index -k term of the decomposition
+    {j: (C_j, I_j(x))}: the system -u'' + W(r) u = E u on (0, inf) with
+    the one eigenpair (E, None), E = -C_(-k), and the gauge
     (I(x(r)))^(1/4) and the map x(r) in its provenance.
 
     k = +1 keeps C1*I1 and uses the map solving x' = 1/sqrt(I_{-1});
     k = -1 keeps C_{-1}*I_{-1} and uses x' = 1/sqrt(I_{+1}).  For the
     oscillator decomposition these are x = (3r/2)^(2/3) and x = sqrt(2r)
     with corrections -5/(36 r^2) and -3/(16 r^2) respectively.  W is
-    (C_k I_k(x) + C0)/I(x) - (5/16) I'(x)^2/I(x)^3 + (1/4) I''(x)/I(x)^2,
-    I the map-defining term, formed in x and then mapped to r once: a
+    sum_(j != -k) C_j I_j(x)/I(x) - (5/16) I'(x)^2/I(x)^3
+    + (1/4) I''(x)/I(x)^2, I = I_(-k) the map-defining term, in the
+    mapping's order, formed in x and then mapped to r once: a
     caller's x_of_r in one stage, the map of I = x^p in two,
     x = u^(2/(p+2)) and u = ((p+2)/2) r, so that each coefficient takes
     one power of (p+2)/2.  A non-finite coefficient of W raises
-    NonFiniteValue naming its term, a non-finite E InvalidParameter.
+    NonFiniteValue naming its term, a non-finite E and a mapping without
+    an index -k term InvalidParameter.
     """
     if k not in (1, -1):
         raise InvalidParameter("k must be +1 or -1")
-    pairs = (dec.c_plus, dec.i_plus), (dec.c_minus, dec.i_minus)
-    (c_keep, i_keep), (c_map, i_map) = pairs if k == 1 else pairs[::-1]
+    if -k not in terms:
+        raise InvalidParameter(f"no map-defining term of index {-k}")
+    c_map, i_map = terms[-k]
     # a caller's x_of_r may be a raw node tree
     stages = _monomial_map(i_map) if x_of_r is None else (simplify(x_of_r),)
     d1, inv = differentiate(i_map), pow_(i_map, -1)
-    w = add(mul(c_keep, i_keep, inv), mul(dec.c_zero, inv),
+    w = add(*(mul(c, i, inv) for j, (c, i) in terms.items() if j != -k),
             mul(Fraction(-5, 16), pow_(d1, 2), pow_(i_map, -3)),
             mul(Fraction(1, 4), differentiate(d1), pow_(i_map, -2)))
     x_of_r = VAR
@@ -290,8 +281,8 @@ def reproduce_dw(theta: float, rho_coeff: float, lam: float, which: int,
     require_finite(("theta", theta), ("rho", rho_coeff), ("lambda", lam),
                    ("theta^2", theta * theta))
     k = -1 if which == 1 else 1
-    i_plus, i_minus = pow_(VAR, 2), VAR
+    terms = {1: (theta * theta, pow_(VAR, 2)), -1: (rho_coeff, VAR),
+             0: (lam, ONE)}
     if i_map is not None:  # in place of the map-defining term I_{-k}
-        i_plus, i_minus = (i_map, i_minus) if k == -1 else (i_plus, i_map)
-    return substitute(TermDecomposition(i_plus, i_minus, theta * theta,
-                                        rho_coeff, lam), k, x_of_r)
+        terms[-k] = terms[-k][0], i_map
+    return substitute(terms, k, x_of_r)

@@ -53,9 +53,15 @@ class TestCuberootContainment:
 
         monkeypatch.setattr(acceptance, "solve_params_quantsys", counting)
         rows = cuberoot_containment(1.0, -5.0, n_sub=500)
-        # n = 0, 1 are inadmissible; the first three admissible follow
+        # n = 0, 1 are inadmissible; the first three admissible follow,
+        # and no later level is tried
         assert [n for n, *_ in rows] == [2, 3, 4]
-        assert set(solved.values()) == {1}
+        assert solved == Counter({0: 1, 1: 1, 2: 1, 3: 1, 4: 1})
+        # E_n^+ = 2 sqrt(1 + 2n): n = 2 is the first level not below 4
+        solved.clear()
+        rows = cuberoot_containment(1.0, 0.0, 4.0, n_sub=500)
+        assert [n for n, *_ in rows] == [0, 1]
+        assert solved == Counter({0: 1, 1: 1, 2: 1})
 
     def test_e_max_chooses_the_levels_below_it(self):
         # E_n^+ = 2 sqrt(1 + 2n): 2, 3.46, 4.47, ...

@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import math
 import pickle
 import sys
@@ -12,10 +13,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from solvable.errors import Inadmissible, InvalidParameter, NonFiniteValue
+from solvable.errors import (
+    Inadmissible, InvalidParameter, NonFiniteValue, SolvableError,
+)
 from solvable.expr import (
-    VAR, add, as_fraction, differentiate, evaluate, exp_, mul, parse, pow_,
-    power_terms, simplify,
+    ONE, VAR, add, as_fraction, differentiate, evaluate, exp_, mul, parse,
+    pow_, power_terms, simplify,
 )
 from solvable.families import FamilySpec, SigmaCase
 from solvable.generator import (
@@ -30,20 +33,83 @@ def terms_of(e):
     return {q: c for q, c in power_terms(e).items() if c != 0.0}
 
 
+# captured before the decomposition became a {k: (C_k, I_k)} mapping
+GENERATED_DIGEST = (
+    "94a47304c6b8ce08827675f6b3135220dec7e3a011f229fb84ba6d812284898d")
+
+QUANTSYS_CASES = [(c1, c2, n, branch)
+                  for c1, c2 in ((1.0, 0.0), (1.0, -5.0), (1.7, 0.6),
+                                 (0.0, 1.0))
+                  for n in (0, 1, 2, 5) for branch in "+-"]
+INVERSE_SQRT_CASES = [(c1, c2, n)
+                      for c1, c2 in ((-1.0, -6.75), (0.0, -2.0), (0.0, 2.0),
+                                     (2.0, -3.0), (0.5, 1.0))
+                      for n in (0, 1, 3, 7)]
+TRANSFORMED_CASES = [(alpha, beta, m, ell, k)
+                     for alpha, beta in ((-2.0, 0.0), (-1.7, 0.9),
+                                         (-3.3, -1.7))
+                     for m, ell in ((0, 0), (0, 2), (1, 1), (1, 3), (2, 4))
+                     for k in (1, -1)] + [(-2.0, 1.0, 0, 0, 0)]
+REPRODUCE_CASES = [(which, ik, sub) for which in (1, 2)
+                   for ik in (None, "x^2", "x", "x^3", "x^(-1)", "(1+x)^2",
+                              "exp(x)")
+                   for sub in (None, "sqrt(2*r)", "(3*r/2)^(2/3)")]
+
+
+def _generated(h, case, build):
+    """Feed one generated system, or its refusal, to the digest h."""
+    try:
+        system = build()
+    except SolvableError as exc:
+        h.update(f"{case}|{type(exc).__name__}: {exc}\n".encode())
+        return
+    pairs = [(e.hex(), psi) for e, psi in system.known_eigenpairs]
+    h.update(f"{case}|{system.potential!r}|{pairs!r}|"
+             f"{system.provenance!r}\n".encode())
+
+
+def generated_digest():
+    """Digest of the repr of W, each (E.hex(), psi) and the provenance of
+    every generated system of the cases above, or of the type and message
+    of its refusal."""
+    h = hashlib.sha256()
+    for case in QUANTSYS_CASES:
+        _generated(h, case, lambda: solve_params_quantsys(*case))
+    for case in INVERSE_SQRT_CASES:
+        _generated(h, case, lambda: solve_params_inverse_sqrt(*case))
+    for alpha, beta, m, ell, k in TRANSFORMED_CASES:
+        fam = FamilySpec(SigmaCase.ONE, alpha, beta)
+        _generated(h, (alpha, beta, m, ell, k),
+                   lambda: transformed_system(fam, ell, m, k))
+    for which, ik, sub in REPRODUCE_CASES:
+        _generated(h, (which, ik, sub), lambda: reproduce_dw(
+            1.3, -0.7, 0.4, which, i_map=ik and parse(ik),
+            x_of_r=sub and parse(sub)))
+    return h.hexdigest()
+
+
+def test_generated_trees_unchanged():
+    assert generated_digest() == GENERATED_DIGEST
+
+
 class TestDecompose:
     def test_oscillator_coefficients(self):
         fam = FamilySpec(SigmaCase.ONE, -2.0, 4.0)
         dec = decompose(fam, 1, 1)
-        assert dec.c_plus == 1.0
-        assert dec.c_minus == -4.0
-        assert dec.c_zero == pytest.approx(3.0)
-        assert power_terms(dec.i_plus) == {Fraction(2): 1.0}
-        assert power_terms(dec.i_minus) == {Fraction(1): 1.0}
+        assert list(dec) == [1, -1, 0]
+        (c_plus, i_plus), (c_minus, i_minus), (c_zero, i_zero) = \
+            dec.values()
+        assert c_plus == 1.0
+        assert c_minus == -4.0
+        assert c_zero == pytest.approx(3.0)
+        assert power_terms(i_plus) == {Fraction(2): 1.0}
+        assert power_terms(i_minus) == {Fraction(1): 1.0}
+        assert i_zero == ONE
 
     def test_c_zero_matches_ground_case(self):
         fam = FamilySpec(SigmaCase.ONE, -2.0, 0.0)
-        dec = decompose(fam, 0, 0)
-        assert dec.c_zero == pytest.approx(-1.0)
+        c_zero, _ = decompose(fam, 0, 0)[0]
+        assert c_zero == pytest.approx(-1.0)
 
     def test_reassembles_potential_minus_eigenvalue(self):
         from solvable.families import eigenvalue
@@ -54,8 +120,7 @@ class TestDecompose:
             for ell in (m, m + 2):
                 dec = decompose(fam, m, ell)
                 # the potential-minus-eigenvalue the decomposition encodes
-                target = add(mul(dec.c_plus, dec.i_plus),
-                             mul(dec.c_minus, dec.i_minus), dec.c_zero)
+                target = add(*(mul(c, i) for c, i in dec.values()))
                 lam = eigenvalue(fam, ell)
                 for x in np.linspace(-3, 3, 25):
                     want = evaluate(v, x) - lam
@@ -64,7 +129,7 @@ class TestDecompose:
 
     def test_coefficients_are_rounded_once(self):
         # (0.5 alpha)^2 in floats is 2.7224999999999997
-        assert decompose(FamilySpec(SigmaCase.ONE, -3.3, 1.7), 1, 2).c_plus \
+        assert decompose(FamilySpec(SigmaCase.ONE, -3.3, 1.7), 1, 2)[1][0] \
             == 2.7225
 
     @settings(derandomize=True, max_examples=200, deadline=None)
@@ -74,7 +139,7 @@ class TestDecompose:
                                                       ell):
         a, b = as_fraction(alpha), as_fraction(beta)
         dec = decompose(FamilySpec(SigmaCase.ONE, alpha, beta), m, ell)
-        assert (dec.c_plus, dec.c_minus, dec.c_zero) == (
+        assert tuple(c for c, _ in dec.values()) == (
             float(a * a / 4), float(a * b / 2),
             float(b * b / 4 + a / 2 - a * m + a * ell))
 
@@ -123,7 +188,7 @@ class TestSubstitute:
         # x'(r) = 1/sqrt(I(x(r))) for the map-defining term
         for k in (+1, -1):
             x_of_r = substitute(dec, k).provenance.x_of_r
-            i_map = dec.i_minus if k == 1 else dec.i_plus
+            _, i_map = dec[-k]
             dx = simplify(differentiate(x_of_r))
             for r in np.linspace(0.05, 10, 100):
                 ix = evaluate(i_map, evaluate(x_of_r, r))
@@ -147,10 +212,16 @@ class TestSubstitute:
             assert set(terms_of(root.provenance.gauge)) == {Fraction(1, 4)}
 
     def test_unsolvable_map_raises(self, dec):
-        odd = type(dec)(i_plus=exp_(VAR), i_minus=VAR, c_plus=1.0,
-                        c_minus=1.0, c_zero=0.0)
+        odd = {1: (1.0, exp_(VAR)), -1: (1.0, VAR), 0: (0.0, ONE)}
         with pytest.raises(InvalidParameter, match="cannot solve"):
             substitute(odd, -1)
+
+    @pytest.mark.parametrize("k", [+1, -1])
+    def test_missing_map_term_raises(self, dec, k):
+        # an InvalidParameter naming the index, not a KeyError
+        kept = {j: term for j, term in dec.items() if j != -k}
+        with pytest.raises(InvalidParameter, match=f"index {-k}$"):
+            substitute(kept, k)
 
     def test_caller_supplied_map(self, dec):
         # supplying the closed form explicitly must reproduce the builtin

@@ -1,6 +1,7 @@
 """What the package exports."""
 
 import ast
+import importlib
 import inspect
 from pathlib import Path
 
@@ -93,3 +94,20 @@ def test_layer_graph():
         faults.append(f"oracle takes {sorted(taken - ORACLE_FROM_EXPR)} "
                       f"from expr")
     assert faults == []
+
+
+def test_all_names_resolve():
+    # a stale __all__ string or package import would name nothing;
+    # __main__ runs the CLI and exports nothing
+    for path in SRC.glob("*.py"):
+        if path.stem not in ("__init__", "__main__"):
+            module = importlib.import_module(f"solvable.{path.stem}")
+            missing = [name for name in getattr(module, "__all__", ())
+                       if not hasattr(module, name)]
+            assert missing == [], path.stem
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    public = {alias.asname or alias.name for node in tree.body
+              if isinstance(node, ast.ImportFrom) for alias in node.names
+              if not alias.name.startswith("_")}
+    assert set(solvable.__all__) == public
+    assert all(hasattr(solvable, name) for name in solvable.__all__)
