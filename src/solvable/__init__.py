@@ -34,7 +34,7 @@ from .expr import (
 )
 from .families import (
     ALL_CASES, FamilyCutoff, FamilySpec, SigmaCase, cutoff, eigenvalue,
-    weight, weight_function,
+    weight,
 )
 from .polynomials import (
     Poly, classical_match, hermite_value, jacobi_value, laguerre_value,
@@ -73,5 +73,5 @@ __all__ = [
     "residual_norm", "scalar_product",
     "simplify", "solve_params_inverse_sqrt", "solve_params_quantsys",
     "special_function", "substitute", "transformed_system", "variable_map",
-    "wavefunction", "weight", "weight_function",
+    "wavefunction", "weight",
 ]

@@ -49,7 +49,6 @@ __all__ = [
     "as_expr", "as_fraction", "add", "mul", "pow_", "exp_", "fun_",
     "differentiate", "evaluate", "as_function", "simplify", "compose",
     "parse", "print_expr", "power_terms",
-    "QUIET", "power",
 ]
 
 
@@ -387,10 +386,6 @@ def _derivative(e: Expr) -> Expr:
     raise TypeError(f"cannot differentiate {e!r}")
 
 
-# the errstate ``evaluate`` runs under
-QUIET = dict(over="ignore", under="ignore", invalid="ignore")
-
-
 def evaluate(e: Expr, value):
     """Evaluate at a scalar or numpy array; raises DomainError outside
     the mathematical domain.  Overflow, underflow and inf * 0 or inf - inf
@@ -401,9 +396,10 @@ def evaluate(e: Expr, value):
     fractional power checks its base with one minimum; the scans for a
     negative and a zero entry, which name the violated domain, run only
     when that minimum is not positive, so also on NaN and on an empty
-    array.
+    array.  A family's weight rho is evaluated here too (the scalar
+    product's weight), so its overflow and underflow are silent as well.
     """
-    with np.errstate(**QUIET):
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         return _eval(e, value)
 
 
@@ -438,13 +434,7 @@ def _eval_mul(e, x):
 
 
 def _eval_pow(e, x):
-    return power(_eval(e.base, x), e.exponent)
-
-
-def power(b, q: Fraction):
-    """b^q as ``evaluate`` computes a Pow node whose base evaluated to b:
-    DomainError outside the domain, else b raised to q rounded once.  Call
-    it under evaluate's errstate, ``QUIET``."""
+    b, q = _eval(e.base, x), e.exponent
     if q.denominator == 1:
         p = q.numerator
         if p < 0 and np.any(np.asarray(b) == 0.0):

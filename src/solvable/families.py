@@ -26,13 +26,11 @@ import numpy as np
 from .errors import (
     DegreeBeyondCutoff, Inadmissible, InvalidParameter, require_finite,
 )
-from .expr import (
-    QUIET, VAR, Expr, add, as_fraction, exp_, fun_, mul, pow_, power,
-)
+from .expr import VAR, Expr, add, as_fraction, exp_, fun_, mul, pow_
 
 __all__ = [
     "SigmaCase", "FamilySpec", "FamilyCutoff",
-    "eigenvalue", "weight", "weight_function", "cutoff", "check_degree",
+    "eigenvalue", "weight", "cutoff", "check_degree",
     "ALL_CASES",
 ]
 
@@ -113,7 +111,8 @@ class FamilySpec:
     downstream formula misbehaves silently outside that region.
     ``exact`` is (alpha, beta) as exact fractions (``as_fraction``),
     derived once per instance for the exponents and coefficients of the
-    weight, the potential and the wavefunctions.
+    weight, the potential and the wavefunctions; the weight's tree is
+    built once too, on first use (``weight``).
     """
 
     sigma_case: SigmaCase
@@ -134,6 +133,10 @@ class FamilySpec:
     @cached_property
     def exact(self) -> tuple[Fraction, Fraction]:
         return as_fraction(self.alpha), as_fraction(self.beta)
+
+    @cached_property
+    def _weight(self) -> Expr:
+        return _build_weight(self)
 
     @property
     def interval(self):
@@ -188,8 +191,17 @@ def eigenvalue(family: FamilySpec, ell: int) -> float:
 
 def weight(family: FamilySpec) -> Expr:
     """The weight rho as an expression; satisfies (sigma rho)' = tau rho.
-    Its exponents are fractions of ``family.exact``; ``weight_function``
-    is the same rho as a function of s."""
+
+    It is the family's one definition of rho, built once per FamilySpec
+    on first use and returned as the same tree after that.  The scalar
+    product evaluates it under ``evaluate``'s errstate; the Rodrigues
+    formula differentiates it.  Its exponents are fractions of
+    ``family.exact``.
+    """
+    return family._weight
+
+
+def _build_weight(family: FamilySpec) -> Expr:
     al, be = family.alpha, family.beta
     fa, fb = family.exact
     s = VAR
@@ -216,46 +228,6 @@ def weight(family: FamilySpec) -> Expr:
         return mul(pow_(add(1, pow_(s, 2)), fa / 2 - 1),
                    exp_(mul(be, fun_("arctan", s))))
     raise AssertionError(case)
-
-
-def weight_function(family: FamilySpec) -> Callable:
-    """The weight rho as a vectorized function of s, built with no Expr.
-
-    It gives exactly the floats of ``evaluate(weight(family), s)`` and
-    raises DomainError where that does: each exponent is the same
-    fraction of ``family.exact``, computed here once and rounded once as
-    evaluate rounds it (``expr.power``), and each value is the same
-    operations in the same order, under evaluate's errstate.
-    """
-    al, be = family.alpha, family.beta
-    fa, fb = family.exact
-
-    case = family.sigma_case
-    if case is SigmaCase.ONE:
-        half = al / 2
-        rho = lambda s: np.exp(half * s ** 2 + be * s)
-    elif case is SigmaCase.S:
-        q = fb - 1
-        rho = lambda s: power(s, q) * np.exp(al * s)
-    elif case is SigmaCase.ONE_MINUS_S2:
-        q, r = -(fa - fb) / 2 - 1, -(fa + fb) / 2 - 1
-        rho = lambda s: power(1.0 + s, q) * power(1.0 - s, r)
-    elif case is SigmaCase.S2_MINUS_1:
-        q, r = (fa - fb) / 2 - 1, (fa + fb) / 2 - 1
-        rho = lambda s: power(1.0 + s, q) * power(s - 1.0, r)
-    elif case is SigmaCase.S2:
-        q, r = fa - 2, Fraction(-1)
-        rho = lambda s: power(s, q) * np.exp(-be * power(s, r))
-    elif case is SigmaCase.S2_PLUS_1:
-        q = fa / 2 - 1
-        rho = lambda s: power(1.0 + s ** 2, q) * np.exp(be * np.arctan(s))
-    else:
-        raise AssertionError(case)
-
-    def quiet(s):
-        with np.errstate(**QUIET):
-            return rho(s)
-    return quiet
 
 
 def cutoff(family: FamilySpec) -> FamilyCutoff:

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import DomainError, InvalidParameter
 from .expr import Expr, add, as_function, differentiate, evaluate, mul, pow_
-from .families import FamilySpec, weight_function
+from .families import FamilySpec, weight
 from .oracle import integrate
 from .polynomials import Poly, phi
 
@@ -128,12 +128,12 @@ def scalar_product(family: FamilySpec, f, g):
     evaluations of f would give.  Raises QuadratureNoConverge when the
     adaptive error estimate cannot be brought below 1e-9.
 
-    rho is ``weight_function(family)``, made once per call: the floats
-    of the weight's Expr, with neither that tree built nor walked.  Only
-    rho's own arithmetic runs under evaluate's errstate, so f and g warn
-    as they would on their own.
+    rho is the family's one weight tree, ``weight(family)``, built once
+    per FamilySpec and evaluated under ``evaluate``'s errstate.  Only
+    rho's own arithmetic runs under that errstate, so f and g warn as
+    they would on their own.
     """
-    rho = weight_function(family)
+    rho = as_function(weight(family))
     fc = as_function(f)
     if g is f:
         def integrand(s):

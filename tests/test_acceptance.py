@@ -36,6 +36,19 @@ def test_criterion(index, name, fn, capsys):
     assert passed, f"criterion {index} ({name}): {detail}"
 
 
+def test_a_raising_criterion_fails(monkeypatch):
+    # a crash is reported as a failed criterion, and the run goes on
+    def crash():
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(acceptance, "CRITERIA", (
+        (1, "crashes", crash), (2, "passes", lambda: (True, "ok"))))
+    first, second = acceptance.run_all()
+    assert (first.index, first.passed, first.detail) == (
+        1, False, "raised RuntimeError: boom")
+    assert (second.index, second.passed, second.detail) == (2, True, "ok")
+
+
 def test_criterion_result_is_frozen():
     result = CriterionResult(6, "admissibility filter", True, "ok", 0.0)
     with pytest.raises(dataclasses.FrozenInstanceError):

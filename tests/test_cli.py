@@ -409,6 +409,22 @@ class TestInvalidParameters:
         (["potential", "--case", "s^2", "--alpha", "-7", "--beta", "1",
           "--m", "0", "--xmin", "-400", "--xmax", "-300", "--grid", "3"],
          "inf in column V(x) of the row with x=-400"),
+        # --Ik parsed but refused: a malformed number, an unknown function
+        # and a map-defining term that is not one monomial
+        (["reproduce-dw", "--theta", "1", "--rho", "1", "--lambda", "1",
+          "--which", "1", "--Ik", "1.2.3"],
+         "bad number '1.2.3' (at position 0)"),
+        (["reproduce-dw", "--theta", "1", "--rho", "1", "--lambda", "1",
+          "--which", "1", "--Ik", "foo(x)"],
+         "unknown function 'foo' (at position 0)"),
+        (["reproduce-dw", "--theta", "1", "--rho", "1", "--lambda", "1",
+          "--which", "1", "--Ik", "x^2+x"],
+         "map-defining term must be a single monomial"),
+        (["generate", "--c1", "1", "--c2", "0", "--n", "-1"],
+         "n must be a nonnegative integer"),
+        (["solve-params", "--mode", "invsqrt", "--c1", "1", "--c2", "0",
+          "--n", "-1"],
+         "n must be a nonnegative integer"),
     ])
     def test_exit_1_names_constraint(self, argv, constraint, capsys):
         code, text = invoke(argv)
@@ -1038,6 +1054,14 @@ class TestGridSize:
             run(argv + ["--grid", grid])
         assert exc.value.code == 2
         assert "--grid: must be at least 1" in capsys.readouterr().err
+
+    def test_non_integer_grid_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["potential", "--case", "one", "--alpha", "-2", "--beta",
+                 "0", "--m", "0", "--grid", "abc"])
+        assert exc.value.code == 2
+        assert ("--grid: expected an integer, got 'abc'"
+                in capsys.readouterr().err)
 
     def test_one_point_grid(self):
         code, text = invoke(["potential", "--case", "one", "--alpha", "-2",

@@ -470,6 +470,16 @@ class TestGradedMesh:
                            match="need at least one subinterval"):
             fd_nodes(1e-3, 40.0, n, grading)
 
+    @pytest.mark.parametrize("call,message", [
+        (lambda: indicial_grading(-1.0),
+         "need -1 < gamma <= 3 for a grading p >= 1"),
+        (lambda: fd_nodes(0.0, 1.0, 16, grading=0.5), "need grading >= 1"),
+    ], ids=["gamma", "grading"])
+    def test_grading_below_one_is_invalid(self, call, message):
+        with pytest.raises(InvalidParameter) as exc:
+            call()
+        assert str(exc.value) == message
+
     @pytest.mark.parametrize("gamma", [1.0 / 6.0, 5.0 / 6.0])
     def test_grading_cancels_leading_truncation_on_indicial_solution(
             self, gamma):

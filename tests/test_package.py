@@ -111,3 +111,22 @@ def test_all_names_resolve():
               if not alias.name.startswith("_")}
     assert set(solvable.__all__) == public
     assert all(hasattr(solvable, name) for name in solvable.__all__)
+
+
+def test_no_unused_imports():
+    # a name a module imports and never reads is left over from a
+    # deletion; __init__ imports names to export them
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = {alias.asname or alias.name.partition(".")[0]
+                    for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"
+                    for alias in node.names}
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        unused += [f"{path.stem}.{name}" for name in sorted(imported - read)]
+    assert unused == []

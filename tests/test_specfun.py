@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from solvable import expr, families, oracle, specfun
+from solvable import families
 from solvable.acceptance import ACCEPTANCE_FAMILIES
 from solvable.errors import DegreeBeyondCutoff, DomainError, InvalidParameter
 from solvable.expr import ZERO, Const
 from solvable.families import (
     ALL_CASES, FamilySpec, SigmaCase, cutoff, eigenvalue, sample_points,
+    weight,
 )
 from solvable.specfun import (
     apply_hm, hm_operator, multiplication_part, scalar_product,
@@ -163,27 +164,22 @@ class TestScalarProduct:
             assert norm.hex() == pair.hex()
             assert f.calls - once == 2 * once
 
-    def test_builds_and_walks_no_expr(self, monkeypatch):
-        # the weight is weight_function's floats: neither weight() nor
-        # evaluate runs, wherever either name was imported
-        def products():
-            out = []
-            for row in ACCEPTANCE_FAMILIES:
-                fam = FamilySpec(*row)
-                f, g = (special_function(fam, ell, 1) for ell in (1, 2))
-                out += [scalar_product(fam, f, f), scalar_product(fam, f, g)]
-            return out
-
-        def refuse(*args):
-            raise AssertionError("scalar_product built or walked an Expr")
-
-        want = products()
-        originals = {"weight": families.weight, "evaluate": expr.evaluate}
-        for module in (expr, families, oracle, specfun):
-            for name, fn in originals.items():
-                if getattr(module, name, None) is fn:
-                    monkeypatch.setattr(module, name, refuse)
-        assert products() == want
+    def test_weighs_by_the_family_tree(self, monkeypatch):
+        # rho is the family's one weight tree: a ladder of products on one
+        # FamilySpec builds it once, and weight() returns that tree
+        built = []
+        build = families._build_weight
+        monkeypatch.setattr(families, "_build_weight",
+                            lambda fam: built.append(fam) or build(fam))
+        fams = [FamilySpec(*row) for row in ACCEPTANCE_FAMILIES]
+        for fam in fams:
+            top = cutoff(fam).top_degree(3)
+            ladder = [special_function(fam, ell, 0) for ell in range(top + 1)]
+            for f in ladder:
+                for g in ladder:
+                    scalar_product(fam, f, g)
+            assert weight(fam) is weight(fam)
+        assert built == fams
 
     def test_gaussian_normalization(self):
         fam = FamilySpec(SigmaCase.ONE, -2.0, 0.0)
